@@ -24,6 +24,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
+import mpmath
+
 from . import group
 from .field import EmbeddingError, NumberField
 from .invariant import (TwistConfig, NoAdmissibleColumnError,
@@ -31,7 +33,8 @@ from .invariant import (TwistConfig, NoAdmissibleColumnError,
 from .laurent import order_at_one
 from .group import fox_derivative, GroupRingElement
 from .rep import Matrix, Representation
-from .volume import fit_limit, invariant_values, report_from_values
+from .volume import (fit_limit, invariant_values, needed_dimensions,
+                     report_from_values)
 
 
 class JobError(Exception):
@@ -85,6 +88,15 @@ def _parse_nested(text):
     return value
 
 
+def _check_reference(text, where):
+    """Reject a reference volume that is not a decimal number."""
+    try:
+        mpmath.mpf(text)
+    except ValueError:
+        raise JobError('parse', '%s %r is not a decimal number'
+                       % (where, text)) from None
+
+
 def parse_job(text):
     """Parse and validate job text into a JobFile (without relation check)."""
     pres_lines = {}
@@ -92,11 +104,17 @@ def parse_job(text):
     embed_line = None
     rep_lines = {}
     reference = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split('#', 1)[0].strip()
         if not line:
             continue
         head = line.split(':', 1)[0].strip()
+        key = ' '.join(head.split())
+        if key in seen and key != 'rel':
+            raise JobError('parse', 'line %d: duplicate %s line'
+                           % (lineno, key))
+        seen.add(key)
         if head in ('gens', 'rel', 'alpha'):
             pres_lines[lineno] = line
         elif head == 'field':
@@ -111,6 +129,7 @@ def parse_job(text):
             rep_lines[parts[1]] = (lineno, line.split(':', 1)[1].strip())
         elif head == 'reference':
             reference = line.split(':', 1)[1].strip()
+            _check_reference(reference, 'line %d: reference' % lineno)
         else:
             raise JobError('parse', 'line %d: unrecognized directive %r'
                            % (lineno, line))
@@ -179,22 +198,26 @@ def load_job(path, validate=True):
         raise JobError('parse', str(exc)) from exc
     job = parse_job(text)
     if validate and job.representation is not None:
-        _validate_rep(job)
+        for stage, ok, detail in _rep_checks(job.representation,
+                                             job.presentation):
+            if not ok:
+                raise JobError(stage, detail)
     return job
 
 
-def _validate_rep(job):
-    rep = job.representation
-    for name, image in zip(rep.names, rep.images):
-        if image.det() != rep.field.one:
-            raise JobError('determinant check',
-                           'det rho(%s) is not 1' % name)
-    failures = rep.check_relations(job.presentation)
+def _rep_checks(rep, pres):
+    """[(stage, ok, detail)] of the det = 1 check and the relation check."""
+    bad = rep.sl2_failures()
+    failures = rep.check_relations(pres)
     if failures:
         k, diff = failures[0]
-        raise JobError('relation check',
-                       'relation %d fails under the representation; '
-                       'difference %r' % (k + 1, diff))
+        relations = ('relation %d fails under the representation; '
+                     'difference %r' % (k + 1, diff))
+    else:
+        relations = '%d relation(s) hold exactly' % len(pres.relations)
+    return [('determinant check', not bad,
+             'det != 1 for %s' % ', '.join(bad) if bad else 'all det = 1'),
+            ('relation check', not failures, relations)]
 
 
 def _require_rep(job, trivial):
@@ -231,11 +254,13 @@ def cmd_compute(args):
     n_min, n_max = _parse_range(args.n)
     if n_min < 2:
         raise JobError('parse', 'compute needs n >= 2')
+    if args.precision < 64:
+        raise JobError('parse', '--precision must be at least 64 bits')
+    if args.reference is not None:
+        _check_reference(args.reference, '--reference')
     reference = args.reference if args.reference is not None else job.reference
-    needed = set(range(n_min, n_max + 1))
-    if n_max >= 4:
-        needed |= {2, 3}
-    values = invariant_values(job.presentation, rep, needed, args.column)
+    values = invariant_values(job.presentation, rep,
+                              needed_dimensions(n_min, n_max), args.column)
 
     out = []
     exact = [n for n in range(n_min, min(3, n_max) + 1)]
@@ -249,7 +274,6 @@ def cmd_compute(args):
                 else report.format_table())
         out.append(text.rstrip('\n'))
         if args.extrapolate:
-            import mpmath
             limit = fit_limit(report)
             out.append('%sEXPERIMENTAL extrapolated limit (v_n = V - c/n^2 '
                        'fit): %s' % (prefix, mpmath.nstr(limit, 6)))
@@ -262,6 +286,8 @@ def cmd_invariant(args):
     rep, forced_n = _require_rep(job, args.trivial_rep)
     _check_column(job, args.column)
     n = forced_n if forced_n is not None else args.n
+    if n < 1:
+        raise JobError('parse', '--n must be at least 1')
     ta = twisted_alexander(TwistConfig(job.presentation, rep, n, args.column))
     print('n: %d' % ta.n)
     print('deleted column: %s' % ta.column)
@@ -274,7 +300,7 @@ def cmd_check(args):
     job = load_job(args.job, validate=False)
     rep, _ = _require_rep(job, args.trivial_rep)
     pres = job.presentation
-    results = []
+    results = _rep_checks(rep, pres)
 
     def run(name, fn):
         try:
@@ -282,17 +308,6 @@ def cmd_check(args):
         except Exception as exc:              # a crashed check is a failure
             ok, detail = False, '%s: %s' % (type(exc).__name__, exc)
         results.append((name, ok, detail))
-
-    def det_check():
-        bad = [name for name, m in zip(rep.names, rep.images)
-               if m.det() != rep.field.one]
-        return not bad, 'det != 1 for %s' % bad if bad else 'all det = 1'
-
-    def relation_check():
-        failures = rep.check_relations(pres)
-        if failures:
-            return False, 'relation %d fails' % (failures[0][0] + 1)
-        return True, '%d relation(s) hold exactly' % len(pres.relations)
 
     def fox_check():
         for r in pres.relators():
@@ -333,8 +348,6 @@ def cmd_check(args):
             return False, 'order at t=1 is %d, expected %d' % (order, want)
         return check
 
-    run('determinant check', det_check)
-    run('relation check', relation_check)
     run('fox fundamental identity', fox_check)
     run('column independence (n=2)', column_check(2))
     run('column independence (n=3)', column_check(3))

@@ -123,6 +123,39 @@ class NumberField:
             k >>= 1
         return acc
 
+    def _det(self, rows):
+        """Determinant of a square matrix of raw elements.
+
+        Fraction-free (Bareiss) elimination: every division is exact, so
+        entries grow no faster than the minors they are.  rows is copied.
+        """
+        n = len(rows)
+        if n == 0:
+            return self._one
+        a = [list(row) for row in rows]
+        sign = 1
+        prev = self._one
+        for k in range(n - 1):
+            if not any(a[k][k]):
+                pivot = next((i for i in range(k + 1, n) if any(a[i][k])), None)
+                if pivot is None:
+                    return self._zero
+                a[k], a[pivot] = a[pivot], a[k]
+                sign = -sign
+            prev_inv = self._inv(prev)
+            akk = a[k][k]
+            for i in range(k + 1, n):
+                aik = a[i][k]
+                row_i, row_k = a[i], a[k]
+                for j in range(k + 1, n):
+                    num = self._sub(self._mul(akk, row_i[j]),
+                                    self._mul(aik, row_k[j]))
+                    row_i[j] = self._mul(num, prev_inv)
+                row_i[k] = self._zero
+            prev = akk
+        result = a[n - 1][n - 1]
+        return result if sign == 1 else self._neg(result)
+
     # ----- public element constructors -----
 
     def element(self, coeffs):

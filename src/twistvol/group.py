@@ -235,6 +235,19 @@ def fox_derivative(word, gen):
 _GENS_RE = re.compile(r'^[a-z]$')
 
 
+def _parse_word(names, text):
+    """The Word spelled by text over the generator names; uppercase inverts."""
+    letters = []
+    for pos, ch in enumerate(text):
+        low = ch.lower()
+        if low not in names:
+            raise ParseError('unknown letter %r at position %d in word %r'
+                             % (ch, pos, text))
+        idx = names.index(low) + 1
+        letters.append(idx if ch.islower() else -idx)
+    return Word(letters)
+
+
 class Presentation:
     """A deficiency-one group presentation with an abelianization map.
 
@@ -286,15 +299,7 @@ class Presentation:
         return Word((index + 1,))
 
     def word_from_string(self, text):
-        letters = []
-        for pos, ch in enumerate(text):
-            low = ch.lower()
-            if low not in self.generator_names:
-                raise ParseError('unknown letter %r at position %d in word %r'
-                                 % (ch, pos, text))
-            idx = self.generator_names.index(low) + 1
-            letters.append(idx if ch.islower() else -idx)
-        return Word(letters)
+        return _parse_word(self.generator_names, text)
 
     def word_to_string(self, word):
         return word.to_string(self.generator_names)
@@ -366,20 +371,13 @@ def parse_presentation(text):
     if names is None:
         raise ParseError('missing gens: line')
 
-    lookup = {g: i + 1 for i, g in enumerate(names)}
-
-    def parse_word(lineno, text):
-        letters = []
-        for pos, ch in enumerate(text):
-            idx = lookup.get(ch.lower())
-            if idx is None:
-                raise ParseError('line %d: unknown letter %r at position %d'
-                                 % (lineno, ch, pos))
-            letters.append(idx if ch.islower() else -idx)
-        return Word(letters)
-
-    relations = [(parse_word(ln, lhs), parse_word(ln, rhs))
-                 for ln, lhs, rhs in raw_relations]
+    relations = []
+    for lineno, lhs, rhs in raw_relations:
+        try:
+            relations.append((_parse_word(names, lhs),
+                              _parse_word(names, rhs)))
+        except ParseError as exc:
+            raise ParseError('line %d: %s' % (lineno, exc)) from None
 
     alpha = None
     if alpha_spec is not None:
@@ -389,7 +387,7 @@ def parse_presentation(text):
             if item.count('=') != 1:
                 raise ParseError('line %d: bad alpha item %r' % (lineno, item))
             g, val = item.split('=')
-            if g not in lookup:
+            if g not in names:
                 raise ParseError('line %d: alpha names unknown generator %r'
                                  % (lineno, g))
             try:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .group import GroupRingElement, Word, fox_derivative
 from .rep import symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
-                      determinant, normalize_unit, order_at_one, reduce)
+                      determinant, equal_up_to_unit, normalize_unit,
+                      order_at_one, reduce)
 
 
 class NoAdmissibleColumnError(ValueError):
@@ -125,12 +126,8 @@ class TwistedAlexander:
             other = other.value
         if isinstance(other, LaurentPolynomial):
             other = RationalFunction(other, LaurentPolynomial.one(other.field))
-        if self.value.den != other.den:
-            return False
-        a, b = self.value.num, other.num
-        ca, _, _ = normalize_unit(a)
-        cb, _, _ = normalize_unit(b)
-        return ca == cb or ca == -cb
+        return (self.value.den == other.den
+                and equal_up_to_unit(self.value.num, other.num))
 
     def __str__(self):
         return str(self.value)

@@ -3,9 +3,11 @@
 Determinants of polynomial matrices are computed by evaluation and
 interpolation: each row is shifted to ordinary-polynomial form, the
 matrix is evaluated at D+1 rational points for a certified degree bound
-D, a fraction-free elimination runs at each point, and the results are
-interpolated; the factored-out power of t is restored at the end.  One
-extra evaluation point cross-checks the interpolated result.
+D, the field's fraction-free elimination (NumberField._det) runs at each
+point, and the results are interpolated; the factored-out power of t is
+restored at the end.  One extra evaluation point cross-checks the
+interpolated result.  Every evaluation, at those points and in
+LaurentPolynomial.evaluate, goes through one Horner loop, _dense_eval.
 """
 
 import re
@@ -161,14 +163,9 @@ class LaurentPolynomial:
         if at.is_zero():
             raise ZeroDivisionError('Laurent polynomials are evaluated at '
                                     'nonzero points only')
-        if not self.coeffs:
-            return f.zero
-        lo = self.min_exp
-        dense, _ = self._dense()
-        acc = f._zero
+        dense, lo = self._dense()
         x = at.coeffs
-        for c in reversed(dense):
-            acc = f._add(f._mul(acc, x), c)
+        acc = _dense_eval(f, dense, x)
         if lo > 0:
             acc = f._mul(acc, f._pow(x, lo))
         elif lo < 0:
@@ -254,11 +251,11 @@ def _dense_divmod(field, a, b):
     return q, a
 
 
-def _dense_eval(field, a, x_powers):
+def _dense_eval(field, a, x):
+    """Value of the dense ascending list a at the raw element x (Horner)."""
     acc = field._zero
     for c in reversed(a):
-        acc = field._mul(acc, x_powers[1])
-        acc = field._add(acc, c)
+        acc = field._add(field._mul(acc, x), c)
     return acc
 
 
@@ -466,44 +463,8 @@ class PolyMatrix:
         return PolyMatrix(self.field,
                           [[row[j] for j in keep] for row in self.entries])
 
-    def with_rows_swapped(self, i, j):
-        rows = list(self.entries)
-        rows[i], rows[j] = rows[j], rows[i]
-        return PolyMatrix(self.field, rows)
-
-    def determinant(self):
-        return determinant(self)
-
     def __repr__(self):
         return '<PolyMatrix %dx%d>' % (self.nrows, self.ncols)
-
-
-def _field_det(field, a):
-    """Fraction-free (Bareiss) elimination determinant on raw rows."""
-    n = len(a)
-    a = [row[:] for row in a]
-    sign = 1
-    prev = field._one
-    for k in range(n - 1):
-        if not any(a[k][k]):
-            pivot = next((i for i in range(k + 1, n) if any(a[i][k])), None)
-            if pivot is None:
-                return field._zero
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        prev_inv = field._inv(prev)
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                num = field._sub(field._mul(akk, row_i[j]),
-                                 field._mul(aik, row_k[j]))
-                row_i[j] = field._mul(num, prev_inv)
-            row_i[k] = field._zero
-        prev = akk
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else field._neg(result)
 
 
 def _newton_interpolate(field, points, values):
@@ -556,18 +517,12 @@ def determinant(matrix):
         dense_rows.append(dense_row)
         bound += row_deg
     points = [Fraction(k) for k in range(1, bound + 3)]
-    values = []
-    for x in points:
-        x_raw = field._scale(field._one, x)
-        x_powers = (field._one, x_raw)
-        evaluated = [[_dense_eval(field, entry, x_powers) for entry in row]
-                     for row in dense_rows]
-        values.append(_field_det(field, evaluated))
+    raw_points = [field._scale(field._one, x) for x in points]
+    values = [field._det([[_dense_eval(field, entry, x) for entry in row]
+                          for row in dense_rows])
+              for x in raw_points]
     poly = _newton_interpolate(field, points[:-1], values[:-1])
-    check = field._zero
-    for c in reversed(poly):
-        check = field._add(field._scale(check, points[-1]), c)
-    if check != values[-1]:
+    if _dense_eval(field, poly, raw_points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
     return _wrap(field, {i + shift: c for i, c in enumerate(poly) if any(c)})

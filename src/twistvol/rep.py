@@ -6,6 +6,10 @@ variables, with a matrix A acting by precomposition with A^-1.  Basis
 order is fixed as x^(n-1), x^(n-2) y, ..., y^(n-1) and coordinates are
 written as columns; this is the order that reproduces the standard
 contragredient identification sigma_2(M) = transpose(M^-1).
+
+Determinants use the field's fraction-free kernel (NumberField._det);
+the only inverses needed, of 2x2 generator images, are adjugate over
+determinant.
 """
 
 from fractions import Fraction
@@ -94,56 +98,11 @@ class Matrix:
         return acc
 
     def det(self):
-        """Exact determinant by Gaussian elimination with pivoting."""
+        """Exact determinant, by the field's fraction-free elimination."""
         if self.nrows != self.ncols:
             raise ValueError('determinant of a non-square matrix')
-        f = self.field
-        n = self.nrows
-        a = [[e.coeffs for e in row] for row in self.rows]
-        sign = 1
-        acc = f._one
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if any(a[i][k])), None)
-            if pivot is None:
-                return f.zero
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                sign = -sign
-            acc = f._mul(acc, a[k][k])
-            inv = f._inv(a[k][k])
-            for i in range(k + 1, n):
-                if any(a[i][k]):
-                    factor = f._mul(a[i][k], inv)
-                    for j in range(k + 1, n):
-                        a[i][j] = f._sub(a[i][j], f._mul(factor, a[k][j]))
-                    a[i][k] = f._zero
-        out = NFElement(f, acc)
-        return out if sign == 1 else -out
-
-    def inverse(self):
-        """Exact inverse by Gauss-Jordan elimination."""
-        if self.nrows != self.ncols:
-            raise ValueError('inverse of a non-square matrix')
-        f = self.field
-        n = self.nrows
-        a = [[e.coeffs for e in row] for row in self.rows]
-        b = [[f._one if i == j else f._zero for j in range(n)] for i in range(n)]
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if any(a[i][k])), None)
-            if pivot is None:
-                raise ZeroDivisionError('matrix is singular')
-            if pivot != k:
-                a[k], a[pivot] = a[pivot], a[k]
-                b[k], b[pivot] = b[pivot], b[k]
-            inv = f._inv(a[k][k])
-            a[k] = [f._mul(x, inv) for x in a[k]]
-            b[k] = [f._mul(x, inv) for x in b[k]]
-            for i in range(n):
-                if i != k and any(a[i][k]):
-                    factor = a[i][k]
-                    a[i] = [f._sub(x, f._mul(factor, y)) for x, y in zip(a[i], a[k])]
-                    b[i] = [f._sub(x, f._mul(factor, y)) for x, y in zip(b[i], b[k])]
-        return Matrix(f, [[NFElement(f, x) for x in row] for row in b])
+        return NFElement(self.field, self.field._det(
+            [[e.coeffs for e in row] for row in self.rows]))
 
     def __repr__(self):
         body = '; '.join(', '.join(str(e) for e in row) for row in self.rows)
@@ -213,8 +172,9 @@ class Representation:
 
     Images are keyed by generator name and aligned with a presentation's
     declaration order.  Determinant-1 is validated at construction
-    (disable with require_sl2=False when loading data to be audited);
-    relation checking is a separate, non-throwing report.
+    (disable with require_sl2=False when loading data to be audited,
+    then audit with sl2_failures); relation checking is a separate,
+    non-throwing report.  A singular image raises ZeroDivisionError.
     """
 
     def __init__(self, presentation, images, require_sl2=True):
@@ -233,11 +193,12 @@ class Representation:
             raise ValueError('matrices given for undeclared generators %s'
                              % sorted(extra))
         self.field = mats[0].field
-        for name, m in zip(self.names, mats):
+        for m in mats:
             self.field._check_same(m.field)
-            if require_sl2 and m.det() != self.field.one:
-                raise ValueError('determinant of rho(%s) is not 1' % (name,))
         self.images = tuple(mats)
+        bad = self.sl2_failures() if require_sl2 else []
+        if bad:
+            raise ValueError('determinant of rho(%s) is not 1' % (bad[0],))
         self._inverses = tuple(_sl2_inverse(m) for m in mats)
 
     @classmethod
@@ -247,6 +208,11 @@ class Representation:
             field = NumberField.rationals()
         eye = Matrix.identity(field, 2)
         return cls(presentation, {name: eye for name in presentation.generator_names})
+
+    def sl2_failures(self):
+        """Names of the generators whose image does not have determinant 1."""
+        return [name for name, m in zip(self.names, self.images)
+                if m.det() != self.field.one]
 
     def evaluate(self, word):
         """Left-to-right product of generator images over the word."""
@@ -279,10 +245,7 @@ class Representation:
 
 
 def _sl2_inverse(m):
-    f = m.field
-    a, b = m.rows[0]
-    c, d = m.rows[1]
-    det = a * d - b * c
-    if det == f.one:
-        return Matrix(f, [[d, -b], [-c, a]])
-    return m.inverse()
+    """Adjugate over determinant; ZeroDivisionError when m is singular."""
+    (a, b), (c, d) = m.rows
+    inv = 1 / m.det()
+    return Matrix(m.field, [[d * inv, -b * inv], [-c * inv, a * inv]])

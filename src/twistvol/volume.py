@@ -24,6 +24,18 @@ def invariant_values(presentation, rep, ns, column='auto'):
     return values
 
 
+def needed_dimensions(n_min, n_max):
+    """Dimensions whose values the outputs for n_min..n_max need.
+
+    Each n in range, plus the parity bases 2 and 3 once a ratio row
+    (n >= 4) is in range.
+    """
+    needed = set(range(n_min, n_max + 1))
+    if n_max >= 4:
+        needed |= {2, 3}
+    return needed
+
+
 def a_ratio(n, values):
     """The exact ratio of the n-th value against its parity base.
 
@@ -121,8 +133,8 @@ def volume_table(presentation, rep, n_max, n_min=4, precision=256,
     """The convergence table for n_min..n_max (volume rows start at 4)."""
     if n_max < n_min:
         raise ValueError('n_max must be at least n_min')
-    needed = set(range(max(4, n_min), n_max + 1)) | {2, 3}
-    values = invariant_values(presentation, rep, needed, column)
+    values = invariant_values(presentation, rep,
+                              needed_dimensions(max(4, n_min), n_max), column)
     return report_from_values(values, n_min, n_max, precision, reference)
 
 

@@ -7,6 +7,7 @@ from twistvol import bundled_job_path, load_job, parse_job
 from twistvol.cli import JobError, main
 
 FIG8_JOB = str(bundled_job_path('figure-eight'))
+FIG8_TEXT = bundled_job_path('figure-eight').read_text(encoding='utf-8')
 
 BROKEN_JOB = """\
 gens: a b
@@ -79,6 +80,18 @@ class TestJobParsing:
     def test_unbalanced_matrix_literal(self):
         with pytest.raises(JobError) as info:
             parse_job('gens: a\nrep a: [[[1],[0]],[[0],[1]\n')
+        assert info.value.stage == 'parse'
+
+    @pytest.mark.parametrize('line', [
+        'field: 1 1 1',
+        'embed: -0.5 0.8660254038',
+        'reference: 2.03',
+        'rep a: [[[1,0],[1,0]],[[0,0],[1,0]]]',
+        'rep  a: [[[1,0],[1,0]],[[0,0],[1,0]]]',
+    ])
+    def test_duplicate_directive(self, line):
+        with pytest.raises(JobError, match='line 17: duplicate') as info:
+            parse_job(FIG8_TEXT + line + '\n')
         assert info.value.stage == 'parse'
 
 
@@ -193,6 +206,32 @@ class TestCompute:
         path.write_text('gens: a\nrep a: [[[0],[0]],[[0],[0]]]\n')
         code, _, err = run(capsys, 'compute', str(path), '--n', '2..2')
         assert code == 1 and 'error [representation validation]' in err
+
+
+@pytest.mark.parametrize('argv, job_text, message', [
+    (['compute', '--precision', '32'], None, '--precision'),
+    (['compute', '--reference', 'abc'], None, '--reference'),
+    (['compute'], FIG8_TEXT.replace('reference: 2.02988', 'reference: xyz'),
+     'line 16: reference'),
+    (['invariant', '--n', '0'], None, '--n'),
+    (['invariant', '--n', '-1'], None, '--n'),
+])
+def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
+                           message):
+    # every one of these is rejected before any invariant is computed
+    def refuse(*args):
+        raise AssertionError('computed before rejecting the input')
+
+    monkeypatch.setattr('twistvol.cli.invariant_values', refuse)
+    monkeypatch.setattr('twistvol.cli.twisted_alexander', refuse)
+    job = FIG8_JOB
+    if job_text is not None:
+        job = str(tmp_path / 'bad.job')
+        with open(job, 'w', encoding='utf-8') as handle:
+            handle.write(job_text)
+    code, _, err = run(capsys, argv[0], job, *argv[1:])
+    assert code == 1
+    assert err.startswith('error [parse]: ') and message in err
 
 
 class TestInvariantCommand:
