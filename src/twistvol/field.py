@@ -1,7 +1,10 @@
 """Exact arithmetic in Q[x]/(m(x)) with a chosen complex embedding.
 
 Elements are vectors of rationals reduced modulo a monic integer
-polynomial m.  All ring operations are exact; the only inexact step is
+polynomial m, which is screened for visible reducibility at
+construction.  The determinant kernel runs on the integral elements,
+Z[x]/(m), with Python int coordinates; callers clear denominators
+first.  All ring operations are exact; the only inexact step is
 the embedding into arbitrary-precision complex numbers (mpmath), whose
 root of m is selected by a user-supplied hint and refined by Newton
 iteration.  Degree 1 gives plain rational arithmetic, so the classical
@@ -9,6 +12,7 @@ iteration.  Degree 1 gives plain rational arithmetic, so the classical
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 import mpmath
 
@@ -39,6 +43,8 @@ class NumberField:
             raise ValueError('minimal polynomial must have degree >= 1')
         if coeffs[-1] != 1:
             raise ValueError('minimal polynomial must be monic')
+        if len(coeffs) > 2:
+            _reject_reducible(coeffs)
         self.min_poly = coeffs
         self.degree = len(coeffs) - 1
         re, im = embedding_hint
@@ -73,7 +79,10 @@ class NumberField:
         d = self.degree
         if d == 1:
             return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * d - 1)
+        # a zero of the coordinates' own type: int rows stay int, and
+        # Fraction rows pay for one Fraction(0), not one per accumulator
+        zero = a[0] * 0
+        prod = [zero] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -84,7 +93,6 @@ class NumberField:
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c:
-                prod[k] = Fraction(0)
                 for i in range(d):
                     prod[k - d + i] -= c * m[i]
         return tuple(prod[:d])
@@ -93,10 +101,10 @@ class NumberField:
         if not any(a):
             raise ZeroDivisionError('division by zero in the number field')
         if self.degree == 1:
-            return (1 / a[0],)
+            return (Fraction(1) / a[0],)
         # extended Euclid on a(x) and m(x) over Q[x]
         r0 = [Fraction(c) for c in self.min_poly]
-        r1 = list(a)
+        r1 = [Fraction(c) for c in a]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while r1 and not r1[-1]:
@@ -124,36 +132,48 @@ class NumberField:
         return acc
 
     def _det(self, rows):
-        """Determinant of a square matrix of raw elements.
+        """Determinant of a square matrix of integral raw elements.
 
-        Fraction-free (Bareiss) elimination: every division is exact, so
-        entries grow no faster than the minors they are.  rows is copied.
+        rows is a list of row lists whose entries have int coordinates,
+        i.e. lie in Z[x]/(m); it is eliminated in place.  Bareiss
+        elimination keeps every intermediate entry a minor, hence
+        integral: the division by the previous pivot p multiplies by
+        w = D * p^-1 (D the least common denominator of p^-1, one
+        inversion per pivot) and divides each coordinate by D exactly.
+        A nonzero remainder raises ArithmeticError.  Returns int
+        coordinates.
         """
         n = len(rows)
         if n == 0:
-            return self._one
-        a = [list(row) for row in rows]
+            return (1,) + (0,) * (self.degree - 1)
         sign = 1
-        prev = self._one
+        w = None  # the previous pivot's inverse is w / denom
         for k in range(n - 1):
-            if not any(a[k][k]):
-                pivot = next((i for i in range(k + 1, n) if any(a[i][k])), None)
+            if not any(rows[k][k]):
+                pivot = next((i for i in range(k + 1, n) if any(rows[i][k])),
+                             None)
                 if pivot is None:
-                    return self._zero
-                a[k], a[pivot] = a[pivot], a[k]
+                    return (0,) * self.degree
+                rows[k], rows[pivot] = rows[pivot], rows[k]
                 sign = -sign
-            prev_inv = self._inv(prev)
-            akk = a[k][k]
+            if k:
+                inv = self._inv(rows[k - 1][k - 1])
+                denom = _denominator([inv])
+                w = _integral(inv, denom)
+            row_k = rows[k]
+            akk = row_k[k]
             for i in range(k + 1, n):
-                aik = a[i][k]
-                row_i, row_k = a[i], a[k]
+                row_i = rows[i]
+                aik = row_i[k]
                 for j in range(k + 1, n):
                     num = self._sub(self._mul(akk, row_i[j]),
                                     self._mul(aik, row_k[j]))
-                    row_i[j] = self._mul(num, prev_inv)
-                row_i[k] = self._zero
-            prev = akk
-        result = a[n - 1][n - 1]
+                    if w is not None:
+                        num = self._mul(num, w)
+                        if denom != 1:
+                            num = _exact_quotient(num, denom)
+                    row_i[j] = num
+        result = rows[n - 1][n - 1]
         return result if sign == 1 else self._neg(result)
 
     # ----- public element constructors -----
@@ -261,6 +281,52 @@ class NumberField:
         terms = ' + '.join('%d*x^%d' % (c, i)
                            for i, c in enumerate(self.min_poly) if c)
         return '<NumberField Q[x]/(%s)>' % terms
+
+
+def _reject_reducible(m):
+    """ValueError when the monic integer m is visibly reducible over Q.
+
+    Two screens: m must be squarefree (gcd(m, m') = 1 over Q) and must
+    have no integer root (a monic integer polynomial's rational roots are
+    integers dividing m_0; m_0 = 0 means x divides m).  They decide
+    irreducibility in degree 2 and 3 only.
+    """
+    a = [Fraction(c) for c in m]
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if len(a) > 1:
+        raise ValueError('minimal polynomial %r is not squarefree'
+                         % (list(m),))
+    m0 = abs(m[0])
+    divisors = {d for k in range(1, isqrt(m0) + 1) if m0 % k == 0
+                for d in (k, m0 // k)} if m0 else {0}
+    for root in sorted(divisors | {-d for d in divisors}):
+        if _horner(m, root) == 0:
+            raise ValueError('minimal polynomial %r has the root %d; it is '
+                             'not irreducible' % (list(m), root))
+
+
+def _denominator(elements):
+    """Least common denominator of the coordinates of raw elements."""
+    return lcm(*(c.denominator for a in elements for c in a))
+
+
+def _integral(a, scale):
+    """Coordinates of the raw element a * scale as ints (scale clears them)."""
+    return tuple(c.numerator * (scale // c.denominator) for c in a)
+
+
+def _exact_quotient(a, denom):
+    """The raw element a / denom; ArithmeticError unless it is integral."""
+    out = []
+    for c in a:
+        q, r = divmod(c, denom)
+        if r:
+            raise ArithmeticError('Bareiss step left a non-integral entry; '
+                                  'the matrix is not over Z[x]/(m)')
+        out.append(q)
+    return tuple(out)
 
 
 def _poly_divmod(a, b):

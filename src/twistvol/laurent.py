@@ -1,19 +1,21 @@
 """Exact Laurent polynomials in t over a number field, and matrices of them.
 
 Determinants of polynomial matrices are computed by evaluation and
-interpolation: each row is shifted to ordinary-polynomial form, the
-matrix is evaluated at D+1 rational points for a certified degree bound
-D, the field's fraction-free elimination (NumberField._det) runs at each
-point, and the results are interpolated; the factored-out power of t is
-restored at the end.  One extra evaluation point cross-checks the
-interpolated result.  Every evaluation, at those points and in
-LaurentPolynomial.evaluate, goes through one Horner loop, _dense_eval.
+interpolation: each row is shifted to ordinary-polynomial form and
+scaled to integral coefficients, the matrix is evaluated at D+1 integer
+points 0, 1, -1, 2, -2, ... for a certified degree bound D, the field's
+integral Bareiss kernel (NumberField._det) runs on Python ints at each
+point, and the results are interpolated; the row scales and the
+factored-out power of t are restored at the end.  One extra evaluation
+point cross-checks the interpolated result.  Every evaluation, at those
+points and in LaurentPolynomial.evaluate, goes through one Horner
+function, _dense_eval.
 """
 
 import re
 from fractions import Fraction
 
-from .field import NFElement
+from .field import NFElement, _denominator, _integral
 
 
 class LaurentPolynomial:
@@ -252,10 +254,21 @@ def _dense_divmod(field, a, b):
 
 
 def _dense_eval(field, a, x):
-    """Value of the dense ascending list a at the raw element x (Horner)."""
-    acc = field._zero
-    for c in reversed(a):
-        acc = field._add(field._mul(acc, x), c)
+    """Value of the dense ascending list a at x by Horner's rule.
+
+    x is a raw element, or an int or Fraction scalar; at a scalar each
+    step is coordinate-wise (acc * x + c), never a field multiply, so
+    int coefficients at an int point give int coordinates.
+    """
+    if not a:
+        return field._zero
+    acc = a[-1]
+    if isinstance(x, tuple):
+        for c in a[-2::-1]:
+            acc = field._add(field._mul(acc, x), c)
+    else:
+        for c in a[-2::-1]:
+            acc = tuple(u * x + v for u, v in zip(acc, c))
     return acc
 
 
@@ -487,10 +500,14 @@ def _newton_interpolate(field, points, values):
 def determinant(matrix):
     """Exact determinant of a square PolyMatrix by interpolation.
 
-    The degree bound D sums, over rows, the largest entry degree after
-    the row's t-power has been factored out; evaluation runs at the
-    rational points 1, 2, ..., D+1 and one further point cross-checks
-    the interpolated polynomial against a direct elimination.
+    Each row's lowest t-power is factored out and its coefficients are
+    scaled by their least common denominator, so every entry becomes an
+    ordinary polynomial over Z[x]/(m).  The degree bound D sums, over
+    rows, the largest entry degree.  The matrix is evaluated at the D+1
+    integers 0, 1, -1, 2, -2, ..., the field's integral Bareiss kernel
+    runs at each point, and the values are interpolated; one further
+    integer point cross-checks the interpolant against a direct
+    elimination.  The row scales and the t-power are restored at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
@@ -498,31 +515,39 @@ def determinant(matrix):
     n = matrix.nrows
     if n == 0:
         return LaurentPolynomial.one(field)
+    izero = (0,) * field.degree
     shift = 0
-    dense_rows = []
+    scale = 1
+    int_rows = []
     bound = 0
     for row in matrix.entries:
         if all(p.is_zero() for p in row):
             return LaurentPolynomial.zero(field)
         lo = min(p.min_exp for p in row if not p.is_zero())
         shift += lo
-        dense_row = []
+        row_scale = _denominator(c.coeffs for p in row
+                                 for c in p.coeffs.values())
+        scale *= row_scale
+        int_row = []
         row_deg = 0
         for p in row:
             dense, plo = p._dense()
-            pad = plo - lo
-            dense_row.append([field._zero] * pad + dense)
-            if dense:
-                row_deg = max(row_deg, pad + len(dense) - 1)
-        dense_rows.append(dense_row)
+            if not dense:
+                int_row.append([izero])
+                continue
+            int_row.append([izero] * (plo - lo)
+                           + [_integral(c, row_scale) for c in dense])
+            row_deg = max(row_deg, len(int_row[-1]) - 1)
+        int_rows.append(int_row)
         bound += row_deg
-    points = [Fraction(k) for k in range(1, bound + 3)]
-    raw_points = [field._scale(field._one, x) for x in points]
+    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 2)]
     values = [field._det([[_dense_eval(field, entry, x) for entry in row]
-                          for row in dense_rows])
-              for x in raw_points]
-    poly = _newton_interpolate(field, points[:-1], values[:-1])
-    if _dense_eval(field, poly, raw_points[-1]) != values[-1]:
+                          for row in int_rows])
+              for x in points]
+    poly = _newton_interpolate(field, [Fraction(x) for x in points[:-1]],
+                               values[:-1])
+    if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
-    return _wrap(field, {i + shift: c for i, c in enumerate(poly) if any(c)})
+    return _wrap(field, {i + shift: tuple(Fraction(c, scale) for c in coeff)
+                         for i, coeff in enumerate(poly) if any(coeff)})

@@ -7,15 +7,15 @@ order is fixed as x^(n-1), x^(n-2) y, ..., y^(n-1) and coordinates are
 written as columns; this is the order that reproduces the standard
 contragredient identification sigma_2(M) = transpose(M^-1).
 
-Determinants use the field's fraction-free kernel (NumberField._det);
-the only inverses needed, of 2x2 generator images, are adjugate over
-determinant.
+Determinants clear each row's denominators and run the field's integral
+Bareiss kernel (NumberField._det) on Python ints; the only inverses
+needed, of 2x2 generator images, are adjugate over determinant.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
-from .field import NFElement, NumberField
+from .field import NFElement, NumberField, _denominator, _integral
 
 
 class Matrix:
@@ -98,11 +98,19 @@ class Matrix:
         return acc
 
     def det(self):
-        """Exact determinant, by the field's fraction-free elimination."""
+        """Exact determinant by the field's integral Bareiss kernel.
+
+        Each row is scaled by the least common denominator of its
+        coordinates, so the kernel sees entries in Z[x]/(m); the product
+        of those scales is divided out of the result.
+        """
         if self.nrows != self.ncols:
             raise ValueError('determinant of a non-square matrix')
-        return NFElement(self.field, self.field._det(
-            [[e.coeffs for e in row] for row in self.rows]))
+        scales = [_denominator(e.coeffs for e in row) for row in self.rows]
+        det = self.field._det([[_integral(e.coeffs, s) for e in row]
+                               for row, s in zip(self.rows, scales)])
+        total = prod(scales)
+        return NFElement(self.field, tuple(Fraction(c, total) for c in det))
 
     def __repr__(self):
         body = '; '.join(', '.join(str(e) for e in row) for row in self.rows)

@@ -30,6 +30,12 @@ def ufield():
 
 
 @pytest.fixture(scope='session')
+def cubic():
+    # x^3 - 2 with the real root; 1 + x has norm 3, so it is no unit of Z[x]
+    return NumberField([-2, 0, 0, 1], ('1.26', '0'))
+
+
+@pytest.fixture(scope='session')
 def fig8():
     return parse_presentation(FIG8_TEXT)
 

@@ -201,6 +201,15 @@ class TestCompute:
         code, _, err = run(capsys, 'compute', str(path))
         assert code == 1 and 'error [parse]' in err
 
+    def test_reducible_field_stage(self, capsys, tmp_path):
+        path = tmp_path / 'reducible.job'
+        path.write_text('gens: a\nfield: -1 0 1\nembed: 1 0\n'
+                        'rep a: [[[1,0],[1,0]],[[0,0],[1,0]]]\n')
+        code, _, err = run(capsys, 'check', str(path))
+        assert code == 1
+        assert err.startswith('error [field validation]: ')
+        assert 'not irreducible' in err
+
     def test_singular_matrix_stage(self, capsys, tmp_path):
         path = tmp_path / 'singular.job'
         path.write_text('gens: a\nrep a: [[[0],[0]],[[0],[0]]]\n')

@@ -133,12 +133,6 @@ class TestEmbedding:
         assert z.imag < 0
 
 
-@pytest.fixture(scope='module')
-def cubic():
-    # x^3 - 2 with the real root
-    return NumberField([-2, 0, 0, 1], ('1.26', '0'))
-
-
 class TestCubicField:
     """Degree-3 sanity: the pipeline is not wired to degree <= 2."""
 
@@ -177,6 +171,28 @@ class TestValidation:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError, match='degree'):
             NumberField([1])
+
+    @pytest.mark.parametrize('min_poly, message', [
+        ([0, 0, 1], 'not squarefree'),               # x^2
+        ([1, 2, 1], 'not squarefree'),               # (x + 1)^2
+        ([1, 0, 2, 0, 1], 'not squarefree'),         # (x^2 + 1)^2
+        ([-1, 0, 1], 'has the root -1'),             # (x - 1)(x + 1)
+        ([0, 1, 1], 'has the root 0'),               # x (x + 1)
+        ([-6, 1, 1], 'has the root -3'),             # (x - 2)(x + 3)
+        ([-2, 1, 0, 0, 1], 'has the root 1'),        # x^4 + x - 2
+    ])
+    def test_reducible_rejected(self, min_poly, message):
+        with pytest.raises(ValueError, match=message):
+            NumberField(min_poly, ('0.3', '0.9'))
+
+    @pytest.mark.parametrize('min_poly, hint', [
+        ([1, 1, 1], ('-0.5', '0.87')),
+        ([-2, 0, 0, 1], ('1.26', '0')),
+        ([-1, -1, 0, 1], ('1.32', '0')),             # x^3 - x - 1
+        ([1, 0, 0, 0, 1], ('0.7', '0.7')),           # x^4 + 1
+    ])
+    def test_irreducible_accepted(self, min_poly, hint):
+        assert NumberField(min_poly, hint).degree == len(min_poly) - 1
 
     def test_bad_hint_rejected(self):
         # real start on a polynomial with no real roots never converges

@@ -24,11 +24,18 @@ def cofactor_determinant(m):
     return total
 
 
-def random_poly(field, rng, lo=-2, hi=2, density=0.7):
+def random_rational(rng, max_den):
+    num = rng.randrange(-4, 5)
+    if max_den == 1:
+        return Fraction(num)
+    return Fraction(num, rng.randrange(1, max_den + 1))
+
+
+def random_poly(field, rng, lo=-2, hi=2, density=0.7, max_den=1):
     coeffs = {}
     for e in range(lo, hi + 1):
         if rng.random() < density:
-            coeffs[e] = field.element([Fraction(rng.randrange(-4, 5))
+            coeffs[e] = field.element([random_rational(rng, max_den)
                                        for _ in range(field.degree)])
     return LaurentPolynomial(field, coeffs)
 
@@ -71,12 +78,17 @@ class TestDeterminant:
         m = PolyMatrix(ufield, entries)
         assert determinant(m) == (t - 1) ** 2
 
-    def test_against_cofactor_oracle(self, ufield):
+    # fractions exercise the row scaling; in Z[x]/(x^3 - 2) pivots such
+    # as 1 + x have norm 3, so the kernel's exact division is by D = 3
+    @pytest.mark.parametrize('field_name', ['ufield', 'cubic'])
+    @pytest.mark.parametrize('max_den', [1, 6], ids=['integers', 'fractions'])
+    def test_against_cofactor_oracle(self, request, field_name, max_den):
+        field = request.getfixturevalue(field_name)
         rng = random.Random(314)
         for trial in range(55):
             n = rng.randrange(1, 6)
-            m = PolyMatrix(ufield, [[random_poly(ufield, rng)
-                                     for _ in range(n)] for _ in range(n)])
+            m = PolyMatrix(field, [[random_poly(field, rng, max_den=max_den)
+                                    for _ in range(n)] for _ in range(n)])
             assert determinant(m) == cofactor_determinant(m)
 
     def test_alternating_under_row_swap(self, ufield):

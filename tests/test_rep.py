@@ -174,11 +174,19 @@ class TestMatrix:
         m = Matrix(qfield, [[2, 5], [0, 3]])
         assert m.det().as_rational() == 6
 
-    @pytest.mark.parametrize('rows, det', [
-        ([[0, 1], [1, 0]], -1),                       # zero pivot: row swap
-        ([[0, 2, 1], [0, 1, 5], [3, 4, 6]], 27),      # swap past a row
-        ([[1, 2], [2, 4]], 0),                        # singular
-        ([[0, 1], [0, 2]], 0),                        # no pivot in a column
-    ])
-    def test_det_pivoting_and_singular(self, qfield, rows, det):
-        assert Matrix(qfield, rows).det().as_rational() == det
+    @pytest.mark.parametrize('field_name, rows, det', [
+        ('qfield', [[0, 1], [1, 0]], -1),             # zero pivot: row swap
+        ('qfield', [[0, 2, 1], [0, 1, 5], [3, 4, 6]], 27),  # swap past a row
+        ('qfield', [[1, 2], [2, 4]], 0),              # singular
+        ('qfield', [[0, 1], [0, 2]], 0),              # no pivot in a column
+        ('qfield', [[Fraction(1, 2), Fraction(1, 3), 1],   # rational rows
+                    [Fraction(1, 4), Fraction(1, 5), 0],
+                    [0, Fraction(2, 3), Fraction(1, 6)]], Fraction(61, 360)),
+        # pivot 1 + x of norm 3 in Z[x]/(x^3 - 2): (1+x)^3 - 2(1+x)
+        ('cubic', [[[1, 1], 1, 0], [1, [1, 1], 1], [0, 1, [1, 1]]],
+         [1, 1, 3]),
+    ], ids=['rows0--1', 'rows1-27', 'rows2-0', 'rows3-0', 'rational-rows',
+            'cubic-non-unit-pivot'])
+    def test_det_pivoting_and_singular(self, request, field_name, rows, det):
+        field = request.getfixturevalue(field_name)
+        assert Matrix(field, rows).det() == field.element(det)
