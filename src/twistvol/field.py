@@ -317,6 +317,11 @@ def _integral(a, scale):
     return tuple(c.numerator * (scale // c.denominator) for c in a)
 
 
+def _rational(a, scale):
+    """The raw element a / scale with Fraction coordinates (undoes _integral)."""
+    return tuple(Fraction(c, scale) for c in a)
+
+
 def _exact_quotient(a, denom):
     """The raw element a / denom; ArithmeticError unless it is integral."""
     out = []

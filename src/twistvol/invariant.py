@@ -46,11 +46,12 @@ class TwistConfig:
             raise ValueError('symmetric-power dimension n must be >= 1')
 
 
-def phi(element, cfg):
+def phi(element, cfg, prefixes=None):
     """Blockwise twisted map Phi(sum c_w w) = sum c_w t^alpha(w) sigma_n(rho(w)).
 
     Returns an n x n PolyMatrix; Phi is linear and sends the identity
-    word to the identity matrix.
+    word to the identity matrix.  prefixes is passed to
+    Representation.evaluate to share prefix products between words.
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
@@ -59,7 +60,7 @@ def phi(element, cfg):
     grid = [[{} for _ in range(n)] for _ in range(n)]
     for word, coeff in element.terms.items():
         exponent = cfg.presentation.abelianize(word)
-        mat = symmetric_power(cfg.rep.evaluate(word), n)
+        mat = symmetric_power(cfg.rep.evaluate(word, prefixes), n)
         for i in range(n):
             row = mat.rows[i]
             for j in range(n):
@@ -73,12 +74,14 @@ def phi(element, cfg):
                            for cell in row] for row in grid])
 
 
-def wada_matrix(cfg):
+def wada_matrix(cfg, prefixes=None):
     """The n(g-1) x ng block matrix Phi(d r_i / d x_j).
 
     Rows run over relators, block columns over generators in
     declaration order.  A presentation with no relators (the free case)
-    yields a 0 x ng matrix.
+    yields a 0 x ng matrix.  Every Fox-derivative term is a prefix of
+    its relator, so a shared prefixes dict (see phi) makes rho cost one
+    multiply per relator letter.
     """
     pres = cfg.presentation
     g = pres.num_generators
@@ -86,17 +89,18 @@ def wada_matrix(cfg):
     f = cfg.rep.field
     blocks = []
     for r in pres.relators():
-        blocks.append([phi(fox_derivative(r, j), cfg) for j in range(g)])
+        blocks.append([phi(fox_derivative(r, j), cfg, prefixes)
+                       for j in range(g)])
     if not blocks:
         return PolyMatrix(f, [])
     return PolyMatrix.from_blocks(f, blocks)
 
 
-def _denominator(cfg, j):
+def _denominator(cfg, j, prefixes):
     """det Phi(x_j - 1) for the j-th generator."""
     pres = cfg.presentation
     element = GroupRingElement(pres.generator_word(j)) - 1
-    return determinant(phi(element, cfg))
+    return determinant(phi(element, cfg, prefixes))
 
 
 class TwistedAlexander:
@@ -141,7 +145,9 @@ def twisted_alexander(cfg):
     """Wada's invariant det M_j-hat / det Phi(x_j - 1), reduced and normalized.
 
     Independent, up to a unit, of which admissible generator column is
-    deleted; errors when no generator gives a nonzero denominator.
+    deleted; errors when no generator gives a nonzero denominator.  The
+    products rho(w) of relator prefixes and generators are computed once
+    per call and dropped on return.
     """
     pres = cfg.presentation
     names = pres.generator_names
@@ -149,10 +155,11 @@ def twisted_alexander(cfg):
         candidates = list(range(len(names)))
     else:
         candidates = [pres.generator_index(cfg.column)]
-    full = wada_matrix(cfg)
+    prefixes = {}
+    full = wada_matrix(cfg, prefixes)
     n = cfg.n
     for j in candidates:
-        den = _denominator(cfg, j)
+        den = _denominator(cfg, j, prefixes)
         if den.is_zero():
             if cfg.column != AUTO:
                 raise NoAdmissibleColumnError(

@@ -15,7 +15,7 @@ function, _dense_eval.
 import re
 from fractions import Fraction
 
-from .field import NFElement, _denominator, _integral
+from .field import NFElement, _denominator, _integral, _rational
 
 
 class LaurentPolynomial:
@@ -549,5 +549,5 @@ def determinant(matrix):
     if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
-    return _wrap(field, {i + shift: tuple(Fraction(c, scale) for c in coeff)
+    return _wrap(field, {i + shift: _rational(coeff, scale)
                          for i, coeff in enumerate(poly) if any(coeff)})

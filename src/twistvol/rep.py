@@ -9,13 +9,16 @@ contragredient identification sigma_2(M) = transpose(M^-1).
 
 Determinants clear each row's denominators and run the field's integral
 Bareiss kernel (NumberField._det) on Python ints; the only inverses
-needed, of 2x2 generator images, are adjugate over determinant.
+needed, of 2x2 generator images, are adjugate over determinant.  The
+symmetric power likewise expands on the int coordinates of scale * M^-1
+and divides scale^(n-1) out once per coordinate.  Representation.evaluate
+can extend the products of earlier words from a caller-owned prefix
+dict, which the invariant shares across the terms of one computation.
 """
 
-from fractions import Fraction
 from math import comb, prod
 
-from .field import NFElement, NumberField, _denominator, _integral
+from .field import NFElement, NumberField, _denominator, _integral, _rational
 
 
 class Matrix:
@@ -110,7 +113,7 @@ class Matrix:
         det = self.field._det([[_integral(e.coeffs, s) for e in row]
                                for row, s in zip(self.rows, scales)])
         total = prod(scales)
-        return NFElement(self.field, tuple(Fraction(c, total) for c in det))
+        return NFElement(self.field, _rational(det, total))
 
     def __repr__(self):
         body = '; '.join(', '.join(str(e) for e in row) for row in self.rows)
@@ -140,36 +143,37 @@ def symmetric_power(matrix, n):
         raise ValueError('symmetric power expects determinant 1')
     if n == 1:
         return Matrix.identity(f, 1)
-    # SL(2) inverse is the adjugate
-    a = matrix.rows[1][1].coeffs
-    b = f._neg(matrix.rows[0][1].coeffs)
-    c = f._neg(matrix.rows[1][0].coeffs)
-    d = matrix.rows[0][0].coeffs
+    # SL(2) inverse is the adjugate; expand on the integral entries of
+    # scale * M^-1, then divide scale^(n-1) (every coordinate is
+    # homogeneous of that degree in the entries) out once
+    inverse = (matrix.rows[1][1].coeffs, f._neg(matrix.rows[0][1].coeffs),
+               f._neg(matrix.rows[1][0].coeffs), matrix.rows[0][0].coeffs)
+    scale = _denominator(inverse)
     deg = n - 1
-    a_pow = _powers(f, a, deg)
-    b_pow = _powers(f, b, deg)
-    c_pow = _powers(f, c, deg)
-    d_pow = _powers(f, d, deg)
+    a_pow, b_pow, c_pow, d_pow = (_powers(f, _integral(e, scale), deg)
+                                  for e in inverse)
+    zero = (0,) * f.degree
     cols = []
     for j in range(n):
         # (a x + b y)^(deg - j) expanded in x, y
-        p = [f._scale(f._mul(a_pow[deg - j - i], b_pow[i]),
-                      Fraction(comb(deg - j, i)))
+        p = [f._scale(f._mul(a_pow[deg - j - i], b_pow[i]), comb(deg - j, i))
              for i in range(deg - j + 1)]
         # times (c x + d y)^j
-        q = [f._scale(f._mul(c_pow[j - i], d_pow[i]), Fraction(comb(j, i)))
+        q = [f._scale(f._mul(c_pow[j - i], d_pow[i]), comb(j, i))
              for i in range(j + 1)]
-        col = [f._zero] * n
+        col = [zero] * n
         for i1, x in enumerate(p):
             for i2, y in enumerate(q):
                 col[i1 + i2] = f._add(col[i1 + i2], f._mul(x, y))
         cols.append(col)
-    return Matrix(f, [[NFElement(f, cols[j][i]) for j in range(n)]
-                      for i in range(n)])
+    total = scale ** deg
+    return Matrix(f, [[NFElement(f, _rational(cols[j][i], total))
+                       for j in range(n)] for i in range(n)])
 
 
 def _powers(field, raw, upto):
-    out = [field._one]
+    """raw^0, ..., raw^upto for an element with int coordinates."""
+    out = [(1,) + (0,) * (field.degree - 1)]
     for _ in range(upto):
         out.append(field._mul(out[-1], raw))
     return out
@@ -222,16 +226,32 @@ class Representation:
         return [name for name, m in zip(self.names, self.images)
                 if m.det() != self.field.one]
 
-    def evaluate(self, word):
-        """Left-to-right product of generator images over the word."""
-        acc = Matrix.identity(self.field, 2)
-        for x in word:
+    def evaluate(self, word, prefixes=None):
+        """Left-to-right product of generator images over the word.
+
+        prefixes, when given, is a dict from letter tuples to their
+        products, owned by the caller: the longest stored prefix of the
+        word is extended one image at a time, and every new prefix
+        product is stored, so the words of one relator's Fox derivatives
+        cost one multiply per letter between them.
+        """
+        letters = tuple(word)
+        start, acc = 0, None
+        if prefixes:
+            start = next((k for k in range(len(letters), 0, -1)
+                          if letters[:k] in prefixes), 0)
+            acc = prefixes.get(letters[:start])
+        for k in range(start, len(letters)):
+            x = letters[k]
             idx = abs(x) - 1
             if idx >= len(self.images):
                 raise ValueError('word uses generator index %d outside the '
                                  'representation' % (idx + 1,))
-            acc = acc * (self.images[idx] if x > 0 else self._inverses[idx])
-        return acc
+            image = self.images[idx] if x > 0 else self._inverses[idx]
+            acc = image if acc is None else acc * image
+            if prefixes is not None:
+                prefixes[letters[:k + 1]] = acc
+        return Matrix.identity(self.field, 2) if acc is None else acc
 
     def check_relations(self, presentation=None):
         """Exact differences evaluate(lhs) - evaluate(rhs) per relation.

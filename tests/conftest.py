@@ -3,9 +3,21 @@ import time
 import pytest
 
 from twistvol import (Matrix, NumberField, Representation, TwistConfig,
-                      parse_presentation, twisted_alexander)
+                      parse_job, parse_presentation, twisted_alexander)
 
 FIG8_TEXT = 'gens: a b\nrel: aBAba = baBAb\n'
+
+# The two-bridge knot K(7/3) with its Riley parabolic representation over
+# the cubic field Q[u]/(u^3 - u^2 + 2u - 1); the embedding is the root with
+# the largest imaginary part.
+K7_3_TEXT = '''\
+gens: a b
+rel: abABaba = babABab
+field: -1 2 -1 1
+embed: 0.215079854501 1.307141278682
+rep a: [[[1,0,0],[1,0,0]],[[0,0,0],[1,0,0]]]
+rep b: [[[1,0,0],[0,0,0]],[[0,-1,0],[1,0,0]]]
+'''
 
 
 def make_ufield():
@@ -43,6 +55,12 @@ def fig8():
 @pytest.fixture(scope='session')
 def fig8_rep(ufield, fig8):
     return make_fig8_rep(ufield, fig8)
+
+
+@pytest.fixture(scope='session')
+def k7_3():
+    """JobFile of K(7/3): a 14-letter relator over a cubic field."""
+    return parse_job(K7_3_TEXT)
 
 
 class InvariantSweep(dict):

@@ -5,9 +5,41 @@ import pytest
 from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       NoAdmissibleColumnError, Presentation, Representation,
                       SimpleZeroViolationError, TwistConfig, Word,
-                      determinant, equal_up_to_unit, order_at_one, parse_presentation, phi,
+                      determinant, equal_up_to_unit, fox_derivative,
+                      order_at_one, parse_presentation, phi,
                       symmetric_power, twisted_alexander, value_at_one,
                       wada_matrix)
+
+
+@pytest.fixture(scope='module')
+def knots(fig8, fig8_rep, k7_3):
+    """(presentation, representation) of the one-relator test knots."""
+    return {'fig8': (fig8, fig8_rep),
+            'k7_3': (k7_3.presentation, k7_3.representation)}
+
+
+def unshared_wada_blocks(cfg):
+    """Blocks sum c_w t^alpha(w) sigma_n(rho(w)) of Phi(d r_i / d x_j).
+
+    Each Fox-derivative term w gets its own evaluate(w), with no products
+    shared between terms.
+    """
+    pres, rep, n = cfg.presentation, cfg.rep, cfg.n
+    f = rep.field
+    blocks = []
+    for r in pres.relators():
+        row = []
+        for j in range(pres.num_generators):
+            block = [[LaurentPolynomial.zero(f)] * n for _ in range(n)]
+            for w, c in fox_derivative(r, j).terms.items():
+                power = c * LaurentPolynomial.t(f, pres.abelianize(w))
+                mat = symmetric_power(rep.evaluate(w), n)
+                for i in range(n):
+                    for k in range(n):
+                        block[i][k] = block[i][k] + power * mat[i, k]
+            row.append(block)
+        blocks.append(row)
+    return blocks
 
 
 def fig8_polynomials(field):
@@ -84,6 +116,21 @@ class TestWadaMatrix:
         numerator = determinant(m.drop_columns(2, 2))
         t = LaurentPolynomial.t(ufield)
         assert equal_up_to_unit(numerator, (t - 1) ** 2 * (t ** 2 - 4 * t + 1))
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_matches_unshared_definition(self, knots, knot):
+        pres, rep = knots[knot]
+        for n in range(2, 5):
+            cfg = TwistConfig(pres, rep, n)
+            m = wada_matrix(cfg)
+            blocks = unshared_wada_blocks(cfg)
+            assert (m.nrows, m.ncols) == (n * len(blocks),
+                                          n * pres.num_generators)
+            for r, row in enumerate(blocks):
+                for j, block in enumerate(row):
+                    for i in range(n):
+                        for k in range(n):
+                            assert m[r * n + i, j * n + k] == block[i][k]
 
     def test_unknot_has_empty_wada_matrix(self, qfield):
         pres = parse_presentation('gens: a\n')
@@ -188,6 +235,72 @@ class TestTwistedAlexander:
     def test_invalid_n_rejected(self, fig8, fig8_rep):
         with pytest.raises(ValueError):
             TwistConfig(fig8, fig8_rep, 0)
+
+
+def one_relator(pres, relator):
+    return Presentation(pres.generator_names, [(relator, Word())], pres.alpha)
+
+
+def swap_generators(pres, rep):
+    """The same group with the two generator names, and images, exchanged."""
+    swap = {1: 2, 2: 1, -1: -2, -2: -1}
+    relations = [(Word(swap[x] for x in lhs), Word(swap[x] for x in rhs))
+                 for lhs, rhs in pres.relations]
+    swapped = Presentation(pres.generator_names, relations, pres.alpha[::-1])
+    a, b = pres.generator_names
+    return swapped, Representation(swapped, {a: rep.images[1],
+                                             b: rep.images[0]})
+
+
+class TestTietzeInvariance:
+    """Wada's invariant is unchanged, up to a unit, by Tietze moves."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_relator_moves_and_renaming(self, knots, knot):
+        pres, rep = knots[knot]
+        (r,) = pres.relators()
+        letters = r.letters
+        moved = [(one_relator(pres, Word(letters[k:] + letters[:k])), rep)
+                 for k in range(1, len(letters))]
+        moved.append((one_relator(pres, ~r), rep))
+        moved.append(swap_generators(pres, rep))
+        for other, other_rep in moved:
+            assert other_rep.check_relations(other) == []
+        for n in range(2, 6):
+            base = twisted_alexander(TwistConfig(pres, rep, n))
+            for other, other_rep in moved:
+                ta = twisted_alexander(TwistConfig(other, other_rep, n))
+                assert ta.equal_up_to_unit(base), (n, other.to_text())
+
+
+class TestAssemblyCost:
+    """rho of the relator prefixes is shared within one invariant only."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_matrix_products_linear_in_relator_length(self, knots, knot,
+                                                      monkeypatch):
+        pres, rep = knots[knot]
+        calls = []
+        multiply = Matrix.__mul__
+
+        def counting(self, other):
+            calls.append(None)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Matrix, '__mul__', counting)
+        state = dict(vars(rep))
+        cfg = TwistConfig(pres, rep, 3)
+        first = twisted_alexander(cfg)
+        count = len(calls)
+        budget = (sum(len(r) for r in pres.relators())
+                  + pres.num_generators + 2)
+        assert 0 < count <= budget
+        second = twisted_alexander(cfg)
+        assert len(calls) == 2 * count     # nothing cached between calls
+        assert (second.value.num, second.value.den, second.unit_str()) == \
+            (first.value.num, first.value.den, first.unit_str())
+        assert vars(rep).keys() == state.keys()
+        assert all(vars(rep)[key] is value for key, value in state.items())
 
 
 @pytest.fixture(scope='module')

@@ -1,16 +1,29 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from twistvol import Matrix, Representation, parse_presentation, symmetric_power
 
 
-def random_sl2(field, rng, length=5):
-    """Product of elementary shears: always determinant 1, exactly."""
+def shear_entry(rng, max_den):
+    num = rng.randrange(-3, 4)
+    if max_den == 1:
+        return Fraction(num)
+    return Fraction(num, rng.randrange(1, max_den + 1))
+
+
+def random_sl2(field, rng, length=5, max_den=1):
+    """Product of elementary shears: always determinant 1, exactly.
+
+    Shear coordinates are integers in -3..3, divided by a denominator
+    drawn from 1..max_den when max_den > 1 (max_den = 1 draws no
+    denominators, so a seed gives the same integral matrices as before).
+    """
     m = Matrix.identity(field, 2)
     for _ in range(length):
-        x = field.element([Fraction(rng.randrange(-3, 4))
+        x = field.element([shear_entry(rng, max_den)
                            for _ in range(field.degree)])
         if rng.random() < 0.5:
             e = Matrix(field, [[field.one, x], [field.zero, field.one]])
@@ -24,6 +37,24 @@ def adjugate(m):
     """Inverse of a determinant-1 2x2 matrix."""
     (a, b), (c, d) = m.rows
     return Matrix(m.field, [[d, -b], [-c, a]])
+
+
+def binomial_sigma(m, n):
+    """Reference sigma_n by NFElement arithmetic on Fraction coordinates.
+
+    Entry (i, j) is the coefficient of x^(n-1-i) y^i in
+    (a x + b y)^(n-1-j) (c x + d y)^j, where M^-1 = [[a, b], [c, d]].
+    """
+    (a, b), (c, d) = adjugate(m).rows
+    deg = n - 1
+    rows = [[m.field.zero] * n for _ in range(n)]
+    for j in range(n):
+        for i1 in range(deg - j + 1):
+            for i2 in range(j + 1):
+                term = (comb(deg - j, i1) * a ** (deg - j - i1) * b ** i1
+                        * comb(j, i2) * c ** (j - i2) * d ** i2)
+                rows[i1 + i2][j] = rows[i1 + i2][j] + term
+    return rows
 
 
 class TestEvaluate:
@@ -118,6 +149,28 @@ class TestSymmetricPowerProperties:
             m = random_sl2(ufield, rng)
             product = symmetric_power(adjugate(m), n) * symmetric_power(m, n)
             assert product == Matrix.identity(ufield, n)
+
+    @pytest.mark.parametrize('max_den', [1, 6])
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    def test_matches_binomial_reference(self, request, field_name, max_den):
+        # max_den = 6 gives M^-1 non-integral entries, so the integral
+        # expansion divides scale^(n-1) out of every coordinate
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(44)
+        fractional = False
+        for n in range(1, 9):
+            m1 = random_sl2(field, rng, max_den=max_den)
+            m2 = random_sl2(field, rng, max_den=max_den)
+            fractional |= any(c.denominator > 1 for row in m1.rows
+                              for e in row for c in e.coeffs)
+            s1 = symmetric_power(m1, n)
+            assert s1.rows == tuple(map(tuple, binomial_sigma(m1, n)))
+            assert all(type(c) is Fraction
+                       for row in s1.rows for e in row for c in e.coeffs)
+            assert symmetric_power(m1 * m2, n) == s1 * symmetric_power(m2, n)
+            if n == 2:
+                assert s1 == adjugate(m1).transpose()
+        assert fractional == (max_den > 1)
 
     def test_trace_of_diagonal(self, qfield):
         # diag(lam, 1/lam) has sigma_n trace sum lam^(n-1-2k), fixing basis order
