@@ -50,8 +50,8 @@ def phi(element, cfg, prefixes=None):
     """Blockwise twisted map Phi(sum c_w w) = sum c_w t^alpha(w) sigma_n(rho(w)).
 
     Returns an n x n PolyMatrix; Phi is linear and sends the identity
-    word to the identity matrix.  prefixes is passed to
-    Representation.evaluate to share prefix products between words.
+    word to the identity matrix.  prefixes, a dict of prefix products
+    owned by the caller, is passed on to Representation.evaluate.
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
@@ -74,20 +74,21 @@ def phi(element, cfg, prefixes=None):
                            for cell in row] for row in grid])
 
 
-def wada_matrix(cfg, prefixes=None):
+def wada_matrix(cfg):
     """The n(g-1) x ng block matrix Phi(d r_i / d x_j).
 
     Rows run over relators, block columns over generators in
     declaration order.  A presentation with no relators (the free case)
     yields a 0 x ng matrix.  Every Fox-derivative term is a prefix of
-    its relator, so a shared prefixes dict (see phi) makes rho cost one
-    multiply per relator letter.
+    its relator, so one prefix dict shared by all the terms makes rho
+    cost one multiply per relator letter; it is dropped on return.
     """
     pres = cfg.presentation
     g = pres.num_generators
     n = cfg.n
     f = cfg.rep.field
     blocks = []
+    prefixes = {}
     for r in pres.relators():
         blocks.append([phi(fox_derivative(r, j), cfg, prefixes)
                        for j in range(g)])
@@ -96,11 +97,11 @@ def wada_matrix(cfg, prefixes=None):
     return PolyMatrix.from_blocks(f, blocks)
 
 
-def _denominator(cfg, j, prefixes):
+def _denominator(cfg, j):
     """det Phi(x_j - 1) for the j-th generator."""
     pres = cfg.presentation
     element = GroupRingElement(pres.generator_word(j)) - 1
-    return determinant(phi(element, cfg, prefixes))
+    return determinant(phi(element, cfg))
 
 
 class TwistedAlexander:
@@ -145,9 +146,7 @@ def twisted_alexander(cfg):
     """Wada's invariant det M_j-hat / det Phi(x_j - 1), reduced and normalized.
 
     Independent, up to a unit, of which admissible generator column is
-    deleted; errors when no generator gives a nonzero denominator.  The
-    products rho(w) of relator prefixes and generators are computed once
-    per call and dropped on return.
+    deleted; errors when no generator gives a nonzero denominator.
     """
     pres = cfg.presentation
     names = pres.generator_names
@@ -155,11 +154,10 @@ def twisted_alexander(cfg):
         candidates = list(range(len(names)))
     else:
         candidates = [pres.generator_index(cfg.column)]
-    prefixes = {}
-    full = wada_matrix(cfg, prefixes)
+    full = wada_matrix(cfg)
     n = cfg.n
     for j in candidates:
-        den = _denominator(cfg, j, prefixes)
+        den = _denominator(cfg, j)
         if den.is_zero():
             if cfg.column != AUTO:
                 raise NoAdmissibleColumnError(

@@ -13,7 +13,7 @@ needed, of 2x2 generator images, are adjugate over determinant.  The
 symmetric power likewise expands on the int coordinates of scale * M^-1
 and divides scale^(n-1) out once per coordinate.  Representation.evaluate
 can extend the products of earlier words from a caller-owned prefix
-dict, which the invariant shares across the terms of one computation.
+dict, which the Wada matrix shares across the terms of its relators.
 """
 
 from math import comb, prod
@@ -229,18 +229,19 @@ class Representation:
     def evaluate(self, word, prefixes=None):
         """Left-to-right product of generator images over the word.
 
-        prefixes, when given, is a dict from letter tuples to their
-        products, owned by the caller: the longest stored prefix of the
-        word is extended one image at a time, and every new prefix
-        product is stored, so the words of one relator's Fox derivatives
-        cost one multiply per letter between them.
+        prefixes is a dict from letter tuples to their products; a caller
+        that passes the same dict for many words shares their common
+        prefixes.  The longest stored prefix of the word is extended one
+        image at a time, and every new prefix product is stored, so the
+        words of one relator's Fox derivatives cost one multiply per
+        letter between them.
         """
+        if prefixes is None:
+            prefixes = {}
         letters = tuple(word)
-        start, acc = 0, None
-        if prefixes:
-            start = next((k for k in range(len(letters), 0, -1)
-                          if letters[:k] in prefixes), 0)
-            acc = prefixes.get(letters[:start])
+        start = next((k for k in range(len(letters), 0, -1)
+                      if letters[:k] in prefixes), 0)
+        acc = prefixes[letters[:start]] if start else None
         for k in range(start, len(letters)):
             x = letters[k]
             idx = abs(x) - 1
@@ -249,8 +250,7 @@ class Representation:
                                  'representation' % (idx + 1,))
             image = self.images[idx] if x > 0 else self._inverses[idx]
             acc = image if acc is None else acc * image
-            if prefixes is not None:
-                prefixes[letters[:k + 1]] = acc
+            prefixes[letters[:k + 1]] = acc
         return Matrix.identity(self.field, 2) if acc is None else acc
 
     def check_relations(self, presentation=None):
