@@ -4,15 +4,20 @@ Elements are vectors of rationals reduced modulo a monic integer
 polynomial m, which is screened for visible reducibility at
 construction.  The determinant kernel runs on the integral elements,
 Z[x]/(m), with Python int coordinates; callers clear denominators
-first.  All ring operations are exact; the only inexact step is
-the embedding into arbitrary-precision complex numbers (mpmath), whose
-root of m is selected by a user-supplied hint and refined by Newton
-iteration.  Degree 1 gives plain rational arithmetic, so the classical
+first.  Its elimination step and the inverse are both built on the int
+matrix of multiplication by an integral element (_mul_matrix): each
+entry update is one int dot product per coordinate, and the inverse is
+fraction-free Gauss-Jordan on that matrix.  _mul is the one
+element-by-element multiply.  All ring operations are exact; the only
+inexact step is the embedding into arbitrary-precision complex numbers
+(mpmath), whose root of m is selected by a user-supplied hint and
+refined by Newton iteration.  Degree 1 gives plain rational arithmetic, so the classical
 (untwisted) pipeline runs through the same code path.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 import mpmath
 
@@ -100,26 +105,48 @@ class NumberField:
     def _inv(self, a):
         if not any(a):
             raise ZeroDivisionError('division by zero in the number field')
-        if self.degree == 1:
-            return (Fraction(1) / a[0],)
-        # extended Euclid on a(x) and m(x) over Q[x]
-        r0 = [Fraction(c) for c in self.min_poly]
-        r1 = [Fraction(c) for c in a]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if not r1:
+        # a = b / scale with b integral; fraction-free Gauss-Jordan on
+        # [M_b | e_0] leaves every diagonal entry +-det M_b and the last
+        # column det * M_b^-1 e_0, the coordinates of det / b
+        d = self.degree
+        scale = _denominator([a])
+        rows = [r + (int(i == 0),)
+                for i, r in enumerate(self._mul_matrix(_integral(a, scale)))]
+        prev = 1
+        for k in range(d):
+            pivot = next((i for i in range(k, d) if rows[i][k]), None)
+            if pivot is None:
                 raise ZeroDivisionError('element is a zero divisor; '
                                         'minimal polynomial is not irreducible')
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                out = [c * inv for c in s1]
-                out += [Fraction(0)] * (self.degree - len(out))
-                return tuple(out[:self.degree])
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            row_k = rows[k]
+            akk = row_k[k]
+            for i in range(d):
+                if i != k:
+                    aik = rows[i][k]
+                    rows[i] = _exact_quotient(
+                        [akk * x - aik * y for x, y in zip(rows[i], row_k)],
+                        prev)
+            prev = akk
+        return tuple(Fraction(scale * r[d], prev) for r in rows)
+
+    def _mul_matrix(self, a):
+        """Rows of the int matrix of multiplication by the integral a.
+
+        Column i holds the coordinates of a * x^i, each column the
+        previous one shifted up a degree and folded by m, so coordinate
+        r of a * b is the dot product of row r with b.
+        """
+        m = self.min_poly
+        col = list(a)
+        cols = [col]
+        for _ in range(self.degree - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [c - top * mi for c, mi in zip(col, m)]
+            cols.append(col)
+        return list(zip(*cols))
 
     def _pow(self, a, k):
         acc = self._one
@@ -140,14 +167,18 @@ class NumberField:
         integral: the division by the previous pivot p multiplies by
         w = D * p^-1 (D the least common denominator of p^-1, one
         inversion per pivot) and divides each coordinate by D exactly.
-        A nonzero remainder raises ArithmeticError.  Returns int
+        A nonzero remainder raises ArithmeticError.  The step
+        a_ij <- (a_kk a_ij - a_ik a_kj) w / D is one int matrix
+        [M(w a_kk) | -M(w a_ik)], built once per row, applied to the
+        concatenated coordinates of a_ij and a_kj.  Returns int
         coordinates.
         """
         n = len(rows)
         if n == 0:
             return (1,) + (0,) * (self.degree - 1)
         sign = 1
-        w = None  # the previous pivot's inverse is w / denom
+        # the previous pivot's inverse is w / denom; 1 / 1 at the first step
+        w, denom = (1,) + (0,) * (self.degree - 1), 1
         for k in range(n - 1):
             if not any(rows[k][k]):
                 pivot = next((i for i in range(k + 1, n) if any(rows[i][k])),
@@ -161,17 +192,16 @@ class NumberField:
                 denom = _denominator([inv])
                 w = _integral(inv, denom)
             row_k = rows[k]
-            akk = row_k[k]
+            m_kk = self._mul_matrix(self._mul(w, row_k[k]))
             for i in range(k + 1, n):
                 row_i = rows[i]
-                aik = row_i[k]
+                m_ik = self._mul_matrix(self._mul(w, self._neg(row_i[k])))
+                step = [p + q for p, q in zip(m_kk, m_ik)]
                 for j in range(k + 1, n):
-                    num = self._sub(self._mul(akk, row_i[j]),
-                                    self._mul(aik, row_k[j]))
-                    if w is not None:
-                        num = self._mul(num, w)
-                        if denom != 1:
-                            num = _exact_quotient(num, denom)
+                    xy = row_i[j] + row_k[j]
+                    num = tuple([sum(map(mul, c, xy)) for c in step])
+                    if denom != 1:
+                        num = _exact_quotient(num, denom)
                     row_i[j] = num
         result = rows[n - 1][n - 1]
         return result if sign == 1 else self._neg(result)
@@ -354,24 +384,6 @@ def _poly_divmod(a, b):
     while a and not a[-1]:
         a.pop()
     return q, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 class NFElement:

@@ -5,7 +5,8 @@ interpolation: each row is shifted to ordinary-polynomial form and
 scaled to integral coefficients, the matrix is evaluated at D+1 integer
 points 0, 1, -1, 2, -2, ... for a certified degree bound D, the field's
 integral Bareiss kernel (NumberField._det) runs on Python ints at each
-point, and the results are interpolated; the row scales and the
+point, and the int values are interpolated with the one common
+denominator D!, divided out exactly; the row scales and the
 factored-out power of t are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate, goes through one Horner
@@ -15,7 +16,8 @@ function, _dense_eval.
 import re
 from fractions import Fraction
 
-from .field import NFElement, _denominator, _integral, _rational
+from .field import (NFElement, _denominator, _exact_quotient, _integral,
+                    _rational)
 
 
 class LaurentPolynomial:
@@ -481,20 +483,39 @@ class PolyMatrix:
 
 
 def _newton_interpolate(field, points, values):
-    """Dense ascending coefficients of the interpolant (points rational)."""
-    n = len(points)
-    dd = list(values)
+    """Dense ascending int coefficients of the interpolant of int values.
+
+    The n points are distinct integers forming a run of consecutive
+    integers, in any order.  In ascending order the Newton coefficients
+    are the forward differences of the values over k!, so the Newton
+    form is expanded on ints with the one common denominator (n-1)! and
+    divided by it exactly at the end.  The interpolant of an integral
+    determinant is integral: a remainder raises ArithmeticError.
+    """
+    pairs = sorted(zip(points, values))
+    n = len(pairs)
+    xs = [x for x, _ in pairs]
+    if xs != list(range(xs[0], xs[0] + n)):
+        raise ValueError('interpolation points must be consecutive integers')
+    diffs = [v for _, v in pairs]
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
-            diff = field._sub(dd[i], dd[i - 1])
-            dd[i] = field._scale(diff, 1 / (points[i] - points[i - k]))
-    poly = [dd[n - 1]]
-    for i in range(n - 2, -1, -1):
-        shifted = [field._zero] + poly
-        scaled = [field._scale(c, -points[i]) for c in poly] + [field._zero]
-        poly = [field._add(x, y) for x, y in zip(shifted, scaled)]
-        poly[0] = field._add(poly[0], dd[i])
-    return _dense_trim(poly)
+            diffs[i] = field._sub(diffs[i], diffs[i - 1])
+    # poly <- poly * (t - x_k) + diffs[k] * (n-1)!/k!, for k = n-2 .. 0
+    poly = [diffs[n - 1]]
+    weight = 1
+    for k in range(n - 2, -1, -1):
+        x = xs[k]
+        weight *= k + 1
+        poly = ([tuple(weight * u - x * v for u, v in zip(diffs[k], poly[0]))]
+                + [tuple(u - x * v for u, v in zip(lower, higher))
+                   for lower, higher in zip(poly, poly[1:])]
+                + [poly[-1]])
+    try:
+        return _dense_trim([_exact_quotient(c, weight) for c in poly])
+    except ArithmeticError:
+        raise ArithmeticError('determinant interpolant is not integral; '
+                              'an evaluation is wrong') from None
 
 
 def determinant(matrix):
@@ -544,8 +565,7 @@ def determinant(matrix):
     values = [field._det([[_dense_eval(field, entry, x) for entry in row]
                           for row in int_rows])
               for x in points]
-    poly = _newton_interpolate(field, [Fraction(x) for x in points[:-1]],
-                               values[:-1])
+    poly = _newton_interpolate(field, points[:-1], values[:-1])
     if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')

@@ -139,19 +139,22 @@ def symmetric_power(matrix, n):
     f = matrix.field
     if matrix.nrows != 2 or matrix.ncols != 2:
         raise ValueError('symmetric power expects a 2x2 matrix')
-    if matrix.det() != f.one:
+    # the entries times scale are integral: det = 1 is ad - bc = scale^2
+    # on their int coordinates
+    entries = [e.coeffs for row in matrix.rows for e in row]
+    scale = _denominator(entries)
+    a, b, c, d = (_integral(e, scale) for e in entries)
+    square = (scale * scale,) + (0,) * (f.degree - 1)
+    if f._sub(f._mul(a, d), f._mul(b, c)) != square:
         raise ValueError('symmetric power expects determinant 1')
     if n == 1:
         return Matrix.identity(f, 1)
     # SL(2) inverse is the adjugate; expand on the integral entries of
     # scale * M^-1, then divide scale^(n-1) (every coordinate is
     # homogeneous of that degree in the entries) out once
-    inverse = (matrix.rows[1][1].coeffs, f._neg(matrix.rows[0][1].coeffs),
-               f._neg(matrix.rows[1][0].coeffs), matrix.rows[0][0].coeffs)
-    scale = _denominator(inverse)
     deg = n - 1
-    a_pow, b_pow, c_pow, d_pow = (_powers(f, _integral(e, scale), deg)
-                                  for e in inverse)
+    a_pow, b_pow, c_pow, d_pow = (_powers(f, e, deg)
+                                  for e in (d, f._neg(b), f._neg(c), a))
     zero = (0,) * f.degree
     cols = []
     for j in range(n):

@@ -1,0 +1,183 @@
+"""Properties of the integral field kernel: NumberField._mul_matrix, _inv, _det.
+
+Fields of degree 1, 2, 3, 4 and 8 are covered.  The degree-4 and degree-8
+minimal polynomials and embeddings are those of the Riley jobs of the
+two-bridge knots K(9/7) and K(17/5).
+"""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from twistvol import NumberField
+
+from conftest import make_ufield
+
+# field: and embed: lines of the K(9/7) and K(17/5) Riley jobs
+K9_7_FIELD = ([1, 2, 7, 5, 1], ('-0.100768253590', '0.400531753519'))
+K17_5_FIELD = ([1, -4, -6, 14, 3, -22, 19, -7, 1],
+               ('1.679246255265', '0.851241638634'))
+
+FIELDS = {
+    1: NumberField.rationals(),
+    2: make_ufield(),
+    3: NumberField([-2, 0, 0, 1], ('1.26', '0')),
+    4: NumberField(*K9_7_FIELD),
+    8: NumberField(*K17_5_FIELD),
+}
+
+# derandomized: the same examples on every run, no example database
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+fields = st.sampled_from(sorted(FIELDS)).map(FIELDS.get)
+coordinates = st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70))
+
+
+def int_elements(field):
+    return st.tuples(*[coordinates] * field.degree)
+
+
+def fraction_elements(field):
+    return st.tuples(*[st.fractions(min_value=-20, max_value=20,
+                                    max_denominator=12)] * field.degree)
+
+
+def leibniz_det(field, rows):
+    """Independent oracle: the sum over permutations."""
+    n = len(rows)
+    total = (0,) * field.degree
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = (1,) + (0,) * (field.degree - 1)
+        for i, j in enumerate(perm):
+            term = field._mul(term, rows[i][j])
+        total = (field._sub if inversions % 2 else field._add)(total, term)
+    return total
+
+
+@st.composite
+def square_int_matrices(draw):
+    """(field, rows) with n = 1..4, zero entries and forced zero pivots."""
+    field = draw(fields)
+    n = draw(st.integers(1, 4))
+    zero = (0,) * field.degree
+    entry = st.one_of(st.just(zero), int_elements(field))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        rows[0][0] = zero  # zero pivot at the first step
+    if n >= 3 and draw(st.booleans()):
+        # a vanishing leading 2x2 minor: zero pivot after one step
+        c = draw(int_elements(field))
+        rows[1][0], rows[1][1] = (field._mul(c, rows[0][0]),
+                                  field._mul(c, rows[0][1]))
+    return field, rows
+
+
+class TestMulMatrix:
+
+    @PROPERTY
+    @given(st.data())
+    def test_applied_to_b_is_product(self, data):
+        field = data.draw(fields)
+        a = data.draw(int_elements(field))
+        b = data.draw(int_elements(field))
+        m = field._mul_matrix(a)
+        assert len(m) == field.degree
+        assert tuple(sum(x * y for x, y in zip(row, b)) for row in m) \
+            == field._mul(a, b)
+
+
+class TestInverse:
+
+    @PROPERTY
+    @given(st.data())
+    def test_times_inverse_is_one(self, data):
+        field = data.draw(fields)
+        a = data.draw(fraction_elements(field))
+        assume(any(a) and any(c.denominator > 1 for c in a))
+        inv = field._inv(a)
+        assert all(type(c) is Fraction for c in inv)
+        assert field._mul(a, inv) == field._one
+
+    @PROPERTY
+    @given(st.data())
+    def test_integral_input(self, data):
+        field = data.draw(fields)
+        a = data.draw(int_elements(field))
+        assume(any(a))
+        assert field._mul(a, field._inv(a)) == field._one
+
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
+    def test_zero_raises(self, degree):
+        field = FIELDS[degree]
+        with pytest.raises(ZeroDivisionError, match='division by zero'):
+            field._inv((Fraction(0),) * degree)
+
+    def test_zero_divisor_raises(self):
+        # (x^2 + 1)(x^2 + 2) passes the squarefree and integer-root
+        # screens, and x^2 + 1 divides zero in Q[x]/(m)
+        field = NumberField([2, 0, 3, 0, 1], ('0', '1'))
+        with pytest.raises(ZeroDivisionError, match='zero divisor'):
+            field._inv((Fraction(1), 0, Fraction(1), 0))
+
+
+class TestDet:
+
+    @PROPERTY
+    @given(square_int_matrices())
+    def test_matches_leibniz(self, case):
+        field, rows = case
+        expected = leibniz_det(field, rows)
+        got = field._det([list(row) for row in rows])
+        assert got == expected
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize('degree', [1, 2, 3, 8])
+    def test_wrong_pivot_inverse_is_caught(self, degree, monkeypatch):
+        """A perturbed p^-1 makes a step inexact: ArithmeticError, no value."""
+        field = FIELDS[degree]
+        rows = [[tuple((3 * i + 5 * j + 7 * r) % 11 - 5 + (i == j) * 13
+                       for r in range(degree))
+                 for j in range(4)] for i in range(4)]
+        assert field._det([list(row) for row in rows]) \
+            == leibniz_det(field, rows)
+        exact_inv = field._inv
+
+        def perturbed(a):
+            inv = exact_inv(a)
+            return (inv[0] + Fraction(1, 7),) + inv[1:]
+
+        monkeypatch.setattr(field, '_inv', perturbed)
+        with pytest.raises(ArithmeticError, match='non-integral'):
+            field._det([list(row) for row in rows])
+
+
+class TestDetCost:
+    """Fraction stays off the elimination: at most 2 per pivot coordinate."""
+
+    @pytest.mark.parametrize('degree', [3, 8])
+    def test_fraction_constructions_bounded(self, degree, monkeypatch):
+        field = FIELDS[degree]
+        n = 6
+        rows = [[tuple((5 * i + 3 * j + 2 * r) % 13 - 6 + (i == j) * 17
+                       for r in range(degree))
+                 for j in range(n)] for i in range(n)]
+        expected = leibniz_det(field, rows)
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(None)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
+        got = field._det([list(row) for row in rows])
+        monkeypatch.undo()
+        assert got == expected
+        assert 0 < len(calls) <= 2 * (n - 1) * degree

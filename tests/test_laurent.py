@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistvol import (LaurentPolynomial, PolyMatrix, determinant,
                       divide_exact, equal_up_to_unit, gcd, normalize_unit,
                       order_at_one, parse_polynomial, reduce, symmetric_power)
+from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
 
 
 def cofactor_determinant(m):
@@ -295,3 +298,33 @@ class TestNormalizeUnit:
         p = t ** 2 - 4 * t + 1
         assert equal_up_to_unit(p, (-p).shifted(5))
         assert not equal_up_to_unit(p, p * (t - 1))
+
+
+class TestInterpolation:
+    """laurent._newton_interpolate: int values, one exact division."""
+
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_recovers_integral_polynomial(self, request, field_name, data):
+        field = request.getfixturevalue(field_name)
+        coordinate = st.integers(-2 ** 40, 2 ** 40)
+        poly = data.draw(st.lists(st.tuples(*[coordinate] * field.degree),
+                                  max_size=12))
+        spare = data.draw(st.integers(0, 3))
+        # the order determinant uses: 0, 1, -1, 2, -2, ...
+        points = [(k + 1) // 2 if k % 2 else -(k // 2)
+                  for k in range(max(1, len(poly)) + spare)]
+        values = [_dense_eval(field, poly, x) for x in points]
+        got = _newton_interpolate(field, points, values)
+        assert got == _dense_trim(list(poly))
+        assert all(type(c) is int for coeff in got for c in coeff)
+
+    def test_non_integral_interpolant_rejected(self, qfield):
+        # t (t - 1) / 2 takes the values 0, 0, 1 at 0, 1, -1
+        with pytest.raises(ArithmeticError, match='not integral'):
+            _newton_interpolate(qfield, [0, 1, -1], [(0,), (0,), (1,)])
+
+    def test_points_must_be_consecutive(self, qfield):
+        with pytest.raises(ValueError, match='consecutive'):
+            _newton_interpolate(qfield, [0, 1, 3], [(0,), (1,), (3,)])

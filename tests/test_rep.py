@@ -130,6 +130,19 @@ class TestSymmetricPowerGoldens:
         with pytest.raises(ValueError, match='determinant'):
             symmetric_power(Matrix(ufield, [[2, 0], [0, 1]]), 3)
 
+    @pytest.mark.parametrize('n', [1, 4])
+    def test_rejects_determinant_off_in_one_coordinate(self, ufield, n):
+        # det = 1 + u (off in the irrational coordinate only) and
+        # det = 1 - 1/36 (non-integral entries), each rejected; the
+        # same entries with c = 0 give det 1 and are accepted
+        u = ufield.generator
+        sixth = Fraction(1, 6)
+        for a, b, c, d in [(1, -1, u, 1), (1, sixth, sixth, 1)]:
+            with pytest.raises(ValueError, match='determinant 1'):
+                symmetric_power(Matrix(ufield, [[a, b], [c, d]]), n)
+            assert symmetric_power(Matrix(ufield, [[a, b], [0, d]]), n).det() \
+                == ufield.one
+
 
 class TestSymmetricPowerProperties:
 
