@@ -80,7 +80,10 @@ def _parse_nested(text):
             pos += 1
             return items
         pos += 1
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError('zero denominator in %r' % (tok,)) from None
 
     value = parse()
     if pos != len(tokens):
@@ -92,7 +95,7 @@ def _check_reference(text, where):
     """Reject a reference volume that is not a decimal number."""
     try:
         mpmath.mpf(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise JobError('parse', '%s %r is not a decimal number'
                        % (where, text)) from None
 

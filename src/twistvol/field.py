@@ -6,13 +6,17 @@ construction.  The determinant kernel runs on the integral elements,
 Z[x]/(m), with Python int coordinates; callers clear denominators
 first.  Its elimination step and the inverse are both built on the int
 matrix of multiplication by an integral element (_mul_matrix): each
-entry update is one int dot product per coordinate, and the inverse is
-fraction-free Gauss-Jordan on that matrix.  _mul is the one
-element-by-element multiply.  All ring operations are exact; the only
-inexact step is the embedding into arbitrary-precision complex numbers
-(mpmath), whose root of m is selected by a user-supplied hint and
-refined by Newton iteration.  Degree 1 gives plain rational arithmetic, so the classical
-(untwisted) pipeline runs through the same code path.
+entry update is one int dot product per coordinate, and _inv_integral
+is fraction-free Gauss-Jordan on that matrix, giving w and D with
+b * w = D on ints; _inv is its Fraction wrapper.  _mul is the one
+element-by-element multiply.  Polynomials in t over the field, dense
+lists of raw elements, have their one division with remainder
+(_dense_divmod) and one Euclid loop (_dense_gcd) here as well.  All
+ring operations are exact; the only inexact step is the embedding into
+arbitrary-precision complex numbers (mpmath), whose root of m is
+selected by a user-supplied hint and refined by Newton iteration.
+Degree 1 gives plain rational arithmetic, so the classical (untwisted)
+pipeline runs through the same code path.
 """
 
 from fractions import Fraction
@@ -103,15 +107,21 @@ class NumberField:
         return tuple(prod[:d])
 
     def _inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError('division by zero in the number field')
-        # a = b / scale with b integral; fraction-free Gauss-Jordan on
-        # [M_b | e_0] leaves every diagonal entry +-det M_b and the last
-        # column det * M_b^-1 e_0, the coordinates of det / b
-        d = self.degree
         scale = _denominator([a])
-        rows = [r + (int(i == 0),)
-                for i, r in enumerate(self._mul_matrix(_integral(a, scale)))]
+        w, denom = self._inv_integral(_integral(a, scale))
+        return tuple(Fraction(scale * c, denom) for c in w)
+
+    def _inv_integral(self, b):
+        """(w, D) with b * w = D on ints, for a nonzero integral b.
+
+        Fraction-free Gauss-Jordan on [M_b | e_0] leaves every diagonal
+        entry D = +-det M_b and the last column D * M_b^-1 e_0, the
+        coordinates of D / b.  D need not be the least denominator.
+        """
+        if not any(b):
+            raise ZeroDivisionError('division by zero in the number field')
+        d = self.degree
+        rows = [r + (int(i == 0),) for i, r in enumerate(self._mul_matrix(b))]
         prev = 1
         for k in range(d):
             pivot = next((i for i in range(k, d) if rows[i][k]), None)
@@ -128,7 +138,7 @@ class NumberField:
                         [akk * x - aik * y for x, y in zip(rows[i], row_k)],
                         prev)
             prev = akk
-        return tuple(Fraction(scale * r[d], prev) for r in rows)
+        return tuple(r[d] for r in rows), prev
 
     def _mul_matrix(self, a):
         """Rows of the int matrix of multiplication by the integral a.
@@ -164,9 +174,10 @@ class NumberField:
         rows is a list of row lists whose entries have int coordinates,
         i.e. lie in Z[x]/(m); it is eliminated in place.  Bareiss
         elimination keeps every intermediate entry a minor, hence
-        integral: the division by the previous pivot p multiplies by
-        w = D * p^-1 (D the least common denominator of p^-1, one
-        inversion per pivot) and divides each coordinate by D exactly.
+        integral: the division by the previous pivot p multiplies by the
+        int w with p * w = D (_inv_integral, once per pivot) and divides
+        each coordinate by D exactly; for the true quotient q,
+        (q p) w = q D, so an unreduced D divides exactly too.
         A nonzero remainder raises ArithmeticError.  The step
         a_ij <- (a_kk a_ij - a_ik a_kj) w / D is one int matrix
         [M(w a_kk) | -M(w a_ik)], built once per row, applied to the
@@ -188,9 +199,7 @@ class NumberField:
                 rows[k], rows[pivot] = rows[pivot], rows[k]
                 sign = -sign
             if k:
-                inv = self._inv(rows[k - 1][k - 1])
-                denom = _denominator([inv])
-                w = _integral(inv, denom)
+                w, denom = self._inv_integral(rows[k - 1][k - 1])
             row_k = rows[k]
             m_kk = self._mul_matrix(self._mul(w, row_k[k]))
             for i in range(k + 1, n):
@@ -255,8 +264,11 @@ class NumberField:
         if precision in self._root_cache:
             return self._root_cache[precision]
         with mpmath.workprec(precision + 64):
-            z = mpmath.mpc(mpmath.mpf(self.embedding_hint[0]),
-                           mpmath.mpf(self.embedding_hint[1]))
+            try:
+                z = mpmath.mpc(*map(mpmath.mpf, self.embedding_hint))
+            except (ValueError, ZeroDivisionError):
+                raise EmbeddingError('embedding hint %r is not a pair of '
+                                     'numbers' % (self.embedding_hint,)) from None
             coeffs = [mpmath.mpf(c) for c in self.min_poly]
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
             tol = mpmath.mpf(2) ** (-(precision + 16))
@@ -321,11 +333,9 @@ def _reject_reducible(m):
     integers dividing m_0; m_0 = 0 means x divides m).  They decide
     irreducibility in degree 2 and 3 only.
     """
-    a = [Fraction(c) for c in m]
-    b = [i * c for i, c in enumerate(a)][1:]
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if len(a) > 1:
+    rationals = NumberField.rationals()
+    deriv = [(i * c,) for i, c in enumerate(m)][1:]
+    if len(_dense_gcd(rationals, [(c,) for c in m], deriv)) > 1:
         raise ValueError('minimal polynomial %r is not squarefree'
                          % (list(m),))
     m0 = abs(m[0])
@@ -364,26 +374,40 @@ def _exact_quotient(a, denom):
     return tuple(out)
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    while b and not b[-1]:
-        b = b[:-1]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
+# ----- polynomials in t as dense ascending lists of raw elements -----
+
+def _dense_trim(a):
+    """Drop the trailing zero coefficients of a, in place; returns a."""
+    while a and not any(a[-1]):
+        a.pop()
+    return a
+
+
+def _dense_divmod(field, a, b):
+    """Division with remainder in F[t] on dense ascending lists."""
+    a = _dense_trim(list(a))
+    b = _dense_trim(list(b))
+    if not b:
+        raise ZeroDivisionError('polynomial division by zero')
+    # a monic divisor (t - 1, a monic gcd) needs no leading multiply
+    inv = None if b[-1] == field._one else field._inv(b[-1])
+    q = [field._zero] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
+        c = a[-1] if inv is None else field._mul(a[-1], inv)
         k = len(a) - len(b)
-        q[k] += c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
+        q[k] = field._add(q[k], c)
+        for i in range(len(b)):
+            a[k + i] = field._sub(a[k + i], field._mul(c, b[i]))
         a.pop()
-    while a and not a[-1]:
-        a.pop()
+        _dense_trim(a)
     return q, a
+
+
+def _dense_gcd(field, a, b):
+    """A gcd in F[t] of the trimmed dense lists a and b (not monic)."""
+    while b:
+        a, b = b, _dense_divmod(field, a, b)[1]
+    return a
 
 
 class NFElement:

@@ -169,9 +169,9 @@ def twisted_alexander(cfg):
         else:
             num = determinant(full.drop_columns(j * n, n))
         value = reduce(num, den)
-        canonical, sign, exp = normalize_unit(value.num)
-        normalized = RationalFunction(canonical, value.den)
-        return TwistedAlexander(normalized, n, sign, exp, column=names[j])
+        # a unit times the numerator leaves the pair reduced: no second gcd
+        value.num, sign, exp = normalize_unit(value.num)
+        return TwistedAlexander(value, n, sign, exp, column=names[j])
     raise NoAdmissibleColumnError(
         'no generator has a nonzero denominator det Phi(x_j - 1); the '
         'representation is degenerate for n=%d' % (n,))

@@ -10,14 +10,16 @@ denominator D!, divided out exactly; the row scales and the
 factored-out power of t are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate, goes through one Horner
-function, _dense_eval.
+function, _dense_eval.  Division with remainder and Euclid's algorithm
+come from the field module (_dense_divmod, _dense_gcd): gcd, exact
+division and the order at t = 1 all use them.
 """
 
 import re
 from fractions import Fraction
 
-from .field import (NFElement, _denominator, _exact_quotient, _integral,
-                    _rational)
+from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
+                    _denominator, _exact_quotient, _integral, _rational)
 
 
 class LaurentPolynomial:
@@ -228,33 +230,6 @@ def parse_polynomial(field, text):
 
 # ----- ordinary-polynomial helpers on dense raw-coefficient lists -----
 
-def _dense_trim(a):
-    while a and not any(a[-1]):
-        a.pop()
-    return a
-
-
-def _dense_divmod(field, a, b):
-    """Division with remainder in F[t] on dense ascending lists."""
-    a = list(a)
-    _dense_trim(a)
-    b = list(b)
-    _dense_trim(b)
-    if not b:
-        raise ZeroDivisionError('polynomial division by zero')
-    inv = field._inv(b[-1])
-    q = [field._zero] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = field._mul(a[-1], inv)
-        k = len(a) - len(b)
-        q[k] = field._add(q[k], c)
-        for i in range(len(b)):
-            a[k + i] = field._sub(a[k + i], field._mul(c, b[i]))
-        a.pop()
-        _dense_trim(a)
-    return q, a
-
-
 def _dense_eval(field, a, x):
     """Value of the dense ascending list a at x by Horner's rule.
 
@@ -280,11 +255,7 @@ def gcd(p, q):
     field = p.field
     if p.is_zero() and q.is_zero():
         raise ValueError('gcd(0, 0) is undefined')
-    a, _ = p._dense()
-    b, _ = q._dense()
-    while b:
-        _, r = _dense_divmod(field, a, b)
-        a, b = b, r
+    a = _dense_gcd(field, p._dense()[0], q._dense()[0])
     lead_inv = field._inv(a[-1])
     a = [field._mul(c, lead_inv) for c in a]
     lo = next(i for i, c in enumerate(a) if any(c))
@@ -310,27 +281,19 @@ def divide_exact(p, q):
 def order_at_one(p):
     """Largest k with (t-1)^k dividing p, and the cofactor's value at 1.
 
-    Established by repeated exact synthetic division; the returned value
-    (p / (t-1)^k)(1) is nonzero.
+    Divides by t - 1 while the remainder, the value at 1, is zero; the
+    returned value (p / (t-1)^k)(1) is nonzero.
     """
     if p.is_zero():
         raise ValueError('order at t=1 of the zero polynomial is undefined')
     field = p.field
     dense, _ = p._dense()
+    t_minus_one = [field._neg(field._one), field._one]
     order = 0
     while True:
-        value = field._zero
-        for c in dense:
-            value = field._add(value, c)
-        if any(value):
-            return order, NFElement(field, value)
-        # synthetic division by (t - 1): descending Horner, recycled here
-        # on the ascending list from the top end
-        quot = [field._zero] * (len(dense) - 1)
-        carry = field._zero
-        for i in range(len(dense) - 1, 0, -1):
-            carry = field._add(carry, dense[i])
-            quot[i - 1] = carry
+        quot, rem = _dense_divmod(field, dense, t_minus_one)
+        if rem:
+            return order, NFElement(field, rem[0])
         dense = quot
         order += 1
 

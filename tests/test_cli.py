@@ -224,10 +224,25 @@ class TestCompute:
      'line 16: reference'),
     (['invariant', '--n', '0'], None, '--n'),
     (['invariant', '--n', '-1'], None, '--n'),
+    # zero denominators: message may be (stage, text) when not a parse error
+    pytest.param(['compute'], FIG8_TEXT.replace('rep b: [[[1,0],[0,0]]',
+                                                'rep b: [[[1,0],[1/0,0]]'),
+                 "line 13: zero denominator in '1/0'", id='rep-1/0'),
+    pytest.param(['compute'], FIG8_TEXT.replace('embed: -0.5 0.8660254038',
+                                                'embed: 1/0 0.8'),
+                 ('field validation', "embedding hint ('1/0', '0.8')"),
+                 id='embed-1/0'),
+    pytest.param(['compute'], FIG8_TEXT.replace('reference: 2.02988',
+                                                'reference: 1/0'),
+                 "line 16: reference '1/0'", id='reference-1/0'),
+    pytest.param(['compute', '--reference', '1/0'], None,
+                 "--reference '1/0'", id='option-reference-1/0'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):
     # every one of these is rejected before any invariant is computed
+    stage, message = message if isinstance(message, tuple) else ('parse',
+                                                                  message)
     def refuse(*args):
         raise AssertionError('computed before rejecting the input')
 
@@ -240,7 +255,7 @@ def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
             handle.write(job_text)
     code, _, err = run(capsys, argv[0], job, *argv[1:])
     assert code == 1
-    assert err.startswith('error [parse]: ') and message in err
+    assert err.startswith('error [%s]: ' % stage) and message in err
 
 
 class TestInvariantCommand:

@@ -180,6 +180,7 @@ class TestValidation:
         ([0, 1, 1], 'has the root 0'),               # x (x + 1)
         ([-6, 1, 1], 'has the root -3'),             # (x - 2)(x + 3)
         ([-2, 1, 0, 0, 1], 'has the root 1'),        # x^4 + x - 2
+        ([4, 0, 0, -4, 0, 0, 1], 'not squarefree'),  # (x^3 - 2)^2
     ])
     def test_reducible_rejected(self, min_poly, message):
         with pytest.raises(ValueError, match=message):

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
-                      NoAdmissibleColumnError, Presentation, Representation,
-                      SimpleZeroViolationError, TwistConfig, Word,
+                      NoAdmissibleColumnError, Presentation, RationalFunction,
+                      Representation, SimpleZeroViolationError, TwistConfig,
+                      Word, laurent,
                       determinant, equal_up_to_unit, fox_derivative,
                       order_at_one, parse_presentation, phi,
                       symmetric_power, twisted_alexander, value_at_one,
@@ -301,6 +302,32 @@ class TestAssemblyCost:
             (first.value.num, first.value.den, first.unit_str())
         assert vars(rep).keys() == state.keys()
         assert all(vars(rep)[key] is value for key, value in state.items())
+
+
+class TestReduceCost:
+    """The quotient is reduced once; normalizing the unit needs no gcd."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_one_gcd_per_invariant(self, knots, knot, monkeypatch):
+        pres, rep = knots[knot]
+        exact_gcd = laurent.gcd
+        calls = []
+
+        def counting(p, q):
+            calls.append(None)
+            return exact_gcd(p, q)
+
+        for n in range(2, 5):
+            monkeypatch.setattr(laurent, 'gcd', counting)
+            value = twisted_alexander(TwistConfig(pres, rep, n)).value
+            monkeypatch.undo()
+            assert len(calls) == 1, n
+            calls.clear()
+            num, den = value.num, value.den
+            field = num.field
+            assert exact_gcd(num, den) == LaurentPolynomial.one(field)
+            assert den.min_exp == 0 and den.coeffs[den.max_exp] == field.one
+            assert RationalFunction(num, den) == value
 
 
 @pytest.fixture(scope='module')

@@ -1,4 +1,5 @@
-"""Properties of the integral field kernel: NumberField._mul_matrix, _inv, _det.
+"""Properties of the integral field kernel: NumberField._mul_matrix,
+_inv_integral, _inv and _det.
 
 Fields of degree 1, 2, 3, 4 and 8 are covered.  The degree-4 and degree-8
 minimal polynomials and embeddings are those of the Riley jobs of the
@@ -113,11 +114,23 @@ class TestInverse:
         assume(any(a))
         assert field._mul(a, field._inv(a)) == field._one
 
+    @PROPERTY
+    @given(st.data())
+    def test_integral_inverse_times_b_is_d(self, data):
+        field = data.draw(fields)
+        b = data.draw(int_elements(field))
+        assume(any(b))
+        w, denom = field._inv_integral(b)
+        assert all(type(c) is int for c in w + (denom,)) and denom
+        assert field._mul(b, w) == (denom,) + (0,) * (field.degree - 1)
+
     @pytest.mark.parametrize('degree', sorted(FIELDS))
     def test_zero_raises(self, degree):
         field = FIELDS[degree]
         with pytest.raises(ZeroDivisionError, match='division by zero'):
             field._inv((Fraction(0),) * degree)
+        with pytest.raises(ZeroDivisionError, match='division by zero'):
+            field._inv_integral((0,) * degree)
 
     def test_zero_divisor_raises(self):
         # (x^2 + 1)(x^2 + 2) passes the squarefree and integer-root
@@ -125,6 +138,8 @@ class TestInverse:
         field = NumberField([2, 0, 3, 0, 1], ('0', '1'))
         with pytest.raises(ZeroDivisionError, match='zero divisor'):
             field._inv((Fraction(1), 0, Fraction(1), 0))
+        with pytest.raises(ZeroDivisionError, match='zero divisor'):
+            field._inv_integral((1, 0, 1, 0))
 
 
 class TestDet:
@@ -147,19 +162,21 @@ class TestDet:
                  for j in range(4)] for i in range(4)]
         assert field._det([list(row) for row in rows]) \
             == leibniz_det(field, rows)
-        exact_inv = field._inv
+        exact_inv = field._inv_integral
 
-        def perturbed(a):
-            inv = exact_inv(a)
-            return (inv[0] + Fraction(1, 7),) + inv[1:]
+        def perturbed(b):
+            # w / D + 1/7 in coordinate 0: (7 w + D e_0) / (7 D)
+            w, denom = exact_inv(b)
+            return ((7 * w[0] + denom,) + tuple(7 * c for c in w[1:]),
+                    7 * denom)
 
-        monkeypatch.setattr(field, '_inv', perturbed)
+        monkeypatch.setattr(field, '_inv_integral', perturbed)
         with pytest.raises(ArithmeticError, match='non-integral'):
             field._det([list(row) for row in rows])
 
 
 class TestDetCost:
-    """Fraction stays off the elimination: at most 2 per pivot coordinate."""
+    """Fraction stays off the elimination, pivot inverses included."""
 
     @pytest.mark.parametrize('degree', [3, 8])
     def test_fraction_constructions_bounded(self, degree, monkeypatch):
@@ -180,4 +197,4 @@ class TestDetCost:
         got = field._det([list(row) for row in rows])
         monkeypatch.undo()
         assert got == expected
-        assert 0 < len(calls) <= 2 * (n - 1) * degree
+        assert len(calls) == 0

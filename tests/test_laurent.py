@@ -224,11 +224,13 @@ class TestOrderAtOne:
         with pytest.raises(ValueError):
             order_at_one(LaurentPolynomial.zero(qfield))
 
-    def test_factorization_property(self, ufield):
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    def test_factorization_property(self, field_name, request):
+        field = request.getfixturevalue(field_name)
         rng = random.Random(600)
-        t = LaurentPolynomial.t(ufield)
+        t = LaurentPolynomial.t(field)
         for _ in range(30):
-            p = random_poly(ufield, rng)
+            p = random_poly(field, rng)
             if p.is_zero():
                 continue
             k = rng.randrange(0, 4)
