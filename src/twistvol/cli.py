@@ -63,16 +63,18 @@ def _parse_nested(text):
     tokens = re.findall(r'\[|\]|,|[^\[\],\s]+', text)
     pos = 0
 
-    def parse():
+    def parse(depth):
         nonlocal pos
         if pos >= len(tokens):
             raise ValueError('unexpected end of matrix literal')
         tok = tokens[pos]
         if tok == '[':
+            if depth == 3:
+                raise ValueError('matrix literal nested more than 3 deep')
             pos += 1
             items = []
             while pos < len(tokens) and tokens[pos] != ']':
-                items.append(parse())
+                items.append(parse(depth + 1))
                 if pos < len(tokens) and tokens[pos] == ',':
                     pos += 1
             if pos >= len(tokens):
@@ -85,7 +87,7 @@ def _parse_nested(text):
         except ZeroDivisionError:
             raise ValueError('zero denominator in %r' % (tok,)) from None
 
-    value = parse()
+    value = parse(0)
     if pos != len(tokens):
         raise ValueError('trailing junk in matrix literal')
     return value
@@ -112,26 +114,25 @@ def parse_job(text):
         line = raw.split('#', 1)[0].strip()
         if not line:
             continue
-        head = line.split(':', 1)[0].strip()
-        key = ' '.join(head.split())
-        if key in seen and key != 'rel':
+        head, body = group.directive(line)
+        if head in seen and head != 'rel':
             raise JobError('parse', 'line %d: duplicate %s line'
-                           % (lineno, key))
-        seen.add(key)
+                           % (lineno, head))
+        seen.add(head)
+        parts = head.split(' ')
         if head in ('gens', 'rel', 'alpha'):
             pres_lines[lineno] = line
         elif head == 'field':
-            field_line = (lineno, line.split(':', 1)[1].split())
+            field_line = (lineno, body.split())
         elif head == 'embed':
-            embed_line = (lineno, line.split(':', 1)[1].split())
-        elif head.startswith('rep'):
-            parts = head.split()
+            embed_line = (lineno, body.split())
+        elif parts[0] == 'rep':
             if len(parts) != 2:
                 raise JobError('parse', 'line %d: rep line needs a generator, '
                                'e.g. "rep a: ..."' % lineno)
-            rep_lines[parts[1]] = (lineno, line.split(':', 1)[1].strip())
+            rep_lines[parts[1]] = (lineno, body)
         elif head == 'reference':
-            reference = line.split(':', 1)[1].strip()
+            reference = body
             _check_reference(reference, 'line %d: reference' % lineno)
         else:
             raise JobError('parse', 'line %d: unrecognized directive %r'
@@ -177,9 +178,7 @@ def parse_job(text):
                 raise JobError('parse', 'line %d: rep matrix must be 2x2'
                                % lineno)
             try:
-                entries = [[number_field.element(e if isinstance(e, list) else [e])
-                            for e in row] for row in rows]
-                images[name] = Matrix(number_field, entries)
+                images[name] = Matrix(number_field, rows)
             except ValueError as exc:
                 raise JobError('field validation',
                                'line %d: %s' % (lineno, exc)) from exc

@@ -332,6 +332,13 @@ class Presentation:
             ', '.join(self.generator_names), len(self.relations))
 
 
+def directive(line):
+    """(head, body) of a job or presentation line 'head: body'; the head's
+    blanks are collapsed, and it is empty when the line has no ':'."""
+    head, colon, body = line.partition(':')
+    return (' '.join(head.split()) if colon else ''), body.strip()
+
+
 def parse_presentation(text):
     """Parse presentation text into a validated Presentation.
 
@@ -350,22 +357,22 @@ def parse_presentation(text):
         line = raw.split('#', 1)[0].strip()
         if not line:
             continue
-        if line.startswith('gens:'):
+        head, body = directive(line)
+        if head == 'gens':
             if names is not None:
                 raise ParseError('line %d: duplicate gens line' % lineno)
-            names = tuple(line[len('gens:'):].split())
-        elif line.startswith('rel:'):
-            body = line[len('rel:'):]
+            names = tuple(body.split())
+        elif head == 'rel':
             if body.count('=') != 1:
                 raise ParseError('line %d: relation needs exactly one "="' % lineno)
             lhs, rhs = (side.strip() for side in body.split('='))
             if not lhs or not rhs:
                 raise ParseError('line %d: empty relation side' % lineno)
             raw_relations.append((lineno, lhs, rhs))
-        elif line.startswith('alpha:'):
+        elif head == 'alpha':
             if alpha_spec is not None:
                 raise ParseError('line %d: duplicate alpha line' % lineno)
-            alpha_spec = (lineno, line[len('alpha:'):].split())
+            alpha_spec = (lineno, body.split())
         else:
             raise ParseError('line %d: unrecognized directive %r' % (lineno, line))
     if names is None:

@@ -2,14 +2,17 @@
 
 The pipeline maps group-ring elements through Phi(w) = t^alpha(w) *
 sigma_n(rho(w)), assembles the Fox-derivative block matrix, deletes one
-generator's block column, and divides the two determinants.  The result
-is reduced and brought to a deterministic representative; the invariant
-itself is only defined up to a unit +/- t^k, so comparisons go through
-the unit-normalized form.
+generator's block column, and divides the two determinants.  rho(w) and
+sigma_n(rho(w)) stay integral Matrix data up to phi, which sums each
+cell on ints.  The result is reduced and brought to a deterministic
+representative; the invariant itself is only defined up to a unit
++/- t^k, so comparisons go through the unit-normalized form.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
+from .field import NFElement, _rational
 from .group import GroupRingElement, Word, fox_derivative
 from .rep import symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
@@ -51,50 +54,48 @@ def phi(element, cfg, prefixes=None):
 
     Returns an n x n PolyMatrix; Phi is linear and sends the identity
     word to the identity matrix.  prefixes, a dict of prefix products
-    owned by the caller, is passed on to Representation.evaluate.
+    owned by the caller, is passed on to Representation.evaluate.  Terms
+    are summed on ints over the lcm of their scales.
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
-    n = cfg.n
-    f = cfg.rep.field
+    n, f = cfg.n, cfg.rep.field
+    terms = [(cfg.presentation.abelianize(word), coeff,
+              symmetric_power(cfg.rep.evaluate(word, prefixes), n))
+             for word, coeff in element.terms.items()]
+    scale = lcm(*(mat.scale for _, _, mat in terms))
     grid = [[{} for _ in range(n)] for _ in range(n)]
-    for word, coeff in element.terms.items():
-        exponent = cfg.presentation.abelianize(word)
-        mat = symmetric_power(cfg.rep.evaluate(word, prefixes), n)
-        for i in range(n):
-            row = mat.rows[i]
-            for j in range(n):
-                c = row[j]
-                if not c.is_zero():
-                    cell = grid[i][j]
+    for exponent, coeff, mat in terms:
+        weight = coeff * (scale // mat.scale)
+        for cells, row in zip(grid, mat.ints):
+            for cell, c in zip(cells, row):
+                if any(c):
                     prev = cell.get(exponent)
-                    raw = f._scale(c.coeffs, coeff)
+                    raw = f._scale(c, weight)
                     cell[exponent] = raw if prev is None else f._add(prev, raw)
-    return PolyMatrix(f, [[LaurentPolynomial(f, {e: f.element(c) for e, c in cell.items()})
-                           for cell in row] for row in grid])
+    return PolyMatrix(f, [[LaurentPolynomial(f, {e: NFElement(f, _rational(c, scale))
+                                                 for e, c in cell.items()})
+                           for cell in cells] for cells in grid])
 
 
 def wada_matrix(cfg):
     """The n(g-1) x ng block matrix Phi(d r_i / d x_j).
 
     Rows run over relators, block columns over generators in
-    declaration order.  A presentation with no relators (the free case)
-    yields a 0 x ng matrix.  Every Fox-derivative term is a prefix of
-    its relator, so one prefix dict shared by all the terms makes rho
-    cost one multiply per relator letter; it is dropped on return.
+    declaration order, each row the concatenated rows of g phi blocks.
+    No relators (the free case) give an empty matrix.  Every
+    Fox-derivative term is a prefix of its relator, so one prefix dict
+    shared by all the terms makes rho cost one int multiply per relator
+    letter; it is dropped on return.
     """
     pres = cfg.presentation
     g = pres.num_generators
-    n = cfg.n
-    f = cfg.rep.field
-    blocks = []
-    prefixes = {}
+    rows, prefixes = [], {}
     for r in pres.relators():
-        blocks.append([phi(fox_derivative(r, j), cfg, prefixes)
-                       for j in range(g)])
-    if not blocks:
-        return PolyMatrix(f, [])
-    return PolyMatrix.from_blocks(f, blocks)
+        blocks = [phi(fox_derivative(r, j), cfg, prefixes) for j in range(g)]
+        rows.extend([e for block in blocks for e in block.entries[i]]
+                    for i in range(cfg.n))
+    return PolyMatrix(cfg.rep.field, rows)
 
 
 def _denominator(cfg, j):

@@ -410,16 +410,6 @@ class PolyMatrix:
             if any(len(r) != width for r in rows):
                 raise ValueError('ragged polynomial matrix')
 
-    @classmethod
-    def from_blocks(cls, field, blocks):
-        """Assemble from a 2-D grid of PolyMatrix blocks."""
-        rows = []
-        for block_row in blocks:
-            height = block_row[0].nrows
-            for r in range(height):
-                rows.append([e for block in block_row for e in block.entries[r]])
-        return cls(field, rows)
-
     @property
     def nrows(self):
         return len(self.entries)

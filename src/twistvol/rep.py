@@ -7,49 +7,69 @@ order is fixed as x^(n-1), x^(n-2) y, ..., y^(n-1) and coordinates are
 written as columns; this is the order that reproduces the standard
 contragredient identification sigma_2(M) = transpose(M^-1).
 
-Determinants clear each row's denominators and run the field's integral
-Bareiss kernel (NumberField._det) on Python ints; the only inverses
-needed, of 2x2 generator images, are adjugate over determinant.  The
-symmetric power likewise expands on the int coordinates of scale * M^-1
-and divides scale^(n-1) out once per coordinate.  Representation.evaluate
-can extend the products of earlier words from a caller-owned prefix
-dict, which the Wada matrix shares across the terms of its relators.
+A Matrix stores int coordinates over one reduced common denominator and
+builds NFElements only at its public boundary; products, the determinant
+(the field's integral Bareiss kernel) and the symmetric power run on the
+ints, and one check, ad - bc = scale^2, decides det = 1.
+Representation.evaluate can extend the products of earlier words from a
+caller-owned prefix dict, shared across the terms of the Wada matrix.
 """
 
-from math import comb, prod
+from functools import reduce
+from math import comb, gcd, lcm
 
 from .field import NFElement, NumberField, _denominator, _integral, _rational
 
 
 class Matrix:
-    """An immutable square-or-rectangular matrix over a NumberField."""
+    """An immutable matrix over a NumberField, stored as ints / scale: int
+    coordinate tuples over a positive scale, with no common factor."""
 
-    __slots__ = ('field', 'rows')
+    __slots__ = ('field', 'ints', 'scale')
 
     def __init__(self, field, rows):
+        cells = tuple(tuple(field.element(e).coeffs for e in row)
+                      for row in rows)
+        if cells and any(len(row) != len(cells[0]) for row in cells):
+            raise ValueError('ragged matrix rows')
         self.field = field
-        self.rows = tuple(tuple(field.element(e) for e in row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(row) != width for row in self.rows):
-                raise ValueError('ragged matrix rows')
+        # the least common denominator leaves no common factor
+        self.scale = _denominator(c for row in cells for c in row)
+        self.ints = tuple(tuple(_integral(c, self.scale) for c in row)
+                          for row in cells)
+
+    @classmethod
+    def _of(cls, field, ints, scale):
+        """The matrix ints / scale for an int scale > 0, reduced."""
+        g = gcd(scale, *(x for row in ints for e in row for x in e)) \
+            if scale != 1 else 1
+        m = cls.__new__(cls)
+        m.field, m.scale = field, scale // g
+        m.ints = ints if g == 1 else tuple(
+            tuple(tuple(x // g for x in e) for e in row) for row in ints)
+        return m
 
     @classmethod
     def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)]
-                           for i in range(n)])
+        return cls._of(field, tuple(tuple(_unit(field, int(i == j))
+                                          for j in range(n))
+                                    for i in range(n)), 1)
+
+    @property
+    def rows(self):
+        return tuple(tuple(NFElement(self.field, _rational(e, self.scale))
+                           for e in row) for row in self.ints)
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.ints)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.ints[0]) if self.ints else 0
 
     def __getitem__(self, key):
-        i, j = key
-        return self.rows[i][j]
+        return self.rows[key[0]][key[1]]
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -57,67 +77,56 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError('matrix shape mismatch')
         f = self.field
-        a = [[e.coeffs for e in row] for row in self.rows]
-        b = [[e.coeffs for e in row] for row in other.rows]
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = f._zero
-                for k in range(self.ncols):
-                    acc = f._add(acc, f._mul(a[i][k], b[k][j]))
-                row.append(NFElement(f, acc))
-            out.append(row)
-        return Matrix(f, out)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return Matrix(self.field, [[x + y for x, y in zip(r, s)]
-                                   for r, s in zip(self.rows, other.rows)])
+        cols = list(zip(*other.ints))
+        return Matrix._of(f, tuple(tuple(reduce(f._add, map(f._mul, r, c))
+                                         for c in cols) for r in self.ints),
+                          self.scale * other.scale)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(self.field, [[x - y for x, y in zip(r, s)]
-                                   for r, s in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return Matrix(self.field, [[-x for x in row] for row in self.rows])
+        f, scale = self.field, lcm(self.scale, other.scale)
+        p, q = scale // self.scale, scale // other.scale
+        return Matrix._of(f, tuple(tuple(f._sub(f._scale(x, p), f._scale(y, q))
+                                         for x, y in zip(r, s))
+                                   for r, s in zip(self.ints, other.ints)),
+                          scale)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows)
+        return (isinstance(other, Matrix) and self.scale == other.scale
+                and self.ints == other.ints)
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(any(e) for row in self.ints for e in row)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
+        return Matrix._of(self.field, tuple(zip(*self.ints)), self.scale)
 
     def trace(self):
-        acc = self.field.zero
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((row[i] for i, row in enumerate(self.rows)), self.field.zero)
 
     def det(self):
-        """Exact determinant by the field's integral Bareiss kernel.
-
-        Each row is scaled by the least common denominator of its
-        coordinates, so the kernel sees entries in Z[x]/(m); the product
-        of those scales is divided out of the result.
-        """
+        """Exact determinant: the integral Bareiss kernel over scale^n."""
         if self.nrows != self.ncols:
             raise ValueError('determinant of a non-square matrix')
-        scales = [_denominator(e.coeffs for e in row) for row in self.rows]
-        det = self.field._det([[_integral(e.coeffs, s) for e in row]
-                               for row, s in zip(self.rows, scales)])
-        total = prod(scales)
-        return NFElement(self.field, _rational(det, total))
+        det = self.field._det([list(row) for row in self.ints])
+        return NFElement(self.field, _rational(det, self.scale ** self.nrows))
 
     def __repr__(self):
         body = '; '.join(', '.join(str(e) for e in row) for row in self.rows)
         return 'Matrix[%s]' % body
+
+
+def _unit(field, k):
+    """The integer k as a raw element with int coordinates."""
+    return (k,) + (0,) * (field.degree - 1)
+
+
+def _is_sl2(m):
+    """Whether the 2x2 m has determinant 1: ad - bc = scale^2 on ints."""
+    f = m.field
+    (a, b), (c, d) = m.ints
+    return f._sub(f._mul(a, d), f._mul(b, c)) == _unit(f, m.scale ** 2)
 
 
 def symmetric_power(matrix, n):
@@ -139,23 +148,14 @@ def symmetric_power(matrix, n):
     f = matrix.field
     if matrix.nrows != 2 or matrix.ncols != 2:
         raise ValueError('symmetric power expects a 2x2 matrix')
-    # the entries times scale are integral: det = 1 is ad - bc = scale^2
-    # on their int coordinates
-    entries = [e.coeffs for row in matrix.rows for e in row]
-    scale = _denominator(entries)
-    a, b, c, d = (_integral(e, scale) for e in entries)
-    square = (scale * scale,) + (0,) * (f.degree - 1)
-    if f._sub(f._mul(a, d), f._mul(b, c)) != square:
+    if not _is_sl2(matrix):
         raise ValueError('symmetric power expects determinant 1')
-    if n == 1:
-        return Matrix.identity(f, 1)
-    # SL(2) inverse is the adjugate; expand on the integral entries of
-    # scale * M^-1, then divide scale^(n-1) (every coordinate is
-    # homogeneous of that degree in the entries) out once
+    # scale * M^-1 = adj(ints) on SL(2); each coordinate of the expansion
+    # is homogeneous of degree n-1 in its entries: over scale^(n-1)
+    (a, b), (c, d) = matrix.ints
     deg = n - 1
     a_pow, b_pow, c_pow, d_pow = (_powers(f, e, deg)
                                   for e in (d, f._neg(b), f._neg(c), a))
-    zero = (0,) * f.degree
     cols = []
     for j in range(n):
         # (a x + b y)^(deg - j) expanded in x, y
@@ -164,19 +164,17 @@ def symmetric_power(matrix, n):
         # times (c x + d y)^j
         q = [f._scale(f._mul(c_pow[j - i], d_pow[i]), comb(j, i))
              for i in range(j + 1)]
-        col = [zero] * n
+        col = [_unit(f, 0)] * n
         for i1, x in enumerate(p):
             for i2, y in enumerate(q):
                 col[i1 + i2] = f._add(col[i1 + i2], f._mul(x, y))
         cols.append(col)
-    total = scale ** deg
-    return Matrix(f, [[NFElement(f, _rational(cols[j][i], total))
-                       for j in range(n)] for i in range(n)])
+    return Matrix._of(f, tuple(zip(*cols)), matrix.scale ** deg)
 
 
 def _powers(field, raw, upto):
     """raw^0, ..., raw^upto for an element with int coordinates."""
-    out = [(1,) + (0,) * (field.degree - 1)]
+    out = [_unit(field, 1)]
     for _ in range(upto):
         out.append(field._mul(out[-1], raw))
     return out
@@ -227,7 +225,7 @@ class Representation:
     def sl2_failures(self):
         """Names of the generators whose image does not have determinant 1."""
         return [name for name, m in zip(self.names, self.images)
-                if m.det() != self.field.one]
+                if not _is_sl2(m)]
 
     def evaluate(self, word, prefixes=None):
         """Left-to-right product of generator images over the word.
@@ -276,7 +274,10 @@ class Representation:
 
 
 def _sl2_inverse(m):
-    """Adjugate over determinant; ZeroDivisionError when m is singular."""
-    (a, b), (c, d) = m.rows
-    inv = 1 / m.det()
-    return Matrix(m.field, [[d * inv, -b * inv], [-c * inv, a * inv]])
+    """M^-1 = adj(ints) * scale * w / D, with w / D = 1 / (ad - bc)."""
+    f = m.field
+    (a, b), (c, d) = m.ints
+    w, denom = f._inv_integral(f._sub(f._mul(a, d), f._mul(b, c)))
+    w = f._scale(w, m.scale if denom > 0 else -m.scale)
+    return Matrix._of(f, ((f._mul(d, w), f._neg(f._mul(b, w))),
+                          (f._neg(f._mul(c, w)), f._mul(a, w))), abs(denom))

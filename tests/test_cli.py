@@ -65,6 +65,18 @@ class TestJobParsing:
             parse_job('gens: a\nbogus: 1\n')
         assert info.value.stage == 'parse'
 
+    @pytest.mark.parametrize('line', ['repx a: [[1,0],[0,1]]', 'field'])
+    def test_directive_needs_a_known_head_and_colon(self, line):
+        with pytest.raises(JobError, match="line 2: unrecognized directive"):
+            parse_job('gens: a\n' + line + '\n')
+
+    def test_blank_before_colon(self, capsys, tmp_path):
+        path = tmp_path / 'spaced.job'
+        path.write_text(FIG8_TEXT.replace(':', ' :'))
+        code, spaced, _ = run(capsys, 'invariant', str(path), '--n', '3')
+        assert code == 0
+        assert spaced == run(capsys, 'invariant', FIG8_JOB, '--n', '3')[1]
+
     def test_missing_embed_for_quadratic_field(self):
         with pytest.raises(JobError):
             parse_job('gens: a\nfield: 1 1 1\n')
@@ -237,6 +249,10 @@ class TestCompute:
                  "line 16: reference '1/0'", id='reference-1/0'),
     pytest.param(['compute', '--reference', '1/0'], None,
                  "--reference '1/0'", id='option-reference-1/0'),
+    pytest.param(['compute'], FIG8_TEXT.replace(
+        'rep b: [[[1,0],[0,0]],[[0,-1],[1,0]]]', 'rep b: [[1,0],[[[1]],1]]'),
+                 'line 13: matrix literal nested more than 3 deep',
+                 id='rep-over-nested'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):

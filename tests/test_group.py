@@ -74,6 +74,10 @@ class TestParse:
                                   'rel: ab = ba\n')
         assert pres.num_generators == 2
 
+    def test_blank_before_colon(self):
+        assert (parse_presentation('gens : a b\nrel : ab = ba\n')
+                == parse_presentation('gens: a b\nrel: ab = ba\n'))
+
     def test_alpha_override(self):
         pres = parse_presentation('gens: a b\nrel: ab = ba\nalpha: a=2 b=2\n')
         assert pres.alpha == (2, 2)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -220,13 +220,31 @@ class TestRepresentationValidation:
         with pytest.raises(ValueError, match='determinant'):
             Representation(fig8, {'a': scaled, 'b': eye})
 
-    def test_unaudited_image_inverts_exactly(self, qfield):
+    def test_unaudited_image_inverts_exactly(self, qfield, ufield):
         from twistvol import Word
         pres = parse_presentation('gens: a\n')
-        m = Matrix(qfield, [[2, 1], [0, 1]])
-        rep = Representation(pres, {'a': m}, require_sl2=False)
-        assert rep.sl2_failures() == ['a']
-        assert rep.evaluate(Word([-1])) * m == Matrix.identity(qfield, 2)
+        u = ufield.generator
+        # the ufield image has non-integral entries and det u - 1/3
+        for field, m in [(qfield, Matrix(qfield, [[2, 1], [0, 1]])),
+                         (ufield, Matrix(ufield, [[u / 2, Fraction(1, 3)],
+                                                  [1, 2]]))]:
+            rep = Representation(pres, {'a': m}, require_sl2=False)
+            assert rep.sl2_failures() == ['a']
+            inverse = rep.evaluate(Word([-1]))
+            assert inverse * m == Matrix.identity(field, 2)
+            assert m * inverse == Matrix.identity(field, 2)
+
+    def test_relation_difference_over_different_scales(self, fig8, qfield):
+        rho_a = Matrix(qfield, [[1, Fraction(1, 2)], [0, 1]])
+        rho_b = Matrix(qfield, [[1, 0], [Fraction(-1, 3), 1]])
+        rep = Representation(fig8, {'a': rho_a, 'b': rho_b})
+        lhs, rhs = (rep.evaluate(w) for w in fig8.relations[0])
+        assert (lhs.scale, rhs.scale) == (72, 108)
+        [(k, diff)] = rep.check_relations(fig8)
+        assert k == 0
+        assert diff.rows == tuple(tuple(x - y for x, y in zip(r, s))
+                                  for r, s in zip(lhs.rows, rhs.rows))
+        assert diff.scale == 216
 
     def test_missing_generator_rejected(self, fig8, qfield):
         eye = Matrix.identity(qfield, 2)
@@ -256,3 +274,53 @@ class TestMatrix:
     def test_det_pivoting_and_singular(self, request, field_name, rows, det):
         field = request.getfixturevalue(field_name)
         assert Matrix(field, rows).det() == field.element(det)
+
+
+def assert_canonical(m):
+    """m is stored as ints over the least common denominator of m.rows."""
+    assert Matrix(m.field, m.rows) == m
+    assert m.scale == lcm(*(c.denominator for row in m.rows for e in row
+                            for c in e.coeffs))
+    assert gcd(m.scale, *(x for row in m.ints for e in row for x in e)) == 1
+
+
+class TestIntegralStorage:
+
+    @pytest.mark.parametrize('max_den', [1, 6])
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    def test_canonical(self, request, field_name, max_den):
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(45)
+        for n in range(1, 6):
+            m1 = random_sl2(field, rng, max_den=max_den)
+            m2 = random_sl2(field, rng, max_den=max_den)
+            for m in (m1, m1 * m2, m1.transpose(), m1 - m2, m1 - m1,
+                      symmetric_power(m1, n)):
+                assert_canonical(m)
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_prefix_products_and_powers_build_no_fraction(self, request,
+                                                           monkeypatch, knot):
+        if knot == 'fig8':
+            rep = request.getfixturevalue('fig8_rep')
+            pres = request.getfixturevalue('fig8')
+        else:
+            job = request.getfixturevalue('k7_3')
+            rep, pres = job.representation, job.presentation
+        letters = tuple(pres.relators()[0])
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(None)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
+        prefixes = {}
+        powers = [symmetric_power(rep.evaluate(letters[:k], prefixes), 4)
+                  for k in range(1, len(letters) + 1)]
+        monkeypatch.undo()
+        assert len(calls) == 0
+        # the shared prefixes give the products a fresh evaluation gives
+        for k, power in enumerate(powers, start=1):
+            assert power == symmetric_power(rep.evaluate(letters[:k]), 4)
