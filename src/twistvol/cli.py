@@ -94,12 +94,14 @@ def _parse_nested(text):
 
 
 def _check_reference(text, where):
-    """Reject a reference volume that is not a decimal number."""
+    """Reject a reference volume that is not a finite decimal number."""
     try:
-        mpmath.mpf(text)
+        finite = mpmath.isfinite(mpmath.mpf(text))
     except (ValueError, ZeroDivisionError):
+        finite = False
+    if not finite:
         raise JobError('parse', '%s %r is not a decimal number'
-                       % (where, text)) from None
+                       % (where, text))
 
 
 def parse_job(text):
@@ -256,6 +258,9 @@ def cmd_compute(args):
     n_min, n_max = _parse_range(args.n)
     if n_min < 2:
         raise JobError('parse', 'compute needs n >= 2')
+    if args.extrapolate and n_max - max(4, n_min) < 1:
+        raise JobError('parse', '--extrapolate needs at least two volume '
+                       'rows (n >= 4), e.g. --n 4..15; got %r' % args.n)
     if args.precision < 64:
         raise JobError('parse', '--precision must be at least 64 bits')
     if args.reference is not None:

@@ -391,13 +391,17 @@ def _dense_divmod(field, a, b):
         raise ZeroDivisionError('polynomial division by zero')
     # a monic divisor (t - 1, a monic gcd) needs no leading multiply
     inv = None if b[-1] == field._one else field._inv(b[-1])
+    # a rational divisor coefficient (all of t - 1 and (t - 1)^n) is
+    # applied as a coordinate scaling, not a field multiply
+    rational = [not any(y[1:]) for y in b]
     q = [field._zero] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
         c = a[-1] if inv is None else field._mul(a[-1], inv)
         k = len(a) - len(b)
         q[k] = field._add(q[k], c)
-        for i in range(len(b)):
-            a[k + i] = field._sub(a[k + i], field._mul(c, b[i]))
+        for i, y in enumerate(b):
+            cy = field._scale(c, y[0]) if rational[i] else field._mul(c, y)
+            a[k + i] = field._sub(a[k + i], cy)
         a.pop()
         _dense_trim(a)
     return q, a

@@ -1,13 +1,16 @@
 """Exact Laurent polynomials in t over a number field, and matrices of them.
 
-Determinants of polynomial matrices are computed by evaluation and
-interpolation: each row is shifted to ordinary-polynomial form and
-scaled to integral coefficients, the matrix is evaluated at D+1 integer
-points 0, 1, -1, 2, -2, ... for a certified degree bound D, the field's
-integral Bareiss kernel (NumberField._det) runs on Python ints at each
-point, and the int values are interpolated with the one common
-denominator D!, divided out exactly; the row scales and the
-factored-out power of t are restored at the end.  One extra evaluation
+A determinant first expands exactly along every row or column with at
+most one nonzero entry, so a triangular matrix costs one Laurent
+multiply per row and never reaches the kernel; a zero row or column
+gives 0.  What remains is computed by evaluation and interpolation:
+each row is shifted to ordinary-polynomial form and scaled to integral
+coefficients, the matrix is evaluated at D+1 integer points 0, 1, -1,
+2, -2, ... for a certified degree bound D, the field's integral Bareiss
+kernel (NumberField._det) runs on Python ints at each point, and the
+int values are interpolated with the one common denominator D!,
+divided out exactly; the row scales, the factored-out power of t and
+the expansion factor are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate, goes through one Horner
 function, _dense_eval.  Division with remainder and Euclid's algorithm
@@ -471,32 +474,66 @@ def _newton_interpolate(field, points, values):
                               'an evaluation is wrong') from None
 
 
-def determinant(matrix):
-    """Exact determinant of a square PolyMatrix by interpolation.
+def _expand_singletons(field, rows):
+    """(factor, rest) with det(rows) = factor * det(rest), exactly.
 
-    Each row's lowest t-power is factored out and its coefficients are
-    scaled by their least common denominator, so every entry becomes an
-    ordinary polynomial over Z[x]/(m).  The degree bound D sums, over
-    rows, the largest entry degree.  The matrix is evaluated at the D+1
-    integers 0, 1, -1, 2, -2, ..., the field's integral Bareiss kernel
-    runs at each point, and the values are interpolated; one further
-    integer point cross-checks the interpolant against a direct
-    elimination.  The row scales and the t-power are restored at the end.
+    While some row or column has at most one nonzero entry, expands
+    along it: the factor picks up (-1)^(i+j) times that entry a_ij, and
+    row i and column j are dropped.  rest has no such line left; a zero
+    row or column makes the factor zero.
+    """
+    factor = LaurentPolynomial.one(field)
+    rows = [list(row) for row in rows]
+    while rows:
+        hit = None
+        for lines, by_row in ((rows, True), (zip(*rows), False)):
+            for a, line in enumerate(lines):
+                nonzero = [b for b, p in enumerate(line) if not p.is_zero()]
+                if len(nonzero) <= 1:
+                    hit = (a, nonzero, by_row)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        a, nonzero, by_row = hit
+        if not nonzero:
+            return LaurentPolynomial.zero(field), []
+        i, j = (a, nonzero[0]) if by_row else (nonzero[0], a)
+        entry = rows[i][j]
+        factor = factor * (entry if (i + j) % 2 == 0 else -entry)
+        rows = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+    return factor, rows
+
+
+def determinant(matrix):
+    """Exact determinant of a square PolyMatrix.
+
+    Rows and columns with at most one nonzero entry are expanded exactly
+    first (_expand_singletons), so a triangular matrix such as
+    t^a sigma_n(A) - I for an upper-triangular A runs no elimination.
+    What remains is interpolated.  Each row's lowest t-power is factored
+    out and its coefficients are scaled by their least common
+    denominator, so every entry becomes an ordinary polynomial over
+    Z[x]/(m).  The degree bound D sums, over rows, the largest entry
+    degree.  The matrix is evaluated at the D+1 integers 0, 1, -1, 2,
+    -2, ..., the field's integral Bareiss kernel runs at each point, and
+    the values are interpolated; one further integer point cross-checks
+    the interpolant against a direct elimination.  The row scales, the
+    t-power and the expansion factor are restored at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
     field = matrix.field
-    n = matrix.nrows
-    if n == 0:
-        return LaurentPolynomial.one(field)
+    factor, rows = _expand_singletons(field, matrix.entries)
+    if not rows:
+        return factor
     izero = (0,) * field.degree
     shift = 0
     scale = 1
     int_rows = []
     bound = 0
-    for row in matrix.entries:
-        if all(p.is_zero() for p in row):
-            return LaurentPolynomial.zero(field)
+    for row in rows:
         lo = min(p.min_exp for p in row if not p.is_zero())
         shift += lo
         row_scale = _denominator(c.coeffs for p in row
@@ -522,5 +559,6 @@ def determinant(matrix):
     if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
-    return _wrap(field, {i + shift: _rational(coeff, scale)
-                         for i, coeff in enumerate(poly) if any(coeff)})
+    det = _wrap(field, {i + shift: _rational(coeff, scale)
+                        for i, coeff in enumerate(poly) if any(coeff)})
+    return det if len(rows) == matrix.nrows else factor * det

@@ -253,6 +253,27 @@ class TestCompute:
         'rep b: [[[1,0],[0,0]],[[0,-1],[1,0]]]', 'rep b: [[1,0],[[[1]],1]]'),
                  'line 13: matrix literal nested more than 3 deep',
                  id='rep-over-nested'),
+    # --extrapolate fits two or more volume rows (n >= 4)
+    pytest.param(['compute', '--n', '4..4', '--extrapolate'], None,
+                 "--extrapolate needs at least two volume rows",
+                 id='extrapolate-4..4'),
+    pytest.param(['compute', '--n', '5..5', '--extrapolate'], None,
+                 "got '5..5'", id='extrapolate-5..5'),
+    pytest.param(['compute', '--n', '2..4', '--extrapolate'], None,
+                 "got '2..4'", id='extrapolate-2..4'),
+    pytest.param(['compute', '--n', '2..3', '--extrapolate'], None,
+                 "got '2..3'", id='extrapolate-2..3'),
+    # a reference volume must be finite
+    pytest.param(['compute', '--reference', 'nan'], None,
+                 "--reference 'nan' is not a decimal number",
+                 id='option-reference-nan'),
+    pytest.param(['compute', '--reference=-inf'], None,
+                 "--reference '-inf' is not a decimal number",
+                 id='option-reference--inf'),
+    pytest.param(['compute'], FIG8_TEXT.replace('reference: 2.02988',
+                                                'reference: nan'),
+                 "line 16: reference 'nan' is not a decimal number",
+                 id='reference-nan'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):

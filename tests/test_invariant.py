@@ -3,9 +3,10 @@ import random
 import pytest
 
 from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
-                      NoAdmissibleColumnError, Presentation, RationalFunction,
-                      Representation, SimpleZeroViolationError, TwistConfig,
-                      Word, laurent,
+                      NoAdmissibleColumnError, NumberField, Presentation,
+                      RationalFunction, Representation,
+                      SimpleZeroViolationError, TwistConfig, Word, invariant,
+                      laurent,
                       determinant, equal_up_to_unit, fox_derivative,
                       order_at_one, parse_presentation, phi,
                       symmetric_power, twisted_alexander, value_at_one,
@@ -328,6 +329,54 @@ class TestReduceCost:
             assert exact_gcd(num, den) == LaurentPolynomial.one(field)
             assert den.min_exp == 0 and den.coeffs[den.max_exp] == field.one
             assert RationalFunction(num, den) == value
+
+
+def conjugated(pres, rep):
+    """rep with every image conjugated by P = [[1,0],[1,1]].
+
+    The meridian images [[1,1],[0,1]] become non-triangular, so the
+    denominators det(t^a sigma_n(P A P^-1) - I) leave no row or column
+    with a single nonzero entry and go through the Bareiss path.
+    """
+    f = rep.field
+    p = Matrix(f, [[1, 0], [1, 1]])
+    p_inv = Matrix(f, [[1, 0], [-1, 1]])
+    return Representation(pres, {name: p * image * p_inv
+                                 for name, image in zip(rep.names, rep.images)})
+
+
+class TestDenominatorExpansion:
+    """Triangular denominators are expanded exactly, with no elimination."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_conjugation_invariance(self, knots, knot):
+        pres, rep = knots[knot]
+        other = conjugated(pres, rep)
+        assert other.check_relations(pres) == []
+        for n in range(2, 7):
+            base = twisted_alexander(TwistConfig(pres, rep, n))
+            ta = twisted_alexander(TwistConfig(pres, other, n))
+            assert (str(ta.value), ta.unit_str(), ta.column) == \
+                (str(base.value), base.unit_str(), base.column), n
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_triangular_denominator_runs_no_elimination(self, knots, knot,
+                                                        monkeypatch):
+        pres, rep = knots[knot]
+        calls = []
+        eliminate = NumberField._det
+
+        def counting(self, rows):
+            calls.append(None)
+            return eliminate(self, rows)
+
+        monkeypatch.setattr(NumberField, '_det', counting)
+        t = LaurentPolynomial.t(rep.field)
+        for image, want in ((rep, 0), (conjugated(pres, rep), 14)):
+            den = invariant._denominator(TwistConfig(pres, image, 12), 0)
+            assert len(calls) == want      # D + 2 = 14 points when eliminated
+            assert den == (t - 1) ** 12
+            calls.clear()
 
 
 @pytest.fixture(scope='module')

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistvol import (LaurentPolynomial, PolyMatrix, determinant,
+from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
                       divide_exact, equal_up_to_unit, gcd, normalize_unit,
                       order_at_one, parse_polynomial, reduce, symmetric_power)
 from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
@@ -41,6 +41,34 @@ def random_poly(field, rng, lo=-2, hi=2, density=0.7, max_den=1):
             coeffs[e] = field.element([random_rational(rng, max_den)
                                        for _ in range(field.degree)])
     return LaurentPolynomial(field, coeffs)
+
+
+def sparse_matrix(field, rng, pattern, max_den=1):
+    """A random n x n matrix, n in 2..5, with singleton rows or columns.
+
+    'triangular': upper triangular with rows and columns permuted;
+    'zero column': one column of zeros; 'odd singleton': one row whose
+    only nonzero entry sits at an odd i + j.
+    """
+    n = rng.randrange(2, 6)
+    zero = LaurentPolynomial.zero(field)
+    rows = [[random_poly(field, rng, max_den=max_den) for _ in range(n)]
+            for _ in range(n)]
+    if pattern == 'triangular':
+        perm_i, perm_j = rng.sample(range(n), n), rng.sample(range(n), n)
+        rows = [[rows[perm_i[i]][perm_j[j]] if perm_j[j] >= perm_i[i] else zero
+                 for j in range(n)] for i in range(n)]
+    elif pattern == 'zero column':
+        k = rng.randrange(n)
+        rows = [[zero if j == k else p for j, p in enumerate(row)]
+                for row in rows]
+    else:
+        i = rng.randrange(n)
+        j = rng.choice([j for j in range(n) if (i + j) % 2])
+        entry = LaurentPolynomial.t(field, rng.randrange(-2, 3),
+                                    random_rational(rng, max_den) or 1)
+        rows[i] = [entry if k == j else zero for k in range(n)]
+    return PolyMatrix(field, rows)
 
 
 class TestArithmetic:
@@ -93,6 +121,11 @@ class TestDeterminant:
             m = PolyMatrix(field, [[random_poly(field, rng, max_den=max_den)
                                     for _ in range(n)] for _ in range(n)])
             assert determinant(m) == cofactor_determinant(m)
+        # sparse inputs: exact singleton expansion, alone or before Bareiss
+        for trial in range(12):
+            pattern = ('triangular', 'zero column', 'odd singleton')[trial % 3]
+            m = sparse_matrix(field, rng, pattern, max_den)
+            assert determinant(m) == cofactor_determinant(m), pattern
 
     def test_alternating_under_row_swap(self, ufield):
         rng = random.Random(315)
@@ -223,6 +256,23 @@ class TestOrderAtOne:
     def test_zero_polynomial_rejected(self, qfield):
         with pytest.raises(ValueError):
             order_at_one(LaurentPolynomial.zero(qfield))
+
+    def test_rational_divisor_makes_no_field_multiply(self, ufield,
+                                                      monkeypatch):
+        # the figure-eight n = 5 numerator; t - 1 has rational coefficients
+        t = LaurentPolynomial.t(ufield)
+        p = (t - 1) * (t ** 4 - 9 * t ** 3 + 44 * t ** 2 - 9 * t + 1)
+        calls = []
+        multiply = NumberField._mul
+
+        def counting(self, a, b):
+            calls.append(None)
+            return multiply(self, a, b)
+
+        monkeypatch.setattr(NumberField, '_mul', counting)
+        order, value = order_at_one(p)
+        assert (order, value.as_rational()) == (1, 28)
+        assert calls == []
 
     @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
     def test_factorization_property(self, field_name, request):
