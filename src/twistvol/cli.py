@@ -13,7 +13,8 @@ A job file is a single line-oriented text file ('#' starts a comment):
 
 Matrix entries are coefficient vectors over the field generator, e.g.
 [0,-1] is -u in Q[u]/(u^2+u+1).  Without a field: line the job runs
-over the rationals.
+over the rationals, and an embed: line is an error.  Only rel: lines
+may repeat.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from typing import Optional
 import mpmath
 
 from . import group
-from .field import EmbeddingError, NumberField
+from .field import NumberField
 from .invariant import (TwistConfig, NoAdmissibleColumnError,
                         SimpleZeroViolationError, twisted_alexander)
 from .laurent import order_at_one
@@ -105,67 +106,66 @@ def _check_reference(text, where):
 
 
 def parse_job(text):
-    """Parse and validate job text into a JobFile (without relation check)."""
-    pres_lines = {}
-    field_line = None
-    embed_line = None
-    rep_lines = {}
-    reference = None
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split('#', 1)[0].strip()
-        if not line:
-            continue
-        head, body = group.directive(line)
-        if head in seen and head != 'rel':
-            raise JobError('parse', 'line %d: duplicate %s line'
-                           % (lineno, head))
-        seen.add(head)
-        parts = head.split(' ')
-        if head in ('gens', 'rel', 'alpha'):
-            pres_lines[lineno] = line
-        elif head == 'field':
-            field_line = (lineno, body.split())
-        elif head == 'embed':
-            embed_line = (lineno, body.split())
-        elif parts[0] == 'rep':
-            if len(parts) != 2:
-                raise JobError('parse', 'line %d: rep line needs a generator, '
-                               'e.g. "rep a: ..."' % lineno)
-            rep_lines[parts[1]] = (lineno, body)
-        elif head == 'reference':
-            reference = body
-            _check_reference(reference, 'line %d: reference' % lineno)
-        else:
-            raise JobError('parse', 'line %d: unrecognized directive %r'
-                           % (lineno, line))
+    """Parse and validate job text into a JobFile (without relation check).
 
-    # pad with blank lines so presentation errors carry job-file line numbers
-    height = max(pres_lines, default=0)
-    pres_text = '\n'.join(pres_lines.get(i, '') for i in range(1, height + 1))
+    One pass over group.directives: the field, embed, rep and reference
+    lines are read here and every other line goes to the presentation.
+    """
+    field_line = embed_line = reference = None
+    rep_lines = {}
+
+    def presentation_items():
+        nonlocal field_line, embed_line, reference
+        for item in group.directives(text):
+            lineno, head, body, _ = item
+            parts = head.split(' ')
+            if head == 'field':
+                field_line = (lineno, body.split())
+            elif head == 'embed':
+                embed_line = (lineno, body.split())
+            elif parts[0] == 'rep':
+                if len(parts) != 2:
+                    raise JobError('parse', 'line %d: rep line needs a '
+                                   'generator, e.g. "rep a: ..."' % lineno)
+                rep_lines[parts[1]] = (lineno, body)
+            elif head == 'reference':
+                reference = body
+                _check_reference(reference, 'line %d: reference' % lineno)
+            else:
+                yield item
+
     try:
-        presentation = group.parse_presentation(pres_text)
+        presentation = group.build_presentation(presentation_items())
     except group.ParseError as exc:
         raise JobError('parse', str(exc)) from exc
 
-    try:
-        if field_line is None:
-            number_field = NumberField.rationals()
-        else:
-            hint = ('0', '0')
-            if embed_line is not None:
-                if len(embed_line[1]) != 2:
-                    raise JobError('parse', 'line %d: embed needs two decimal '
-                                   'components' % embed_line[0])
-                hint = tuple(embed_line[1])
-            elif len(field_line[1]) > 2:
-                raise JobError('parse', 'field of degree >= 2 needs an '
-                               'embed: line selecting a root')
-            number_field = NumberField([int(c) for c in field_line[1]], hint)
-    except JobError:
-        raise
-    except (ValueError, EmbeddingError) as exc:
-        raise JobError('field validation', str(exc)) from exc
+    if field_line is None:
+        if embed_line is not None:
+            raise JobError('parse', 'line %d: embed needs a field: line'
+                           % embed_line[0])
+        number_field = NumberField.rationals()
+    else:
+        lineno, words = field_line
+        hint = ('0', '0')
+        if embed_line is not None:
+            if len(embed_line[1]) != 2:
+                raise JobError('parse', 'line %d: embed needs two decimal '
+                               'components' % embed_line[0])
+            hint = tuple(embed_line[1])
+        elif len(words) > 2:
+            raise JobError('parse', 'field of degree >= 2 needs an '
+                           'embed: line selecting a root')
+        coeffs = []
+        for word in words:
+            try:
+                coeffs.append(int(word))
+            except ValueError:
+                raise JobError('parse', 'line %d: field coefficient %r is '
+                               'not an integer' % (lineno, word)) from None
+        try:
+            number_field = NumberField(coeffs, hint)
+        except ValueError as exc:
+            raise JobError('field validation', str(exc)) from exc
 
     representation = None
     if rep_lines:
@@ -400,7 +400,7 @@ def build_parser():
                         '(classical Alexander invariant)')
 
     p = sub.add_parser('check', help='run consistency checks on a job')
-    common(p)
+    p.add_argument('job', help='path to a job file')
     p.add_argument('--trivial-rep', action='store_true',
                    help='check the trivial representation instead')
     return parser

@@ -48,9 +48,6 @@ class Word:
     def __invert__(self):
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def inverse(self):
-        return ~self
-
     def __pow__(self, k):
         if k < 0:
             return (~self) ** (-k)
@@ -332,11 +329,25 @@ class Presentation:
             ', '.join(self.generator_names), len(self.relations))
 
 
-def directive(line):
-    """(head, body) of a job or presentation line 'head: body'; the head's
-    blanks are collapsed, and it is empty when the line has no ':'."""
-    head, colon, body = line.partition(':')
-    return (' '.join(head.split()) if colon else ''), body.strip()
+def directives(text):
+    """(lineno, head, body, line) for each item of job or presentation text.
+
+    An item is a nonblank line 'head: body' once '#' comments are
+    stripped; the head's blanks are collapsed, and it is empty when the
+    line has no ':'.  Only the head rel may appear more than once.
+    """
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split('#', 1)[0].strip()
+        if not line:
+            continue
+        head, colon, body = line.partition(':')
+        head = ' '.join(head.split()) if colon else ''
+        if head in seen:
+            raise ParseError('line %d: duplicate %s line' % (lineno, head))
+        if head != 'rel':
+            seen.add(head)
+        yield lineno, head, body.strip(), line
 
 
 def parse_presentation(text):
@@ -349,18 +360,21 @@ def parse_presentation(text):
         alpha: <letter>=<int> ...      (optional; default 1 everywhere)
 
     A word is a nonempty string of letters; uppercase means inverse.
+    alpha names each generator at most once.
+    """
+    return build_presentation(directives(text))
+
+
+def build_presentation(items):
+    """The Presentation of gens, rel and alpha items from directives().
+
+    Any other head is an error; messages carry the items' line numbers.
     """
     names = None
     raw_relations = []
     alpha_spec = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split('#', 1)[0].strip()
-        if not line:
-            continue
-        head, body = directive(line)
+    for lineno, head, body, line in items:
         if head == 'gens':
-            if names is not None:
-                raise ParseError('line %d: duplicate gens line' % lineno)
             names = tuple(body.split())
         elif head == 'rel':
             if body.count('=') != 1:
@@ -370,8 +384,6 @@ def parse_presentation(text):
                 raise ParseError('line %d: empty relation side' % lineno)
             raw_relations.append((lineno, lhs, rhs))
         elif head == 'alpha':
-            if alpha_spec is not None:
-                raise ParseError('line %d: duplicate alpha line' % lineno)
             alpha_spec = (lineno, body.split())
         else:
             raise ParseError('line %d: unrecognized directive %r' % (lineno, line))
@@ -388,15 +400,17 @@ def parse_presentation(text):
 
     alpha = None
     if alpha_spec is not None:
-        lineno, items = alpha_spec
+        lineno, assignments = alpha_spec
         exponents = {}
-        for item in items:
+        for item in assignments:
             if item.count('=') != 1:
                 raise ParseError('line %d: bad alpha item %r' % (lineno, item))
             g, val = item.split('=')
             if g not in names:
                 raise ParseError('line %d: alpha names unknown generator %r'
                                  % (lineno, g))
+            if g in exponents:
+                raise ParseError('line %d: alpha names %s twice' % (lineno, g))
             try:
                 exponents[g] = int(val)
             except ValueError:

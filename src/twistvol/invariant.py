@@ -165,10 +165,7 @@ def twisted_alexander(cfg):
                     'det Phi(%s - 1) is identically zero; pick another column'
                     % names[j])
             continue
-        if full.nrows == 0:
-            num = LaurentPolynomial.one(cfg.rep.field)
-        else:
-            num = determinant(full.drop_columns(j * n, n))
+        num = determinant(full.drop_columns(j * n, n))
         value = reduce(num, den)
         # a unit times the numerator leaves the pair reduced: no second gcd
         value.num, sign, exp = normalize_unit(value.num)
@@ -182,7 +179,8 @@ def value_at_one(ta):
     """The invariant's number at t = 1 used by the volume sequence.
 
     Even n (and n = 1) evaluate directly; odd n >= 3 must have a simple
-    zero at t = 1 and return the cofactor value (Delta / (t-1))(1).
+    zero at t = 1, so a zero invariant fails there too, and return the
+    cofactor value (Delta / (t-1))(1).
     """
     num, den = ta.value.num, ta.value.den
     den_at_one = den.evaluate(1)
@@ -190,6 +188,10 @@ def value_at_one(ta):
         raise ZeroDivisionError('reduced denominator vanishes at t = 1 '
                                 'for n=%d' % (ta.n,))
     if ta.n >= 3 and ta.n % 2 == 1:
+        if num.is_zero():
+            raise SimpleZeroViolationError(
+                'expected a simple zero at t = 1 for odd n=%d, found the '
+                'zero invariant' % (ta.n,))
         order, cofactor = order_at_one(num)
         if order != 1:
             raise SimpleZeroViolationError(

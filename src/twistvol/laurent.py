@@ -1,9 +1,9 @@
 """Exact Laurent polynomials in t over a number field, and matrices of them.
 
-A determinant first expands exactly along every row or column with at
-most one nonzero entry, so a triangular matrix costs one Laurent
-multiply per row and never reaches the kernel; a zero row or column
-gives 0.  What remains is computed by evaluation and interpolation:
+A determinant first expands exactly along every row with at most one
+nonzero entry, so a triangular matrix, upper or lower, costs one
+Laurent multiply per row and never reaches the kernel; a zero row gives
+0.  What remains is computed by evaluation and interpolation:
 each row is shifted to ordinary-polynomial form and scaled to integral
 coefficients, the matrix is evaluated at D+1 integer points 0, 1, -1,
 2, -2, ... for a certified degree bound D, the field's integral Bareiss
@@ -271,8 +271,6 @@ def divide_exact(p, q):
     field = p.field
     if q.is_zero():
         raise ZeroDivisionError('division by the zero polynomial')
-    if p.is_zero():
-        return LaurentPolynomial.zero(field)
     ap, lop = p._dense()
     aq, loq = q._dense()
     quo, rem = _dense_divmod(field, ap, aq)
@@ -340,13 +338,8 @@ class RationalFunction:
 
     def __init__(self, num, den):
         num.field._check_same(den.field)
-        field = num.field
         if den.is_zero():
             raise ZeroDivisionError('rational function with zero denominator')
-        if num.is_zero():
-            self.num = LaurentPolynomial.zero(field)
-            self.den = LaurentPolynomial.one(field)
-            return
         g = gcd(num, den)
         num = divide_exact(num, g)
         den = divide_exact(den, g)
@@ -366,12 +359,6 @@ class RationalFunction:
 
     def is_polynomial(self):
         return self.den == LaurentPolynomial.one(self.field)
-
-    def evaluate(self, at):
-        d = self.den.evaluate(at)
-        if d.is_zero():
-            raise ZeroDivisionError('denominator vanishes at the given point')
-        return self.num.evaluate(at) / d
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -477,41 +464,36 @@ def _newton_interpolate(field, points, values):
 def _expand_singletons(field, rows):
     """(factor, rest) with det(rows) = factor * det(rest), exactly.
 
-    While some row or column has at most one nonzero entry, expands
-    along it: the factor picks up (-1)^(i+j) times that entry a_ij, and
-    row i and column j are dropped.  rest has no such line left; a zero
-    row or column makes the factor zero.
+    While some row has at most one nonzero entry a_ij, expands along
+    it: the factor picks up (-1)^(i+j) a_ij, and row i and column j are
+    dropped.  Every triangular matrix, upper or lower, keeps such a row
+    until nothing is left.  rest has no such row; a zero row makes the
+    factor zero.
     """
     factor = LaurentPolynomial.one(field)
     rows = [list(row) for row in rows]
     while rows:
-        hit = None
-        for lines, by_row in ((rows, True), (zip(*rows), False)):
-            for a, line in enumerate(lines):
-                nonzero = [b for b, p in enumerate(line) if not p.is_zero()]
-                if len(nonzero) <= 1:
-                    hit = (a, nonzero, by_row)
-                    break
-            if hit:
+        for i, row in enumerate(rows):
+            nonzero = [j for j, p in enumerate(row) if not p.is_zero()]
+            if len(nonzero) <= 1:
                 break
-        if hit is None:
+        else:
             break
-        a, nonzero, by_row = hit
         if not nonzero:
             return LaurentPolynomial.zero(field), []
-        i, j = (a, nonzero[0]) if by_row else (nonzero[0], a)
-        entry = rows[i][j]
+        j = nonzero[0]
+        entry = row[j]
         factor = factor * (entry if (i + j) % 2 == 0 else -entry)
-        rows = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
+        rows = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
     return factor, rows
 
 
 def determinant(matrix):
     """Exact determinant of a square PolyMatrix.
 
-    Rows and columns with at most one nonzero entry are expanded exactly
-    first (_expand_singletons), so a triangular matrix such as
-    t^a sigma_n(A) - I for an upper-triangular A runs no elimination.
+    Rows with at most one nonzero entry are expanded exactly first
+    (_expand_singletons), so a triangular matrix such as
+    t^a sigma_n(A) - I for a triangular A runs no elimination.
     What remains is interpolated.  Each row's lowest t-power is factored
     out and its coefficients are scaled by their least common
     denominator, so every entry becomes an ordinary polynomial over

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from twistvol import bundled_job_path, load_job, parse_job
+from twistvol import (ParseError, bundled_job_path, load_job, parse_job,
+                      parse_presentation)
 from twistvol.cli import JobError, main
 
 FIG8_JOB = str(bundled_job_path('figure-eight'))
@@ -14,6 +15,14 @@ gens: a b
 rel: aBAba = baBAb
 rep a: [[[1],[1]],[[0],[1]]]
 rep b: [[[1],[0]],[[-1],[1]]]
+"""
+
+# every invariant of this job is zero
+ZERO_JOB = """\
+gens: a b
+rel: ab = ab
+rep a: [[1,1],[0,1]]
+rep b: [[1,0],[-1,1]]
 """
 
 KNOWN_TABLE = {6: '1.35850', 7: '1.58331', 8: '1.66441'}
@@ -88,6 +97,18 @@ class TestJobParsing:
     def test_presentation_errors_carry_file_line_numbers(self):
         with pytest.raises(JobError, match='line 4'):
             parse_job('# header\nreference: 1.0\ngens: a b\nrel: a?b = ba\n')
+        # a job line in place of the comment leaves the message unchanged
+        for text, where in (
+                ('gens: a b\n#\nrel: ab = ba\ngens: a\n',
+                 'line 4: duplicate gens line'),
+                ('gens: a b\n#\nbogus: 1\n', 'line 3: unrecognized directive'),
+                ('gens: a b\n#\nrel: ab = ba\nalpha: a2\n',
+                 "line 4: bad alpha item 'a2'")):
+            with pytest.raises(ParseError, match=where) as want:
+                parse_presentation(text)
+            with pytest.raises(JobError) as got:
+                parse_job(text.replace('#', 'reference: 1.0'))
+            assert str(got.value) == str(want.value)
 
     def test_unbalanced_matrix_literal(self):
         with pytest.raises(JobError) as info:
@@ -100,10 +121,14 @@ class TestJobParsing:
         'reference: 2.03',
         'rep a: [[[1,0],[1,0]],[[0,0],[1,0]]]',
         'rep  a: [[[1,0],[1,0]],[[0,0],[1,0]]]',
+        'gens: a b',
+        'alpha: a=1 b=1',
     ])
     def test_duplicate_directive(self, line):
+        # line 5, blank in the bundled job, takes an alpha line
+        text = FIG8_TEXT.replace('\n\n', '\nalpha: a=1 b=1\n', 1)
         with pytest.raises(JobError, match='line 17: duplicate') as info:
-            parse_job(FIG8_TEXT + line + '\n')
+            parse_job(text + line + '\n')
         assert info.value.stage == 'parse'
 
 
@@ -228,6 +253,17 @@ class TestCompute:
         code, _, err = run(capsys, 'compute', str(path), '--n', '2..2')
         assert code == 1 and 'error [representation validation]' in err
 
+    @pytest.mark.parametrize('n', [['--n', '4..4'], []],
+                             ids=['4..4', 'default'])
+    def test_zero_invariant_is_a_simple_zero_violation(self, capsys,
+                                                       tmp_path, n):
+        path = tmp_path / 'zero.job'
+        path.write_text(ZERO_JOB)
+        code, out, err = run(capsys, 'compute', str(path), *n)
+        assert (code, out) == (1, '')
+        assert err == ('error [simple-zero violation]: expected a simple '
+                       'zero at t = 1 for odd n=3, found the zero invariant\n')
+
 
 @pytest.mark.parametrize('argv, job_text, message', [
     (['compute', '--precision', '32'], None, '--precision'),
@@ -274,6 +310,16 @@ class TestCompute:
                                                 'reference: nan'),
                  "line 16: reference 'nan' is not a decimal number",
                  id='reference-nan'),
+    # alpha names each generator once; field takes integers; embed needs
+    # a field
+    pytest.param(['compute'], FIG8_TEXT + 'alpha: a=2 b=1 a=1\n',
+                 'line 17: alpha names a twice', id='alpha-twice'),
+    pytest.param(['compute'], FIG8_TEXT.replace('field: 1 1 1',
+                                                'field: 1 1.5 1'),
+                 "line 8: field coefficient '1.5' is not an integer",
+                 id='field-1.5'),
+    pytest.param(['compute'], FIG8_TEXT.replace('field: 1 1 1', ''),
+                 'line 9: embed needs a field: line', id='embed-no-field'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):
@@ -345,6 +391,16 @@ class TestCheckCommand:
         code, out, _ = run(capsys, 'check', str(path))
         assert code == 0
         assert 'FAIL' not in out
+        path.write_text(ZERO_JOB)
+        code, out, _ = run(capsys, 'check', str(path))
+        assert code == 0
+        assert 'FAIL' not in out and out.count('vacuous') == 2
+
+    def test_no_column_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(['check', FIG8_JOB, '--column', 'b'])
+        assert info.value.code == 2
+        assert 'unrecognized arguments: --column b' in capsys.readouterr().err
 
 
 class TestConsoleEntry:

@@ -83,6 +83,10 @@ class TestParse:
         assert pres.alpha == (2, 2)
         assert pres.abelianize(pres.word_from_string('ab')) == 4
 
+    def test_alpha_names_each_generator_once(self):
+        with pytest.raises(ParseError, match='^line 3: alpha names a twice$'):
+            parse_presentation('gens: a b\nrel: ab = ba\nalpha: a=2 b=1 a=1\n')
+
     def test_round_trip(self):
         for text in (FIG8_TEXT,
                      'gens: a\n',

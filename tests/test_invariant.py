@@ -331,16 +331,17 @@ class TestReduceCost:
             assert RationalFunction(num, den) == value
 
 
-def conjugated(pres, rep):
-    """rep with every image conjugated by P = [[1,0],[1,1]].
+def conjugated(pres, rep, p=((1, 0), (1, 1))):
+    """rep with every image conjugated by p, of determinant 1.
 
-    The meridian images [[1,1],[0,1]] become non-triangular, so the
-    denominators det(t^a sigma_n(P A P^-1) - I) leave no row or column
-    with a single nonzero entry and go through the Bareiss path.
+    By the default P = [[1,0],[1,1]] the meridian images [[1,1],[0,1]]
+    become non-triangular, so the denominators
+    det(t^a sigma_n(P A P^-1) - I) leave no row with a single nonzero
+    entry and go through the Bareiss path.
     """
     f = rep.field
-    p = Matrix(f, [[1, 0], [1, 1]])
-    p_inv = Matrix(f, [[1, 0], [-1, 1]])
+    (a, b), (c, d) = p
+    p, p_inv = Matrix(f, p), Matrix(f, [[d, -b], [-c, a]])
     return Representation(pres, {name: p * image * p_inv
                                  for name, image in zip(rep.names, rep.images)})
 
@@ -372,7 +373,11 @@ class TestDenominatorExpansion:
 
         monkeypatch.setattr(NumberField, '_det', counting)
         t = LaurentPolynomial.t(rep.field)
-        for image, want in ((rep, 0), (conjugated(pres, rep), 14)):
+        # J = [[0,1],[-1,0]] makes the meridian image lower triangular,
+        # [[1,0],[-1,1]]
+        lower = conjugated(pres, rep, ((0, 1), (-1, 0)))
+        assert lower.evaluate(Word([1])) == Matrix(rep.field, [[1, 0], [-1, 1]])
+        for image, want in ((rep, 0), (lower, 0), (conjugated(pres, rep), 14)):
             den = invariant._denominator(TwistConfig(pres, image, 12), 0)
             assert len(calls) == want      # D + 2 = 14 points when eliminated
             assert den == (t - 1) ** 12
@@ -449,10 +454,21 @@ class TestValueAtOne:
         with pytest.raises(ZeroDivisionError):
             value_at_one(ta)
 
-    def test_simple_zero_violation_detected(self, fig8_invariants, ufield):
+    def test_simple_zero_violation_detected(self, fig8_invariants, ufield,
+                                            qfield):
         from twistvol import RationalFunction, TwistedAlexander
         t = LaurentPolynomial.t(ufield)
         fake = RationalFunction(t ** 2 - 4 * t + 1,
                                 LaurentPolynomial.one(ufield))
         with pytest.raises(SimpleZeroViolationError):
             value_at_one(TwistedAlexander(fake, 3))
+        # a zero invariant has no simple zero either
+        pres = parse_presentation('gens: a b\nrel: ab = ab\n')
+        rep = Representation(pres, {'a': Matrix(qfield, [[1, 1], [0, 1]]),
+                                    'b': Matrix(qfield, [[1, 0], [-1, 1]])})
+        for n in (3, 5):
+            zero = twisted_alexander(TwistConfig(pres, rep, n))
+            assert zero.value.is_zero()
+            with pytest.raises(SimpleZeroViolationError,
+                               match='odd n=%d, found the zero invariant' % n):
+                value_at_one(zero)
