@@ -28,7 +28,7 @@ from typing import Optional
 import mpmath
 
 from . import group
-from .field import NumberField
+from .field import EmbeddingError, NumberField
 from .invariant import (TwistConfig, NoAdmissibleColumnError,
                         SimpleZeroViolationError, twisted_alexander)
 from .laurent import order_at_one
@@ -415,6 +415,10 @@ def main(argv=None):
         return handlers[args.command](args)
     except JobError as exc:
         print('error [%s]: %s' % (exc.stage, exc), file=sys.stderr)
+        return 1
+    except EmbeddingError as exc:
+        # the root is selected at the first embedding, after load
+        print('error [field validation]: %s' % exc, file=sys.stderr)
         return 1
     except NoAdmissibleColumnError as exc:
         print('error [no admissible column]: %s' % exc, file=sys.stderr)

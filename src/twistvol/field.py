@@ -13,8 +13,8 @@ element-by-element multiply.  Polynomials in t over the field, dense
 lists of raw elements, have their one division with remainder
 (_dense_divmod) and one Euclid loop (_dense_gcd) here as well.  All
 ring operations are exact; the only inexact step is the embedding into
-arbitrary-precision complex numbers (mpmath), whose root of m is
-selected by a user-supplied hint and refined by Newton iteration.
+arbitrary-precision complex numbers (mpmath), whose root of m is the
+one nearest a user-supplied hint, refined by Newton iteration.
 Degree 1 gives plain rational arithmetic, so the classical (untwisted)
 pipeline runs through the same code path.
 """
@@ -27,7 +27,12 @@ import mpmath
 
 
 class EmbeddingError(ValueError):
-    """Newton refinement from the embedding hint failed to converge."""
+    """The embedding hint selects no root of m."""
+
+
+# a hint whose distances to its two nearest roots differ by at most this
+# share of the larger one selects neither
+_TIE = mpmath.mpf(2) ** -20
 
 
 def _horner(coeffs, z):
@@ -42,8 +47,9 @@ class NumberField:
 
     min_poly lists the coefficients of m constant-first; the embedding
     hint is an approximate complex root of m fixing which Galois
-    conjugate the embedding uses.  The hint is validated at load by
-    running the Newton refinement once at low precision.
+    conjugate the embedding uses: the embedding is the root nearest the
+    hint (root).  At load the hint is only screened, by one Newton run
+    at low precision from it.
     """
 
     def __init__(self, min_poly, embedding_hint=('0', '0')):
@@ -63,7 +69,10 @@ class NumberField:
         one[0] = Fraction(1)
         self._one = tuple(one)
         self._root_cache = {}
-        self.root(64)  # validate the hint now, not at first use
+        self._nearest = None
+        # screen the hint at load, cheaply: it must be numbers from which
+        # Newton's method converges; root() selects the nearest root later
+        self._newton(self._hint(), 64)
 
     @classmethod
     def rationals(cls):
@@ -260,15 +269,53 @@ class NumberField:
     # ----- embedding -----
 
     def root(self, precision):
-        """The root of m nearest the hint, refined to `precision` bits."""
-        if precision in self._root_cache:
-            return self._root_cache[precision]
-        with mpmath.workprec(precision + 64):
+        """The root of m nearest the hint, refined to `precision` bits.
+
+        The roots of m are found once, at the first call: mpmath.polyroots
+        takes tens of milliseconds at degree 8, so loading a field does
+        not pay for it.  A hint whose two nearest roots are about equally
+        near is an EmbeddingError.  The nearest root is refined by
+        Newton's method for each precision.
+        """
+        if precision not in self._root_cache:
+            if self._nearest is None:
+                self._nearest = self._nearest_root()
+            self._root_cache[precision] = self._newton(self._nearest,
+                                                       precision)
+        return self._root_cache[precision]
+
+    def _hint(self):
+        try:
+            return mpmath.mpc(*map(mpmath.mpf, self.embedding_hint))
+        except (ValueError, ZeroDivisionError):
+            raise EmbeddingError('embedding hint %r is not a pair of '
+                                 'numbers' % (self.embedding_hint,)) from None
+
+    def _nearest_root(self):
+        """The root of m nearest the hint, to 64 bits."""
+        with mpmath.workprec(64):
+            hint = self._hint()
             try:
-                z = mpmath.mpc(*map(mpmath.mpf, self.embedding_hint))
-            except (ValueError, ZeroDivisionError):
-                raise EmbeddingError('embedding hint %r is not a pair of '
-                                     'numbers' % (self.embedding_hint,)) from None
+                roots = mpmath.polyroots(self.min_poly[::-1], maxsteps=200,
+                                         extraprec=64)
+            except mpmath.libmp.NoConvergence:
+                raise EmbeddingError('the roots of %r did not converge'
+                                     % (list(self.min_poly),)) from None
+            near = sorted(roots, key=lambda r: abs(r - hint))
+            if len(near) > 1:
+                d1, d2 = abs(near[0] - hint), abs(near[1] - hint)
+                if d2 - d1 <= _TIE * d2:
+                    raise EmbeddingError(
+                        'embedding hint %r is about as near %s as %s; it '
+                        'selects no root of %r' % (
+                            self.embedding_hint, mpmath.nstr(near[0], 6),
+                            mpmath.nstr(near[1], 6), list(self.min_poly)))
+            return near[0]
+
+    def _newton(self, z, precision):
+        """Newton's method for m from z, to `precision` bits."""
+        with mpmath.workprec(precision + 64):
+            z = mpmath.mpc(z)
             coeffs = [mpmath.mpf(c) for c in self.min_poly]
             deriv = [i * c for i, c in enumerate(coeffs)][1:]
             tol = mpmath.mpf(2) ** (-(precision + 16))
@@ -291,9 +338,7 @@ class NumberField:
             if residual > scale * mpmath.mpf(2) ** (-(precision // 2)):
                 raise EmbeddingError('embedding hint %r is not near a root of %r'
                                      % (self.embedding_hint, list(self.min_poly)))
-            z = +z
-        self._root_cache[precision] = z
-        return z
+            return +z
 
     def embed(self, element, precision=256):
         """Complex value of an element at the distinguished root of m.
@@ -489,6 +534,9 @@ class NFElement:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # equal to a rational, so hashed like it
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash(self.coeffs)
 
     def __bool__(self):

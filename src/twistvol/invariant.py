@@ -14,7 +14,7 @@ from math import lcm
 
 from .field import NFElement, _rational
 from .group import GroupRingElement, Word, fox_derivative
-from .rep import symmetric_power
+from .rep import Matrix, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
                       determinant, equal_up_to_unit, normalize_unit,
                       order_at_one, reduce)
@@ -49,19 +49,26 @@ class TwistConfig:
             raise ValueError('symmetric-power dimension n must be >= 1')
 
 
-def phi(element, cfg, prefixes=None):
+def phi(element, cfg, prefixes=None, powers=None):
     """Blockwise twisted map Phi(sum c_w w) = sum c_w t^alpha(w) sigma_n(rho(w)).
 
     Returns an n x n PolyMatrix; Phi is linear and sends the identity
     word to the identity matrix.  prefixes, a dict of prefix products
-    owned by the caller, is passed on to Representation.evaluate.  Terms
-    are summed on ints over the lcm of their scales.
+    owned by the caller, is passed on to Representation.evaluate.
+    powers, a dict owned by the caller for one n, maps the data
+    (scale, ints) of a value rho(w) to sigma_n(rho(w)), so each distinct
+    value is expanded once however many words share it; without one,
+    phi keeps its own.  A value equal to the identity gives the n x n
+    identity with no expansion.  Terms are summed on ints over the lcm
+    of their scales.
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
     n, f = cfg.n, cfg.rep.field
+    if powers is None:
+        powers = {}
     terms = [(cfg.presentation.abelianize(word), coeff,
-              symmetric_power(cfg.rep.evaluate(word, prefixes), n))
+              _sigma(cfg.rep.evaluate(word, prefixes), n, powers))
              for word, coeff in element.terms.items()]
     scale = lcm(*(mat.scale for _, _, mat in terms))
     grid = [[{} for _ in range(n)] for _ in range(n)]
@@ -78,7 +85,19 @@ def phi(element, cfg, prefixes=None):
                            for cell in cells] for cells in grid])
 
 
-def wada_matrix(cfg):
+def _sigma(mat, n, powers):
+    """sigma_n(mat), looked up in powers by value and stored there."""
+    key = (mat.scale, mat.ints)
+    power = powers.get(key)
+    if power is None:
+        f = mat.field
+        power = powers[key] = (Matrix.identity(f, n)
+                               if mat == Matrix.identity(f, 2)
+                               else symmetric_power(mat, n))
+    return power
+
+
+def wada_matrix(cfg, powers=None):
     """The n(g-1) x ng block matrix Phi(d r_i / d x_j).
 
     Rows run over relators, block columns over generators in
@@ -86,23 +105,29 @@ def wada_matrix(cfg):
     No relators (the free case) give an empty matrix.  Every
     Fox-derivative term is a prefix of its relator, so one prefix dict
     shared by all the terms makes rho cost one int multiply per relator
-    letter; it is dropped on return.
+    letter; it is dropped on return.  One powers dict (see phi), the
+    caller's or a new one, is shared by every block, so a value rho(w)
+    that recurs, in one block or across blocks and relators, is
+    expanded once.
     """
     pres = cfg.presentation
     g = pres.num_generators
     rows, prefixes = [], {}
+    if powers is None:
+        powers = {}
     for r in pres.relators():
-        blocks = [phi(fox_derivative(r, j), cfg, prefixes) for j in range(g)]
+        blocks = [phi(fox_derivative(r, j), cfg, prefixes, powers)
+                  for j in range(g)]
         rows.extend([e for block in blocks for e in block.entries[i]]
                     for i in range(cfg.n))
     return PolyMatrix(cfg.rep.field, rows)
 
 
-def _denominator(cfg, j):
-    """det Phi(x_j - 1) for the j-th generator."""
+def _denominator(cfg, j, powers=None):
+    """det Phi(x_j - 1) for the j-th generator; powers as in phi."""
     pres = cfg.presentation
     element = GroupRingElement(pres.generator_word(j)) - 1
-    return determinant(phi(element, cfg))
+    return determinant(phi(element, cfg, powers=powers))
 
 
 class TwistedAlexander:
@@ -147,7 +172,11 @@ def twisted_alexander(cfg):
     """Wada's invariant det M_j-hat / det Phi(x_j - 1), reduced and normalized.
 
     Independent, up to a unit, of which admissible generator column is
-    deleted; errors when no generator gives a nonzero denominator.
+    deleted; errors when no generator gives a nonzero denominator.  One
+    powers dict (see phi), owned by this call, serves the Wada matrix
+    and every denominator tried, so sigma_n is expanded once per
+    distinct non-identity value of rho; it is released before the
+    numerator determinant runs, and nothing outlives the call.
     """
     pres = cfg.presentation
     names = pres.generator_names
@@ -155,24 +184,27 @@ def twisted_alexander(cfg):
         candidates = list(range(len(names)))
     else:
         candidates = [pres.generator_index(cfg.column)]
-    full = wada_matrix(cfg)
+    powers = {}
+    full = wada_matrix(cfg, powers)
     n = cfg.n
     for j in candidates:
-        den = _denominator(cfg, j)
-        if den.is_zero():
-            if cfg.column != AUTO:
-                raise NoAdmissibleColumnError(
-                    'det Phi(%s - 1) is identically zero; pick another column'
-                    % names[j])
-            continue
-        num = determinant(full.drop_columns(j * n, n))
-        value = reduce(num, den)
-        # a unit times the numerator leaves the pair reduced: no second gcd
-        value.num, sign, exp = normalize_unit(value.num)
-        return TwistedAlexander(value, n, sign, exp, column=names[j])
-    raise NoAdmissibleColumnError(
-        'no generator has a nonzero denominator det Phi(x_j - 1); the '
-        'representation is degenerate for n=%d' % (n,))
+        den = _denominator(cfg, j, powers)
+        if not den.is_zero():
+            break
+        if cfg.column != AUTO:
+            raise NoAdmissibleColumnError(
+                'det Phi(%s - 1) is identically zero; pick another column'
+                % names[j])
+    else:
+        raise NoAdmissibleColumnError(
+            'no generator has a nonzero denominator det Phi(x_j - 1); the '
+            'representation is degenerate for n=%d' % (n,))
+    del powers      # the numerator determinant needs no sigma_n
+    num = determinant(full.drop_columns(j * n, n))
+    value = reduce(num, den)
+    # a unit times the numerator leaves the pair reduced: no second gcd
+    value.num, sign, exp = normalize_unit(value.num)
+    return TwistedAlexander(value, n, sign, exp, column=names[j])
 
 
 def value_at_one(ta):

@@ -15,7 +15,9 @@ point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate, goes through one Horner
 function, _dense_eval.  Division with remainder and Euclid's algorithm
 come from the field module (_dense_divmod, _dense_gcd): gcd, exact
-division and the order at t = 1 all use them.
+division, the order at t = 1 and the reduction of a RationalFunction,
+which divides once and runs Euclid only on a nonzero remainder, all
+use them.
 """
 
 import re
@@ -329,9 +331,12 @@ def equal_up_to_unit(p, q):
 class RationalFunction:
     """A reduced quotient of Laurent polynomials.
 
-    Construction cancels the GCD and normalizes the denominator to be
-    monic with lowest exponent 0; the numerator carries the residual
-    unit.  The denominator is never zero.
+    The denominator is made monic with lowest exponent 0 and the
+    numerator carries the residual unit; the denominator is never zero.
+    Construction divides num by den once, on dense lists (_dense_divmod):
+    a zero remainder leaves quotient / 1 with no gcd at all; otherwise
+    Euclid goes on from (den, remainder), since gcd(num, den) =
+    gcd(den, remainder), and both are divided by that gcd.
     """
 
     __slots__ = ('num', 'den')
@@ -340,15 +345,24 @@ class RationalFunction:
         num.field._check_same(den.field)
         if den.is_zero():
             raise ZeroDivisionError('rational function with zero denominator')
-        g = gcd(num, den)
-        num = divide_exact(num, g)
-        den = divide_exact(den, g)
-        # make the denominator monic with lowest exponent 0; the same
-        # unit multiplies the numerator, leaving the quotient unchanged
-        shift = den.min_exp
-        lead_inv = 1 / den.coeffs[den.max_exp]
-        self.den = (den * lead_inv).shifted(-shift)
-        self.num = (num * lead_inv).shifted(-shift)
+        field = num.field
+        a, num_lo = num._dense()
+        b, den_lo = den._dense()
+        quo, rem = _dense_divmod(field, a, b)
+        if rem:
+            g = _dense_gcd(field, b, rem)
+            quo = _dense_divmod(field, a, g)[0]
+            b = _dense_divmod(field, b, g)[0]
+        else:
+            b = [field._one]
+        if b[-1] != field._one:
+            # a monic denominator: the same unit multiplies the numerator
+            lead_inv = field._inv(b[-1])
+            b = [field._mul(c, lead_inv) for c in b]
+            quo = [field._mul(c, lead_inv) for c in quo]
+        self.den = _wrap(field, {i: c for i, c in enumerate(b) if any(c)})
+        self.num = _wrap(field, {i + num_lo - den_lo: c
+                                 for i, c in enumerate(quo) if any(c)})
 
     @property
     def field(self):

@@ -176,8 +176,8 @@ class TestCompute:
         assert 'v_n' not in out
 
     def test_conjugate_root_hint_same_estimates(self, capsys, tmp_path):
-        text = open(FIG8_JOB).read().replace('embed: -0.5 0.8660254038',
-                                             'embed: -0.5 -0.8660254038')
+        text = FIG8_TEXT.replace('embed: -0.5 0.8660254038',
+                                 'embed: -0.5 -0.8660254038')
         path = tmp_path / 'conj.job'
         path.write_text(text)
         _, out_a, _ = run(capsys, 'compute', FIG8_JOB, '--n', '4..6')
@@ -246,6 +246,18 @@ class TestCompute:
         assert code == 1
         assert err.startswith('error [field validation]: ')
         assert 'not irreducible' in err
+
+    def test_equidistant_hint_stage(self, capsys, tmp_path):
+        # -0.5 + 1e-12 i is about as near u = -0.5 - 0.866i as the root
+        # -0.5 + 0.866i; Newton's method from it converges, so it loads
+        path = tmp_path / 'tie.job'
+        path.write_text(FIG8_TEXT.replace('embed: -0.5 0.8660254038',
+                                          'embed: -0.5 0.000000000001'))
+        assert run(capsys, 'invariant', str(path))[0] == 0
+        code, out, err = run(capsys, 'compute', str(path), '--n', '4..4')
+        assert (code, out) == (1, '')
+        assert err.startswith('error [field validation]: embedding hint ')
+        assert 'selects no root' in err
 
     def test_singular_matrix_stage(self, capsys, tmp_path):
         path = tmp_path / 'singular.job'

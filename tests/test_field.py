@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistvol import EmbeddingError, NumberField
+
+from test_kernel import FIELDS, PROPERTY
 
 
 def random_element(field, rng, span=6):
@@ -131,6 +135,73 @@ class TestEmbedding:
         lower = NumberField([1, 1, 1], ('-0.5', '-0.87'))
         z = lower.embed(lower.generator, 128)
         assert z.imag < 0
+
+    @pytest.mark.parametrize('hint, want', [
+        # Newton's method from either hint lands on another root
+        (('0.787', '-1.494'), -1),      # -0.630 - 1.091i
+        (('0.455', '0.866'), 1),        # -0.630 + 1.091i
+        (('1.26', '0'), 0),             # the real root
+    ])
+    def test_nearest_root_of_x3_minus_2(self, hint, want):
+        field = NumberField([-2, 0, 0, 1], hint)
+        with mpmath.workprec(128):
+            cbrt2 = mpmath.cbrt(2)
+            root = cbrt2 if want == 0 else cbrt2 * mpmath.expjpi(
+                mpmath.mpf(2 * want) / 3)
+            assert abs(field.root(64) - root) < mpmath.mpf(2) ** -60
+            assert abs(field.root(128) - root) < mpmath.mpf(2) ** -120
+
+    def test_equidistant_hint_is_an_error_at_first_use(self):
+        # 3 + 1e-11 i is nearly as near -i as i
+        field = NumberField([1, 0, 1], ('3', '0.00000000001'))
+        with pytest.raises(EmbeddingError, match='selects no root'):
+            field.embed(field.generator, 64)
+
+    def test_roots_not_found_at_load(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError('polyroots ran')
+
+        monkeypatch.setattr(mpmath, 'polyroots', refuse)
+        field = NumberField([-2, 0, 0, 1], ('0.787', '-1.494'))
+        with pytest.raises(AssertionError, match='polyroots ran'):
+            field.root(64)
+
+    def test_unconverged_roots_are_an_embedding_error(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise mpmath.libmp.NoConvergence
+
+        monkeypatch.setattr(mpmath, 'polyroots', diverge)
+        field = NumberField([-2, 0, 0, 1], ('1.26', '0'))
+        with pytest.raises(EmbeddingError, match='did not converge'):
+            field.root(64)
+
+
+class TestHash:
+    """Equal elements hash alike; a rational one like its rational value."""
+
+    def test_rational_elements_hash_like_rationals(self, ufield):
+        assert len({ufield.one, 1}) == 1
+        assert hash(ufield.from_rational(Fraction(-3, 4))) == \
+            hash(Fraction(-3, 4))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_equal_implies_equal_hash(self, data):
+        field = data.draw(st.sampled_from(sorted(FIELDS)).map(FIELDS.get))
+        # a small pool, so equal pairs are common
+        pool = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2),
+                                Fraction(7, 3)])
+        x = field.element(data.draw(st.lists(pool, min_size=1,
+                                             max_size=field.degree)))
+        y = field.element(data.draw(st.lists(pool, min_size=1,
+                                             max_size=field.degree)))
+        if x == y:
+            assert hash(x) == hash(y)
+        if x.is_rational():
+            value = x.as_rational()
+            for other in (value, field.from_rational(value)) + (
+                    (int(value),) if value.denominator == 1 else ()):
+                assert x == other and hash(x) == hash(other)
 
 
 class TestCubicField:

@@ -167,16 +167,19 @@ class TestTwistedAlexander:
             via_b = twisted_alexander(TwistConfig(fig8, fig8_rep, n, 'b'))
             assert via_a.equal_up_to_unit(via_b)
 
-    def test_relator_conjugation_invariance(self, fig8, fig8_rep):
+    def test_relator_conjugation_invariance(self, knots):
+        # the prefixes w and w r of w r w^-1 have equal rho values
         rng = random.Random(2024)
-        base = twisted_alexander(TwistConfig(fig8, fig8_rep, 2))
-        lhs, rhs = fig8.relations[0]
-        for _ in range(5):
-            w = Word([rng.choice([1, -1, 2, -2])
-                      for _ in range(rng.randrange(1, 4))])
-            conjugated = Presentation(('a', 'b'), [(w * lhs * ~w, w * rhs * ~w)])
-            ta = twisted_alexander(TwistConfig(conjugated, fig8_rep, 2))
-            assert ta.equal_up_to_unit(base)
+        words = [Word([rng.choice([1, -1, 2, -2])
+                       for _ in range(rng.randrange(1, 4))])
+                 for _ in range(5)]
+        for pres, rep in (knots['fig8'], knots['k7_3']):
+            conjugates = [conjugate_relation(pres, w) for w in words]
+            for n in range(2, 6):
+                base = twisted_alexander(TwistConfig(pres, rep, n))
+                for conjugated in conjugates:
+                    ta = twisted_alexander(TwistConfig(conjugated, rep, n))
+                    assert ta.equal_up_to_unit(base), (n, conjugated.to_text())
 
     def test_unknot_special_case(self, qfield):
         pres = parse_presentation('gens: a\n')
@@ -237,6 +240,13 @@ class TestTwistedAlexander:
     def test_invalid_n_rejected(self, fig8, fig8_rep):
         with pytest.raises(ValueError):
             TwistConfig(fig8, fig8_rep, 0)
+
+
+def conjugate_relation(pres, w):
+    """pres with its one relation lhs = rhs replaced by w lhs w^-1 = w rhs w^-1."""
+    (lhs, rhs), = pres.relations
+    return Presentation(pres.generator_names, [(w * lhs * ~w, w * rhs * ~w)],
+                        pres.alpha)
 
 
 def one_relator(pres, relator):
@@ -305,25 +315,78 @@ class TestAssemblyCost:
         assert all(vars(rep)[key] is value for key, value in state.items())
 
 
-class TestReduceCost:
-    """The quotient is reduced once; normalizing the unit needs no gcd."""
+def distinct_powers(cfg, columns):
+    """Distinct non-identity values rho(w), as Matrix data (scale, ints),
+    over the Fox-derivative terms of every relator and the words x_j and
+    1 of the denominators of the given generator columns."""
+    pres, rep = cfg.presentation, cfg.rep
+    words = [w for r in pres.relators() for j in range(pres.num_generators)
+             for w in fox_derivative(r, j).terms]
+    words += [pres.generator_word(j) for j in columns] + [Word()]
+    identity = Matrix.identity(rep.field, 2)
+    return {(m.scale, m.ints) for m in map(rep.evaluate, words)
+            if m != identity}
 
-    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
-    def test_one_gcd_per_invariant(self, knots, knot, monkeypatch):
-        pres, rep = knots[knot]
-        exact_gcd = laurent.gcd
+
+class TestSymmetricPowerCost:
+    """sigma_n is expanded once per distinct non-identity rho value."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'fig8-conjugated'])
+    def test_once_per_distinct_value(self, knots, knot, monkeypatch):
+        if knot == 'fig8-conjugated':
+            pres, rep = knots['fig8']
+            pres = conjugate_relation(pres, Word([2, -1, 2]))
+        else:
+            pres, rep = knots[knot]
+        expand = invariant.symmetric_power
         calls = []
 
-        def counting(p, q):
-            calls.append(None)
-            return exact_gcd(p, q)
+        def counting(matrix, n):
+            calls.append((matrix.scale, matrix.ints))
+            return expand(matrix, n)
+
+        monkeypatch.setattr(invariant, 'symmetric_power', counting)
+        for n in range(2, 5):
+            cfg = TwistConfig(pres, rep, n)
+            first = twisted_alexander(cfg)
+            want = distinct_powers(cfg, [pres.generator_index(first.column)])
+            assert sorted(calls) == sorted(want), n
+            calls.clear()
+            second = twisted_alexander(cfg)
+            assert sorted(calls) == sorted(want), n    # nothing kept
+            calls.clear()
+            assert str(second.value) == str(first.value)
+        terms = sum(len(fox_derivative(r, j).terms) for r in pres.relators()
+                    for j in range(pres.num_generators)) + 2
+        assert len(want) < terms       # the memo saves expansions
+
+
+class TestReduceCost:
+    """The quotient takes one division; a zero remainder needs no gcd."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_one_division_no_gcd_per_invariant(self, knots, knot,
+                                               monkeypatch):
+        pres, rep = knots[knot]
+        exact_gcd = laurent.gcd
+        divmod_calls, gcd_calls = [], []
+
+        def count(fn, calls):
+            def counting(*args):
+                calls.append(None)
+                return fn(*args)
+            return counting
 
         for n in range(2, 5):
-            monkeypatch.setattr(laurent, 'gcd', counting)
+            monkeypatch.setattr(laurent, '_dense_divmod',
+                                count(laurent._dense_divmod, divmod_calls))
+            for name in ('gcd', '_dense_gcd'):
+                monkeypatch.setattr(laurent, name,
+                                    count(getattr(laurent, name), gcd_calls))
             value = twisted_alexander(TwistConfig(pres, rep, n)).value
             monkeypatch.undo()
-            assert len(calls) == 1, n
-            calls.clear()
+            assert (len(divmod_calls), len(gcd_calls)) == (1, 0), n
+            divmod_calls.clear()
             num, den = value.num, value.den
             field = num.field
             assert exact_gcd(num, den) == LaurentPolynomial.one(field)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
@@ -193,7 +193,58 @@ class TestGcd:
             gcd(z, z)
 
 
+def long_division(p, q):
+    """(quotient, remainder) of ordinary polynomials, one term at a time."""
+    field = p.field
+    quo = LaurentPolynomial.zero(field)
+    lead = q.coeffs[q.max_exp]
+    while not p.is_zero() and p.max_exp >= q.max_exp:
+        term = LaurentPolynomial.t(field, p.max_exp - q.max_exp,
+                                   p.coeffs[p.max_exp] / lead)
+        quo, p = quo + term, p - term * q
+    return quo, p
+
+
+def reference_reduce(num, den):
+    """(num, den) of num / den over a gcd from a textbook Euclid loop, the
+    denominator monic with lowest exponent 0; num and den nonzero."""
+    a, b = num.shifted(-num.min_exp), den.shifted(-den.min_exp)
+    g, r = a, b
+    while not r.is_zero():
+        g, r = r, long_division(g, r)[1]
+    n, d = long_division(a, g)[0], long_division(b, g)[0]
+    unit = 1 / d.coeffs[d.max_exp]
+    return (n * unit).shifted(num.min_exp - den.min_exp), d * unit
+
+
+@st.composite
+def common_factor_pairs(draw, field):
+    """(num, den) = (a c, b c) for random nonzero Laurent a, b, c."""
+    element = st.tuples(*[st.fractions(min_value=-6, max_value=6,
+                                       max_denominator=4)] * field.degree)
+    polys = st.dictionaries(st.integers(-2, 3), element, min_size=1,
+                            max_size=4).map(
+                                lambda c: LaurentPolynomial(field, c))
+    a, b, c = draw(polys), draw(polys), draw(polys)
+    assume(not (a.is_zero() or b.is_zero() or c.is_zero()))
+    return a * c, b * c
+
+
 class TestReduce:
+
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_non_divisible_against_euclid_reference(self, request,
+                                                    field_name, data):
+        field = request.getfixturevalue(field_name)
+        num, den = data.draw(common_factor_pairs(field))
+        # den does not divide num: the reduction takes the gcd path
+        assume(not long_division(num.shifted(-num.min_exp),
+                                 den.shifted(-den.min_exp))[1].is_zero())
+        want_num, want_den = reference_reduce(num, den)
+        rf = reduce(num, den)
+        assert (rf.num, rf.den) == (want_num, want_den)
 
     def test_golden_reduction(self, qfield):
         t = LaurentPolynomial.t(qfield)
