@@ -200,6 +200,8 @@ def load_job(path, validate=True):
             text = handle.read()
     except OSError as exc:
         raise JobError('parse', str(exc)) from exc
+    except UnicodeDecodeError:
+        raise JobError('parse', '%s: not a UTF-8 text file' % path) from None
     job = parse_job(text)
     if validate and job.representation is not None:
         for stage, ok, detail in _rep_checks(job.representation,

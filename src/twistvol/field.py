@@ -2,15 +2,22 @@
 
 Elements are vectors of rationals reduced modulo a monic integer
 polynomial m, which is screened for visible reducibility at
-construction.  The determinant kernel runs on the integral elements,
-Z[x]/(m), with Python int coordinates; callers clear denominators
-first.  Its elimination step and the inverse are both built on the int
-matrix of multiplication by an integral element (_mul_matrix): each
-entry update is one int dot product per coordinate, and _inv_integral
-is fraction-free Gauss-Jordan on that matrix, giving w and D with
-b * w = D on ints; _inv is its Fraction wrapper.  _mul is the one
-element-by-element multiply.  Polynomials in t over the field, dense
-lists of raw elements, have their one division with remainder
+construction.  The determinant kernel (_det) runs on the integral
+elements, Z[x]/(m), with Python int coordinates; callers clear
+denominators first.  It takes one of two exact paths by the size of
+the matrix.  A small matrix is packed by Kronecker substitution
+x = 2^B into one int matrix, whose integer Bareiss determinant is
+decoded into the coefficients of det A in Z[x] and folded by m
+(_det_packed); B comes from a rigorous coefficient bound, and digits
+left over raise ArithmeticError.  A large matrix runs Bareiss on the
+coordinates (_det_coords).  Its elimination step and the inverse are
+both built on the int matrix of multiplication by an integral element
+(_mul_matrix): each entry update is one int dot product per
+coordinate, and _inv_integral is fraction-free Gauss-Jordan on that
+matrix, giving w and D with b * w = D on ints; _inv is its Fraction
+wrapper.  _mul is the one element-by-element multiply.  Polynomials
+in t over the field, dense lists of raw elements, have their one
+division with remainder
 (_dense_divmod) and one Euclid loop (_dense_gcd) here as well.  All
 ring operations are exact; the only inexact step is the embedding into
 arbitrary-precision complex numbers (mpmath), whose root of m is the
@@ -33,6 +40,10 @@ class EmbeddingError(ValueError):
 # a hint whose distances to its two nearest roots differ by at most this
 # share of the larger one selects neither
 _TIE = mpmath.mpf(2) ** -20
+
+
+# _det packs a matrix when rows * bits(row-norm bound) is at most this
+_PACKED_BITS = 1200
 
 
 def _horner(coeffs, z):
@@ -181,8 +192,81 @@ class NumberField:
         """Determinant of a square matrix of integral raw elements.
 
         rows is a list of row lists whose entries have int coordinates,
-        i.e. lie in Z[x]/(m); it is eliminated in place.  Bareiss
-        elimination keeps every intermediate entry a minor, hence
+        i.e. lie in Z[x]/(m); it is eliminated in place.  Returns int
+        coordinates.  The row-norm bound N = prod_i sum_j ||a_ij||_1
+        bounds every coefficient of det A taken in Z[x], before the
+        reduction mod m: ||f g||_1 <= ||f||_1 ||g||_1, and expanding the
+        product of the row sums gives every Leibniz term and more.
+        An n-row matrix with n * bits(N) <= _PACKED_BITS, or any matrix
+        at degree 1, takes _det_packed.  Otherwise the product of the
+        row norms, taken in order, passes that limit at some row, and
+        _det_coords is taken as soon as it does.  The limit is set from
+        the packed/coordinate time ratio per determinant at the largest
+        evaluation point of the figure-eight and six Riley invariants,
+        in two runs: at most 0.72 up to 1200 (0.10-0.71 at <= 6 rows);
+        above it the ratio passes 1 between about 1300 and 2300, by
+        field, and is 16-17 at the figure-eight's n = 20 (12100).
+        """
+        if not rows:
+            return (1,) + (0,) * (self.degree - 1)
+        limit = _PACKED_BITS // len(rows)
+        bound = 1
+        for row in rows:
+            bound *= sum(abs(c) for a in row for c in a)
+            if self.degree > 1 and bound.bit_length() > limit:
+                return self._det_coords(rows)
+        return self._det_packed(rows, bound)
+
+    def _det_packed(self, rows, bound):
+        """_det by Kronecker substitution x = 2^B, B = bits(bound) + 1.
+
+        Each entry a = sum_r c_r x^r becomes the int a(2^B), and integer
+        Bareiss gives det A (2^B) exactly, dividing exactly at every
+        step (_bareiss).  det A in Z[x] has degree <= n(d - 1), and
+        bound > every |coefficient| puts each one in a balanced base-2^B
+        digit, so n(d - 1) + 1 digits decode it.  Anything left beyond
+        them raises ArithmeticError: the bound was wrong.  The digits
+        are folded by m into d coordinates.
+        """
+        d = self.degree
+        n = len(rows)
+        shift = bound.bit_length() + 1
+        packed = []
+        for row in rows:
+            packed_row = []
+            for a in row:
+                v = 0
+                for c in reversed(a):
+                    v = (v << shift) + c
+                packed_row.append(v)
+            packed.append(packed_row)
+        value = _bareiss(packed)
+        half = 1 << (shift - 1)
+        mask = (1 << shift) - 1
+        digits = []
+        for _ in range(n * (d - 1) + 1):
+            digit = value & mask
+            if digit >= half:
+                digit -= mask + 1
+            digits.append(digit)
+            value = (value - digit) >> shift
+        if value:
+            raise ArithmeticError('packed determinant has digits beyond '
+                                  'degree %d; the coefficient bound is '
+                                  'wrong' % (n * (d - 1)))
+        # fold x^k for k >= d using x^d = -(m_0 + ... + m_{d-1} x^{d-1})
+        m = self.min_poly
+        for k in range(len(digits) - 1, d - 1, -1):
+            c = digits[k]
+            if c:
+                for i in range(d):
+                    digits[k - d + i] -= c * m[i]
+        return tuple(digits[:d])
+
+    def _det_coords(self, rows):
+        """_det on the d int coordinates of each entry.
+
+        Bareiss elimination keeps every intermediate entry a minor, hence
         integral: the division by the previous pivot p multiplies by the
         int w with p * w = D (_inv_integral, once per pivot) and divides
         each coordinate by D exactly; for the true quotient q,
@@ -190,12 +274,9 @@ class NumberField:
         A nonzero remainder raises ArithmeticError.  The step
         a_ij <- (a_kk a_ij - a_ik a_kj) w / D is one int matrix
         [M(w a_kk) | -M(w a_ik)], built once per row, applied to the
-        concatenated coordinates of a_ij and a_kj.  Returns int
-        coordinates.
+        concatenated coordinates of a_ij and a_kj.
         """
         n = len(rows)
-        if n == 0:
-            return (1,) + (0,) * (self.degree - 1)
         sign = 1
         # the previous pivot's inverse is w / denom; 1 / 1 at the first step
         w, denom = (1,) + (0,) * (self.degree - 1), 1
@@ -405,6 +486,35 @@ def _integral(a, scale):
 def _rational(a, scale):
     """The raw element a / scale with Fraction coordinates (undoes _integral)."""
     return tuple(Fraction(c, scale) for c in a)
+
+
+def _bareiss(rows):
+    """Determinant of a nonempty square int matrix, eliminated in place.
+
+    Fraction-free Bareiss: every entry after step k is a (k+1) x (k+1)
+    minor, so each division by the previous pivot is exact
+    (_exact_quotient); a remainder raises ArithmeticError.
+    """
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        akk = row_k[k]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            aik = row_i[k]
+            num = [akk * x - aik * y
+                   for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
+            row_i[k + 1:] = num if prev == 1 else _exact_quotient(num, prev)
+        prev = akk
+    return sign * rows[n - 1][n - 1]
 
 
 def _exact_quotient(a, denom):

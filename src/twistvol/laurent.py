@@ -6,8 +6,10 @@ Laurent multiply per row and never reaches the kernel; a zero row gives
 0.  What remains is computed by evaluation and interpolation:
 each row is shifted to ordinary-polynomial form and scaled to integral
 coefficients, the matrix is evaluated at D+1 integer points 0, 1, -1,
-2, -2, ... for a certified degree bound D, the field's integral Bareiss
-kernel (NumberField._det) runs on Python ints at each point, and the
+2, -2, ... for a certified degree bound D, the field's integral
+kernel (NumberField._det) runs on Python ints at each point, as one
+packed integer Bareiss at x = 2^B for a small matrix or on the field
+coordinates for a large one (its choice, by size), and the
 int values are interpolated with the one common denominator D!,
 divided out exactly; the row scales, the factored-out power of t and
 the expansion factor are restored at the end.  One extra evaluation

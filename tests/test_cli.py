@@ -332,6 +332,9 @@ class TestCompute:
                  id='field-1.5'),
     pytest.param(['compute'], FIG8_TEXT.replace('field: 1 1 1', ''),
                  'line 9: embed needs a field: line', id='embed-no-field'),
+    # a job file must be UTF-8 text
+    pytest.param(['invariant', '--n', '3'], b'\xff\xfe\x00bad',
+                 'bad.job: not a UTF-8 text file', id='not-utf8'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):
@@ -346,8 +349,12 @@ def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
     job = FIG8_JOB
     if job_text is not None:
         job = str(tmp_path / 'bad.job')
-        with open(job, 'w', encoding='utf-8') as handle:
-            handle.write(job_text)
+        if isinstance(job_text, bytes):
+            with open(job, 'wb') as handle:
+                handle.write(job_text)
+        else:
+            with open(job, 'w', encoding='utf-8') as handle:
+                handle.write(job_text)
     code, _, err = run(capsys, argv[0], job, *argv[1:])
     assert code == 1
     assert err.startswith('error [%s]: ' % stage) and message in err

@@ -8,9 +8,11 @@ from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       SimpleZeroViolationError, TwistConfig, Word, invariant,
                       laurent,
                       determinant, equal_up_to_unit, fox_derivative,
-                      order_at_one, parse_presentation, phi,
+                      order_at_one, parse_job, parse_presentation, phi,
                       symmetric_power, twisted_alexander, value_at_one,
                       wada_matrix)
+
+from test_theorems import RILEY_TEXTS
 
 
 @pytest.fixture(scope='module')
@@ -445,6 +447,56 @@ class TestDenominatorExpansion:
             assert len(calls) == want      # D + 2 = 14 points when eliminated
             assert den == (t - 1) ** 12
             calls.clear()
+
+
+class TestDetPathSelection:
+    """_det packs small matrices and keeps large ones on coordinates."""
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        """{'_det': [], '_det_coords': [], '_inv_integral in _det': []},
+        filled by the calls that follow."""
+        calls = {'_det': [], '_det_coords': [], '_inv_integral in _det': []}
+        det, coords, inv = (NumberField._det, NumberField._det_coords,
+                            NumberField._inv_integral)
+        inside = []
+
+        def counting_det(self, rows):
+            calls['_det'].append(len(rows))
+            inside.append(None)
+            try:
+                return det(self, rows)
+            finally:
+                inside.pop()
+
+        def counting_coords(self, rows):
+            calls['_det_coords'].append(len(rows))
+            return coords(self, rows)
+
+        def counting_inv(self, b):
+            if inside:
+                calls['_inv_integral in _det'].append(None)
+            return inv(self, b)
+
+        monkeypatch.setattr(NumberField, '_det', counting_det)
+        monkeypatch.setattr(NumberField, '_det_coords', counting_coords)
+        monkeypatch.setattr(NumberField, '_inv_integral', counting_inv)
+        return calls
+
+    def test_k17_5_takes_no_pivot_inverse(self, monkeypatch):
+        job = parse_job(RILEY_TEXTS[(17, 5)])
+        calls = self.count_kernel_calls(monkeypatch)
+        twisted_alexander(TwistConfig(job.presentation, job.representation, 3))
+        assert calls['_det'] == [3] * 14      # D + 2 points, 3 rows each
+        assert calls['_det_coords'] == []
+        assert calls['_inv_integral in _det'] == []
+
+    def test_fig8_n12_stays_on_coordinates(self, fig8, fig8_rep,
+                                           monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        twisted_alexander(TwistConfig(fig8, fig8_rep, 12))
+        assert calls['_det'] == [12] * 26
+        assert calls['_det_coords'] == calls['_det']
 
 
 @pytest.fixture(scope='module')

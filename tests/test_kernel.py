@@ -1,5 +1,6 @@
 """Properties of the integral field kernel: NumberField._mul_matrix,
-_inv_integral, _inv and _det.
+_inv_integral, _inv and _det with its two paths, _det_packed (integer
+Bareiss at x = 2^B) and _det_coords (Bareiss on the coordinates).
 
 Fields of degree 1, 2, 3, 4 and 8 are covered.  The degree-4 and degree-8
 minimal polynomials and embeddings are those of the Riley jobs of the
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from twistvol import NumberField
+from twistvol.field import _PACKED_BITS, _bareiss
 
 from conftest import make_ufield
 
@@ -60,6 +62,30 @@ def leibniz_det(field, rows):
             term = field._mul(term, rows[i][j])
         total = (field._sub if inversions % 2 else field._add)(total, term)
     return total
+
+
+def row_norm_bound(rows):
+    """prod_i sum_j ||a_ij||_1, which bounds det A's coefficients in Z[x]."""
+    bound = 1
+    for row in rows:
+        bound *= sum(abs(c) for a in row for c in a)
+    return bound
+
+
+def pinned_rows(degree):
+    """A fixed 4 x 4 integral matrix, diagonally weighted."""
+    return [[tuple((3 * i + 5 * j + 7 * r) % 11 - 5 + (i == j) * 13
+                   for r in range(degree))
+             for j in range(4)] for i in range(4)]
+
+
+# each path eliminates a copy; the bound is taken before elimination
+PATHS = {
+    'packed': lambda field, rows: field._det_packed(
+        [list(row) for row in rows], row_norm_bound(rows)),
+    'coords': lambda field, rows: field._det_coords([list(row) for row in rows]),
+    'selected': lambda field, rows: field._det([list(row) for row in rows]),
+}
 
 
 @st.composite
@@ -149,18 +175,44 @@ class TestDet:
     def test_matches_leibniz(self, case):
         field, rows = case
         expected = leibniz_det(field, rows)
-        got = field._det([list(row) for row in rows])
-        assert got == expected
-        assert all(type(c) is int for c in got)
+        for path, det in PATHS.items():
+            got = det(field, rows)
+            assert got == expected, path
+            assert all(type(c) is int for c in got), path
+
+    @pytest.mark.parametrize('side', ['packed', 'coords'])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_paths_agree_on_both_sides_of_the_rule(self, side, data):
+        """6..9 rows at degrees 2, 3 and 8: small coordinates fall on
+        the packed side of the rule, 40-bit ones on the coordinate side."""
+        field = FIELDS[data.draw(st.sampled_from([2, 3, 8]))]
+        n = data.draw(st.integers(6, 9))
+        zero = (0,) * field.degree
+        if side == 'packed':
+            entry = st.one_of(st.just(zero), st.tuples(
+                *[st.integers(-3, 3)] * field.degree))
+        else:
+            # |coordinate| >= 2^39: bits(bound) > 39 n, n * bits(bound) > 1400
+            big = st.integers(2 ** 39, 2 ** 40) | st.integers(-2 ** 40,
+                                                             -2 ** 39)
+            entry = st.tuples(*[big] * field.degree)
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            rows[0][0] = zero  # zero pivot at the first step
+        bound = row_norm_bound(rows)
+        assert (n * bound.bit_length() <= _PACKED_BITS) == (side == 'packed')
+        packed = PATHS['packed'](field, rows)
+        assert packed == PATHS['coords'](field, rows)
+        assert packed == PATHS['selected'](field, rows)
 
     @pytest.mark.parametrize('degree', [1, 2, 3, 8])
     def test_wrong_pivot_inverse_is_caught(self, degree, monkeypatch):
         """A perturbed p^-1 makes a step inexact: ArithmeticError, no value."""
         field = FIELDS[degree]
-        rows = [[tuple((3 * i + 5 * j + 7 * r) % 11 - 5 + (i == j) * 13
-                       for r in range(degree))
-                 for j in range(4)] for i in range(4)]
-        assert field._det([list(row) for row in rows]) \
+        rows = pinned_rows(degree)
+        assert field._det_coords([list(row) for row in rows]) \
             == leibniz_det(field, rows)
         exact_inv = field._inv_integral
 
@@ -172,7 +224,24 @@ class TestDet:
 
         monkeypatch.setattr(field, '_inv_integral', perturbed)
         with pytest.raises(ArithmeticError, match='non-integral'):
-            field._det([list(row) for row in rows])
+            field._det_coords([list(row) for row in rows])
+
+    def test_inexact_packed_step_is_caught(self):
+        """A non-integral entry makes an integer Bareiss division inexact."""
+        assert _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, 2]]) == 1
+        with pytest.raises(ArithmeticError, match='non-integral'):
+            _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, Fraction(3, 4)]])
+
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
+    def test_too_small_bound_is_caught(self, degree):
+        """Digits left beyond degree n(d - 1): ArithmeticError, no value."""
+        field = FIELDS[degree]
+        rows = pinned_rows(degree)
+        bound = row_norm_bound(rows)
+        assert field._det_packed([list(row) for row in rows], bound) \
+            == leibniz_det(field, rows)
+        with pytest.raises(ArithmeticError, match='coefficient bound'):
+            field._det_packed([list(row) for row in rows], 1)
 
 
 class TestDetCost:
@@ -193,8 +262,9 @@ class TestDetCost:
             calls.append(None)
             return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
-        got = field._det([list(row) for row in rows])
-        monkeypatch.undo()
-        assert got == expected
-        assert len(calls) == 0
+        for path, det in PATHS.items():
+            monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
+            got = det(field, rows)
+            monkeypatch.undo()
+            assert got == expected, path
+            assert len(calls) == 0, path

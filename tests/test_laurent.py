@@ -12,19 +12,29 @@ from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
 
 
 def cofactor_determinant(m):
-    """Independent oracle: first-row cofactor expansion."""
+    """Independent oracle: first-row cofactor expansion.
+
+    The minor on the last k rows and a k-tuple of columns is expanded
+    along its first row once per column tuple, and memoized.
+    """
     n = m.nrows
-    if n == 0:
-        return LaurentPolynomial.one(m.field)
-    if n == 1:
-        return m[0, 0]
-    total = LaurentPolynomial.zero(m.field)
-    for j in range(n):
-        minor = PolyMatrix(m.field, [[m[i, k] for k in range(n) if k != j]
-                                     for i in range(1, n)])
-        term = m[0, j] * cofactor_determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return LaurentPolynomial.one(m.field)
+        i = n - len(cols)
+        if len(cols) == 1:
+            return m[i, cols[0]]
+        if cols not in memo:
+            total = LaurentPolynomial.zero(m.field)
+            for k, j in enumerate(cols):
+                term = m[i, j] * minor(cols[:k] + cols[k + 1:])
+                total = total + term if k % 2 == 0 else total - term
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def random_rational(rng, max_den):
@@ -145,6 +155,34 @@ class TestDeterminant:
         m = PolyMatrix(qfield, [[LaurentPolynomial.one(qfield),
                                  LaurentPolynomial.one(qfield)]])
         with pytest.raises(ValueError, match='square'):
+            determinant(m)
+
+    def test_wrong_value_fails_verification_point(self, ufield,
+                                                  monkeypatch):
+        """A wrong kernel value at the extra point: ArithmeticError."""
+        rng = random.Random(316)
+        m = PolyMatrix(ufield, [[random_poly(ufield, rng) for _ in range(3)]
+                                for _ in range(3)])
+        eliminate = NumberField._det
+        calls = []
+
+        def counting(self, rows):
+            calls.append(None)
+            return eliminate(self, rows)
+
+        monkeypatch.setattr(NumberField, '_det', counting)
+        determinant(m)
+        points = len(calls)
+
+        def wrong_last(self, rows):
+            calls.append(None)
+            value = eliminate(self, rows)
+            if len(calls) % points == 0:
+                value = (value[0] + 1,) + value[1:]
+            return value
+
+        monkeypatch.setattr(NumberField, '_det', wrong_last)
+        with pytest.raises(ArithmeticError, match='verification point'):
             determinant(m)
 
     def test_zero_row_short_circuits(self, qfield):
