@@ -13,8 +13,8 @@ from .group import (GroupRingElement, ParseError, Presentation, Word,
 from .field import EmbeddingError, NFElement, NumberField
 from .rep import Matrix, Representation, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
-                      determinant, divide_exact, equal_up_to_unit, gcd,
-                      normalize_unit, order_at_one, parse_polynomial, reduce)
+                      determinant, equal_up_to_unit, normalize_unit,
+                      order_at_one, parse_polynomial, reduce)
 from .invariant import (TwistConfig, TwistedAlexander,
                         NoAdmissibleColumnError, SimpleZeroViolationError,
                         phi, twisted_alexander, value_at_one, wada_matrix)

@@ -194,9 +194,12 @@ def parse_job(text):
 
 
 def load_job(path, validate=True):
-    """Read a job file; with validate, enforce det = 1 and the relations."""
+    """Read a job file; with validate, enforce det = 1 and the relations.
+
+    The file is UTF-8, with or without a byte-order mark.
+    """
     try:
-        with open(path, encoding='utf-8') as handle:
+        with open(path, encoding='utf-8-sig') as handle:
             text = handle.read()
     except OSError as exc:
         raise JobError('parse', str(exc)) from exc

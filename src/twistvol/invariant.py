@@ -3,16 +3,17 @@
 The pipeline maps group-ring elements through Phi(w) = t^alpha(w) *
 sigma_n(rho(w)), assembles the Fox-derivative block matrix, deletes one
 generator's block column, and divides the two determinants.  rho(w) and
-sigma_n(rho(w)) stay integral Matrix data up to phi, which sums each
-cell on ints.  The result is reduced and brought to a deterministic
-representative; the invariant itself is only defined up to a unit
-+/- t^k, so comparisons go through the unit-normalized form.
+sigma_n(rho(w)) stay integral Matrix data, and phi sums each cell on
+ints into a PolyMatrix over one scale, the form the determinant takes;
+the deleted block column is a slice of it.  The result is reduced and
+brought to a deterministic representative; the invariant itself is
+only defined up to a unit +/- t^k, so comparisons go through the
+unit-normalized form.
 """
 
 from dataclasses import dataclass
 from math import lcm
 
-from .field import NFElement, _rational
 from .group import GroupRingElement, Word, fox_derivative
 from .rep import Matrix, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
@@ -52,15 +53,15 @@ class TwistConfig:
 def phi(element, cfg, prefixes=None, powers=None):
     """Blockwise twisted map Phi(sum c_w w) = sum c_w t^alpha(w) sigma_n(rho(w)).
 
-    Returns an n x n PolyMatrix; Phi is linear and sends the identity
-    word to the identity matrix.  prefixes, a dict of prefix products
-    owned by the caller, is passed on to Representation.evaluate.
-    powers, a dict owned by the caller for one n, maps the data
-    (scale, ints) of a value rho(w) to sigma_n(rho(w)), so each distinct
-    value is expanded once however many words share it; without one,
-    phi keeps its own.  A value equal to the identity gives the n x n
-    identity with no expansion.  Terms are summed on ints over the lcm
-    of their scales.
+    Returns an n x n PolyMatrix, each cell summed on ints over the lcm
+    of the terms' scales; Phi is linear and sends the identity word to
+    the identity matrix.  prefixes, a dict of prefix products owned by
+    the caller, is passed on to Representation.evaluate.  powers, a
+    dict owned by the caller for one n, maps the data (scale, ints) of
+    a value rho(w) to sigma_n(rho(w)), so each distinct value is
+    expanded once however many words share it; without one, phi keeps
+    its own.  A value equal to the identity gives the n x n identity
+    with no expansion.
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
@@ -80,9 +81,9 @@ def phi(element, cfg, prefixes=None, powers=None):
                     prev = cell.get(exponent)
                     raw = f._scale(c, weight)
                     cell[exponent] = raw if prev is None else f._add(prev, raw)
-    return PolyMatrix(f, [[LaurentPolynomial(f, {e: NFElement(f, _rational(c, scale))
-                                                 for e, c in cell.items()})
-                           for cell in cells] for cells in grid])
+    return PolyMatrix._of(f, tuple(tuple({e: c for e, c in cell.items()
+                                          if any(c)} for cell in cells)
+                                   for cells in grid), scale)
 
 
 def _sigma(mat, n, powers):
@@ -102,7 +103,8 @@ def wada_matrix(cfg, powers=None):
 
     Rows run over relators, block columns over generators in
     declaration order, each row the concatenated rows of g phi blocks.
-    No relators (the free case) give an empty matrix.  Every
+    No relators (the free case) give an empty matrix.  The blocks are
+    brought to the lcm of their scales, on ints.  Every
     Fox-derivative term is a prefix of its relator, so one prefix dict
     shared by all the terms makes rho cost one int multiply per relator
     letter; it is dropped on return.  One powers dict (see phi), the
@@ -112,15 +114,21 @@ def wada_matrix(cfg, powers=None):
     """
     pres = cfg.presentation
     g = pres.num_generators
-    rows, prefixes = [], {}
+    f = cfg.rep.field
+    prefixes = {}
     if powers is None:
         powers = {}
-    for r in pres.relators():
-        blocks = [phi(fox_derivative(r, j), cfg, prefixes, powers)
-                  for j in range(g)]
-        rows.extend([e for block in blocks for e in block.entries[i]]
-                    for i in range(cfg.n))
-    return PolyMatrix(cfg.rep.field, rows)
+    blocks = [[phi(fox_derivative(r, j), cfg, prefixes, powers)
+               for j in range(g)] for r in pres.relators()]
+    scale = lcm(*(block.scale for row in blocks for block in row))
+    cells = []
+    for row in blocks:
+        weights = [scale // block.scale for block in row]
+        cells.extend(tuple({e: f._scale(c, k) for e, c in cell.items()}
+                           for block, k in zip(row, weights)
+                           for cell in block.cells[i])
+                     for i in range(cfg.n))
+    return PolyMatrix._of(f, tuple(cells), scale)
 
 
 def _denominator(cfg, j, powers=None):

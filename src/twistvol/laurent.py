@@ -1,29 +1,29 @@
 """Exact Laurent polynomials in t over a number field, and matrices of them.
 
-A determinant first expands exactly along every row with at most one
-nonzero entry, so a triangular matrix, upper or lower, costs one
-Laurent multiply per row and never reaches the kernel; a zero row gives
-0.  What remains is computed by evaluation and interpolation:
-each row is shifted to ordinary-polynomial form and scaled to integral
-coefficients, the matrix is evaluated at D+1 integer points 0, 1, -1,
-2, -2, ... for a certified degree bound D, the field's integral
-kernel (NumberField._det) runs on Python ints at each point, as one
-packed integer Bareiss at x = 2^B for a small matrix or on the field
-coordinates for a large one (its choice, by size), and the
-int values are interpolated with the one common denominator D!,
-divided out exactly; the row scales, the factored-out power of t and
-the expansion factor are restored at the end.  One extra evaluation
+A PolyMatrix stores every entry as int coordinates over one positive
+scale, from phi to the kernel.  A determinant of a triangular matrix,
+upper or lower, is the product of its diagonal, taken on those ints,
+and never reaches the kernel; a zero row gives 0.  Any other matrix is
+computed by evaluation and interpolation: each row is divided by its
+gcd with the scale and shifted to ordinary-polynomial form, the matrix
+is evaluated at D+1 integer points 0, 1, -1, 2, -2, ... for a
+certified degree bound D, the field's integral kernel (NumberField._det)
+runs on Python ints at each point, as one packed integer Bareiss at
+x = 2^B for a small matrix or on the field coordinates for a large one
+(its choice, by size), and the int values are interpolated with the one
+common denominator D!, divided out exactly; the row scales and the
+factored-out power of t are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate, goes through one Horner
 function, _dense_eval.  Division with remainder and Euclid's algorithm
-come from the field module (_dense_divmod, _dense_gcd): gcd, exact
-division, the order at t = 1 and the reduction of a RationalFunction,
-which divides once and runs Euclid only on a nonzero remainder, all
-use them.
+come from the field module (_dense_divmod, _dense_gcd): the order at
+t = 1 and the reduction of a RationalFunction, which divides once and
+runs Euclid only on a nonzero remainder, use them.
 """
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
                     _denominator, _exact_quotient, _integral, _rational)
@@ -130,18 +130,7 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        f = self.field
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            r1 = c1.coeffs
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                prod = f._mul(r1, c2.coeffs)
-                if e in out:
-                    out[e] = f._add(out[e], prod)
-                else:
-                    out[e] = prod
-        return _wrap(f, {e: c for e, c in out.items() if any(c)})
+        return _wrap(self.field, _times(self.field, _raw(self), _raw(other)))
 
     __rmul__ = __mul__
 
@@ -207,6 +196,21 @@ class LaurentPolynomial:
     __repr__ = __str__
 
 
+def _raw(p):
+    """p's map exponent -> raw coefficient tuple."""
+    return {e: c.coeffs for e, c in p.coeffs.items()}
+
+
+def _times(field, a, b):
+    """The product of two maps exponent -> raw coefficient, zeros dropped."""
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e, prod = e1 + e2, field._mul(x, y)
+            out[e] = field._add(out[e], prod) if e in out else prod
+    return {e: c for e, c in out.items() if any(c)}
+
+
 def _wrap(field, raw_coeffs):
     p = LaurentPolynomial.__new__(LaurentPolynomial)
     p.field = field
@@ -254,33 +258,6 @@ def _dense_eval(field, a, x):
         for c in a[-2::-1]:
             acc = tuple(u * x + v for u, v in zip(acc, c))
     return acc
-
-
-def gcd(p, q):
-    """Monic GCD with lowest exponent 0; divides both inputs exactly."""
-    p.field._check_same(q.field)
-    field = p.field
-    if p.is_zero() and q.is_zero():
-        raise ValueError('gcd(0, 0) is undefined')
-    a = _dense_gcd(field, p._dense()[0], q._dense()[0])
-    lead_inv = field._inv(a[-1])
-    a = [field._mul(c, lead_inv) for c in a]
-    lo = next(i for i, c in enumerate(a) if any(c))
-    return _wrap(field, {i - lo: c for i, c in enumerate(a) if any(c)})
-
-
-def divide_exact(p, q):
-    """p / q when q divides p exactly in the Laurent ring; errors otherwise."""
-    p.field._check_same(q.field)
-    field = p.field
-    if q.is_zero():
-        raise ZeroDivisionError('division by the zero polynomial')
-    ap, lop = p._dense()
-    aq, loq = q._dense()
-    quo, rem = _dense_divmod(field, ap, aq)
-    if rem:
-        raise ValueError('polynomial division is not exact')
-    return _wrap(field, {i + lop - loq: c for i, c in enumerate(quo) if any(c)})
 
 
 def order_at_one(p):
@@ -395,47 +372,59 @@ def reduce(num, den):
 
 
 class PolyMatrix:
-    """A rectangular matrix of Laurent polynomials."""
+    """A rectangular matrix of Laurent polynomials, stored as ints / scale.
 
-    __slots__ = ('field', 'entries')
+    cells[i][j] maps each exponent of entry (i, j) with a nonzero
+    coefficient to that coefficient's int coordinates; every entry is
+    over the one positive int scale, which need not be the least.  The
+    constructor takes Laurent polynomials (or constants) and clears
+    their denominators once; m[i, j] builds a LaurentPolynomial on
+    demand.
+    """
 
-    def __init__(self, field, entries):
-        rows = []
-        for row in entries:
-            out = []
-            for e in row:
-                if not isinstance(e, LaurentPolynomial):
-                    e = LaurentPolynomial.constant(field, e)
-                field._check_same(e.field)
-                out.append(e)
-            rows.append(tuple(out))
+    __slots__ = ('field', 'cells', 'scale')
+
+    def __init__(self, field, rows):
+        polys = [[p if isinstance(p, LaurentPolynomial)
+                  else LaurentPolynomial.constant(field, p) for p in row]
+                 for row in rows]
+        if polys and any(len(row) != len(polys[0]) for row in polys):
+            raise ValueError('ragged polynomial matrix')
+        for row in polys:
+            for p in row:
+                field._check_same(p.field)
         self.field = field
-        self.entries = tuple(rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError('ragged polynomial matrix')
+        self.scale = _denominator(c.coeffs for row in polys for p in row
+                                  for c in p.coeffs.values())
+        self.cells = tuple(tuple({e: _integral(c.coeffs, self.scale)
+                                  for e, c in p.coeffs.items()} for p in row)
+                           for row in polys)
+
+    @classmethod
+    def _of(cls, field, cells, scale):
+        """The matrix cells / scale, for an int scale > 0 and cells that
+        hold no zero coordinate tuple."""
+        m = cls.__new__(cls)
+        m.field, m.cells, m.scale = field, cells, scale
+        return m
 
     @property
     def nrows(self):
-        return len(self.entries)
+        return len(self.cells)
 
     @property
     def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.cells[0]) if self.cells else 0
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
+        return _wrap(self.field, {e: _rational(c, self.scale)
+                                  for e, c in self.cells[i][j].items()})
 
     def drop_columns(self, start, width):
         """Remove `width` consecutive columns beginning at `start`."""
-        keep = [j for j in range(self.ncols) if not start <= j < start + width]
-        return PolyMatrix(self.field,
-                          [[row[j] for j in keep] for row in self.entries])
+        cells = tuple(row[:start] + row[start + width:] for row in self.cells)
+        return PolyMatrix._of(self.field, cells, self.scale)
 
     def __repr__(self):
         return '<PolyMatrix %dx%d>' % (self.nrows, self.ncols)
@@ -477,78 +466,54 @@ def _newton_interpolate(field, points, values):
                               'an evaluation is wrong') from None
 
 
-def _expand_singletons(field, rows):
-    """(factor, rest) with det(rows) = factor * det(rest), exactly.
-
-    While some row has at most one nonzero entry a_ij, expands along
-    it: the factor picks up (-1)^(i+j) a_ij, and row i and column j are
-    dropped.  Every triangular matrix, upper or lower, keeps such a row
-    until nothing is left.  rest has no such row; a zero row makes the
-    factor zero.
-    """
-    factor = LaurentPolynomial.one(field)
-    rows = [list(row) for row in rows]
-    while rows:
-        for i, row in enumerate(rows):
-            nonzero = [j for j, p in enumerate(row) if not p.is_zero()]
-            if len(nonzero) <= 1:
-                break
-        else:
-            break
-        if not nonzero:
-            return LaurentPolynomial.zero(field), []
-        j = nonzero[0]
-        entry = row[j]
-        factor = factor * (entry if (i + j) % 2 == 0 else -entry)
-        rows = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-    return factor, rows
-
-
 def determinant(matrix):
     """Exact determinant of a square PolyMatrix.
 
-    Rows with at most one nonzero entry are expanded exactly first
-    (_expand_singletons), so a triangular matrix such as
-    t^a sigma_n(A) - I for a triangular A runs no elimination.
-    What remains is interpolated.  Each row's lowest t-power is factored
-    out and its coefficients are scaled by their least common
-    denominator, so every entry becomes an ordinary polynomial over
-    Z[x]/(m).  The degree bound D sums, over rows, the largest entry
-    degree.  The matrix is evaluated at the D+1 integers 0, 1, -1, 2,
-    -2, ..., the field's integral Bareiss kernel runs at each point, and
-    the values are interpolated; one further integer point cross-checks
-    the interpolant against a direct elimination.  The row scales, the
-    t-power and the expansion factor are restored at the end.
+    A triangular matrix, upper or lower, such as t^a sigma_n(A) - I for
+    a triangular A, is the product of its diagonal, multiplied on the
+    ints; it runs no elimination.  Any other matrix with a zero row is
+    0, and one without is interpolated.  Each row is divided by its gcd
+    with the scale, which leaves it over the least common denominator of
+    its coefficients, and its lowest t-power is factored out, so every
+    entry becomes an ordinary polynomial over Z[x]/(m).  The degree
+    bound D sums, over rows, the largest entry degree.  The matrix is
+    evaluated at the D+1 integers 0, 1, -1, 2, -2, ..., the field's
+    integral Bareiss kernel runs at each point, and the values are
+    interpolated; one further integer point cross-checks the interpolant
+    against a direct elimination.  The row scales and the t-power are
+    restored at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
-    field = matrix.field
-    factor, rows = _expand_singletons(field, matrix.entries)
-    if not rows:
-        return factor
+    field, cells = matrix.field, matrix.cells
+    if (not any(any(row[:i]) for i, row in enumerate(cells))
+            or not any(any(row[i + 1:]) for i, row in enumerate(cells))):
+        det = {0: (1,) + (0,) * (field.degree - 1)}
+        for i, row in enumerate(cells):
+            det = _times(field, det, row[i])
+        return _wrap(field, {e: _rational(c, matrix.scale ** len(cells))
+                             for e, c in det.items()})
     izero = (0,) * field.degree
     shift = 0
     scale = 1
     int_rows = []
     bound = 0
-    for row in rows:
-        lo = min(p.min_exp for p in row if not p.is_zero())
+    for row in cells:
+        if not any(row):
+            return LaurentPolynomial.zero(field)
+        lo = min(e for cell in row for e in cell)
         shift += lo
-        row_scale = _denominator(c.coeffs for p in row
-                                 for c in p.coeffs.values())
-        scale *= row_scale
+        row_gcd = gcd(matrix.scale,
+                      *(x for cell in row for c in cell.values() for x in c))
+        scale *= matrix.scale // row_gcd
         int_row = []
-        row_deg = 0
-        for p in row:
-            dense, plo = p._dense()
-            if not dense:
-                int_row.append([izero])
-                continue
-            int_row.append([izero] * (plo - lo)
-                           + [_integral(c, row_scale) for c in dense])
-            row_deg = max(row_deg, len(int_row[-1]) - 1)
+        for cell in row:
+            dense = [izero] * (max(cell, default=lo) - lo + 1)
+            for e, c in cell.items():
+                dense[e - lo] = _exact_quotient(c, row_gcd)
+            int_row.append(dense)
         int_rows.append(int_row)
-        bound += row_deg
+        bound += max(len(entry) for entry in int_row) - 1
     points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 2)]
     values = [field._det([[_dense_eval(field, entry, x) for entry in row]
                           for row in int_rows])
@@ -557,6 +522,5 @@ def determinant(matrix):
     if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
-    det = _wrap(field, {i + shift: _rational(coeff, scale)
-                        for i, coeff in enumerate(poly) if any(coeff)})
-    return det if len(rows) == matrix.nrows else factor * det
+    return _wrap(field, {i + shift: _rational(coeff, scale)
+                         for i, coeff in enumerate(poly) if any(coeff)})

@@ -376,6 +376,14 @@ class TestInvariantCommand:
             '[1,0]*t^5 + [-10,0]*t^4 + [53,0]*t^3 + [-53,0]*t^2 '
             '+ [10,0]*t^1 + [-1,0]*t^0')
 
+    def test_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / 'bom.job'
+        path.write_text(FIG8_TEXT, encoding='utf-8-sig')
+        assert path.read_bytes().startswith(b'\xef\xbb\xbf')
+        plain = run(capsys, 'invariant', FIG8_JOB, '--n', '3')
+        assert run(capsys, 'invariant', str(path), '--n', '3') == plain
+        assert plain[0] == 0
+
     def test_trivial_rep_classical(self, capsys):
         code, out, _ = run(capsys, 'invariant', FIG8_JOB, '--trivial-rep')
         assert code == 0

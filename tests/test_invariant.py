@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       symmetric_power, twisted_alexander, value_at_one,
                       wada_matrix)
 
+from test_laurent import reference_reduce
 from test_theorems import RILEY_TEXTS
 
 
@@ -135,6 +137,27 @@ class TestWadaMatrix:
                     for i in range(n):
                         for k in range(n):
                             assert m[r * n + i, j * n + k] == block[i][k]
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'k17_5'])
+    def test_builds_no_fraction(self, knots, knot, monkeypatch):
+        if knot == 'k17_5':
+            job = parse_job(RILEY_TEXTS[(17, 5)])
+            pres, rep = job.presentation, job.representation
+        else:
+            pres, rep = knots[knot]
+        cfg = TwistConfig(pres, rep, 3)
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(None)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
+        m = wada_matrix(cfg)
+        monkeypatch.undo()
+        assert len(calls) == 0
+        assert (m.nrows, m.ncols) == (3, 6)
 
     def test_unknot_has_empty_wada_matrix(self, qfield):
         pres = parse_presentation('gens: a\n')
@@ -370,7 +393,6 @@ class TestReduceCost:
     def test_one_division_no_gcd_per_invariant(self, knots, knot,
                                                monkeypatch):
         pres, rep = knots[knot]
-        exact_gcd = laurent.gcd
         divmod_calls, gcd_calls = [], []
 
         def count(fn, calls):
@@ -382,17 +404,16 @@ class TestReduceCost:
         for n in range(2, 5):
             monkeypatch.setattr(laurent, '_dense_divmod',
                                 count(laurent._dense_divmod, divmod_calls))
-            for name in ('gcd', '_dense_gcd'):
-                monkeypatch.setattr(laurent, name,
-                                    count(getattr(laurent, name), gcd_calls))
+            monkeypatch.setattr(laurent, '_dense_gcd',
+                                count(laurent._dense_gcd, gcd_calls))
             value = twisted_alexander(TwistConfig(pres, rep, n)).value
             monkeypatch.undo()
             assert (len(divmod_calls), len(gcd_calls)) == (1, 0), n
             divmod_calls.clear()
             num, den = value.num, value.den
-            field = num.field
-            assert exact_gcd(num, den) == LaurentPolynomial.one(field)
-            assert den.min_exp == 0 and den.coeffs[den.max_exp] == field.one
+            assert reference_reduce(num, den) == (num, den)
+            assert den.min_exp == 0
+            assert den.coeffs[den.max_exp] == num.field.one
             assert RationalFunction(num, den) == value
 
 
