@@ -231,12 +231,12 @@ def _rep_checks(rep, pres):
 
 def _require_rep(job, trivial):
     if trivial:
-        return Representation.trivial(job.presentation), 1
+        return Representation.trivial(job.presentation)
     if job.representation is None:
         raise JobError('representation validation',
                        'job file declares no representation '
                        '(use --trivial-rep for the classical invariant)')
-    return job.representation, None
+    return job.representation
 
 
 def _check_column(job, column):
@@ -258,7 +258,7 @@ def _parse_range(spec):
 
 def cmd_compute(args):
     job = load_job(args.job)
-    rep, _ = _require_rep(job, False)
+    rep = _require_rep(job, False)
     _check_column(job, args.column)
     n_min, n_max = _parse_range(args.n)
     if n_min < 2:
@@ -295,9 +295,12 @@ def cmd_compute(args):
 
 def cmd_invariant(args):
     job = load_job(args.job)
-    rep, forced_n = _require_rep(job, args.trivial_rep)
+    rep = _require_rep(job, args.trivial_rep)
     _check_column(job, args.column)
-    n = forced_n if forced_n is not None else args.n
+    if args.trivial_rep and args.n not in (None, 1):
+        raise JobError('parse', '--trivial-rep computes the n = 1 invariant; '
+                       'it conflicts with --n %d' % args.n)
+    n = 1 if args.trivial_rep else (2 if args.n is None else args.n)
     if n < 1:
         raise JobError('parse', '--n must be at least 1')
     ta = twisted_alexander(TwistConfig(job.presentation, rep, n, args.column))
@@ -310,7 +313,7 @@ def cmd_invariant(args):
 
 def cmd_check(args):
     job = load_job(args.job, validate=False)
-    rep, _ = _require_rep(job, args.trivial_rep)
+    rep = _require_rep(job, args.trivial_rep)
     pres = job.presentation
     results = _rep_checks(rep, pres)
 
@@ -399,7 +402,8 @@ def build_parser():
 
     p = sub.add_parser('invariant', help='print one normalized invariant')
     common(p)
-    p.add_argument('--n', type=int, default=2, help='dimension (default 2)')
+    p.add_argument('--n', type=int, default=None,
+                   help='dimension (default 2; --trivial-rep takes only 1)')
     p.add_argument('--trivial-rep', action='store_true',
                    help='use the trivial representation at n=1 '
                         '(classical Alexander invariant)')

@@ -544,10 +544,10 @@ def _dense_divmod(field, a, b):
     b = _dense_trim(list(b))
     if not b:
         raise ZeroDivisionError('polynomial division by zero')
-    # a monic divisor (t - 1, a monic gcd) needs no leading multiply
+    # a monic divisor ((t - 1)^n, a monic gcd) needs no leading multiply
     inv = None if b[-1] == field._one else field._inv(b[-1])
-    # a rational divisor coefficient (all of t - 1 and (t - 1)^n) is
-    # applied as a coordinate scaling, not a field multiply
+    # a rational divisor coefficient (all of (t - 1)^n) is applied as a
+    # coordinate scaling, not a field multiply
     rational = [not any(y[1:]) for y in b]
     q = [field._zero] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):

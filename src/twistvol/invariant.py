@@ -104,13 +104,13 @@ def wada_matrix(cfg, powers=None):
     Rows run over relators, block columns over generators in
     declaration order, each row the concatenated rows of g phi blocks.
     No relators (the free case) give an empty matrix.  The blocks are
-    brought to the lcm of their scales, on ints.  Every
-    Fox-derivative term is a prefix of its relator, so one prefix dict
-    shared by all the terms makes rho cost one int multiply per relator
-    letter; it is dropped on return.  One powers dict (see phi), the
-    caller's or a new one, is shared by every block, so a value rho(w)
-    that recurs, in one block or across blocks and relators, is
-    expanded once.
+    brought to the lcm of their scales, on ints; a block already over
+    it keeps its cells.  Every Fox-derivative term is a prefix of its
+    relator, so one prefix dict shared by all the terms makes rho cost
+    one int multiply per relator letter; it is dropped on return.  One
+    powers dict (see phi), the caller's or a new one, is shared by every
+    block, so a value rho(w) that recurs, in one block or across blocks
+    and relators, is expanded once.
     """
     pres = cfg.presentation
     g = pres.num_generators
@@ -124,7 +124,8 @@ def wada_matrix(cfg, powers=None):
     cells = []
     for row in blocks:
         weights = [scale // block.scale for block in row]
-        cells.extend(tuple({e: f._scale(c, k) for e, c in cell.items()}
+        cells.extend(tuple(cell if k == 1
+                           else {e: f._scale(c, k) for e, c in cell.items()}
                            for block, k in zip(row, weights)
                            for cell in block.cells[i])
                      for i in range(cfg.n))

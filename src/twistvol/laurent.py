@@ -15,15 +15,15 @@ common denominator D!, divided out exactly; the row scales and the
 factored-out power of t are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate, goes through one Horner
-function, _dense_eval.  Division with remainder and Euclid's algorithm
-come from the field module (_dense_divmod, _dense_gcd): the order at
-t = 1 and the reduction of a RationalFunction, which divides once and
-runs Euclid only on a nonzero remainder, use them.
+function, _dense_eval.  A LaurentPolynomial holds raw coefficient
+tuples.  A RationalFunction divides once (_dense_divmod) and runs Euclid
+(_dense_gcd) only on a nonzero remainder; the order at t = 1 is read off
+the Taylor coefficients there, with no division.
 """
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
                     _denominator, _exact_quotient, _integral, _rational)
@@ -32,22 +32,28 @@ from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
 class LaurentPolynomial:
     """A finite sum of c_k * t^k with exact number-field coefficients.
 
-    Stored as a map exponent -> coefficient holding no zero entries;
-    the zero polynomial is the empty map.
+    terms maps each exponent with a nonzero coefficient to its raw
+    coordinate tuple of Fractions; the zero polynomial is the empty map.
+    coeffs, coefficient, evaluate and str build NFElements on demand.
     """
 
-    __slots__ = ('field', 'coeffs')
+    __slots__ = ('field', 'terms')
 
     def __init__(self, field, coeffs=None):
         self.field = field
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not isinstance(c, NFElement):
-                    c = field.element(c)
-                if not c.is_zero():
-                    clean[e] = c
-        self.coeffs = clean
+        self.terms = {}
+        for e, c in (coeffs or {}).items():
+            c = field.element(c).coeffs
+            if any(c):
+                self.terms[e] = c
+
+    @classmethod
+    def _of(cls, field, terms):
+        """The polynomial with the raw map terms, its zero tuples dropped."""
+        p = cls.__new__(cls)
+        p.field = field
+        p.terms = {e: c for e, c in terms.items() if any(c)}
+        return p
 
     @classmethod
     def zero(cls, field):
@@ -55,33 +61,39 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, {0: field.element(c)})
+        return cls(field, {0: c})
 
     @classmethod
     def one(cls, field):
-        return cls.constant(field, 1)
+        return cls._of(field, {0: field._one})
 
     @classmethod
     def t(cls, field, exponent=1, coefficient=1):
-        return cls(field, {exponent: field.element(coefficient)})
+        return cls(field, {exponent: coefficient})
+
+    @property
+    def coeffs(self):
+        """The map exponent -> NFElement coefficient, built on each call."""
+        return {e: NFElement(self.field, c) for e, c in self.terms.items()}
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     @property
     def min_exp(self):
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError('zero polynomial has no exponents')
-        return min(self.coeffs)
+        return min(self.terms)
 
     @property
     def max_exp(self):
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError('zero polynomial has no exponents')
-        return max(self.coeffs)
+        return max(self.terms)
 
     def coefficient(self, exponent):
-        return self.coeffs.get(exponent, self.field.zero)
+        return NFElement(self.field,
+                         self.terms.get(exponent, self.field._zero))
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -96,23 +108,16 @@ class LaurentPolynomial:
         if other is None:
             return NotImplemented
         f = self.field
-        out = {e: c.coeffs for e, c in self.coeffs.items()}
-        for e, c in other.coeffs.items():
-            if e in out:
-                s = f._add(out[e], c.coeffs)
-                if any(s):
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = c.coeffs
-        return _wrap(f, out)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = f._add(out[e], c) if e in out else c
+        return self._of(f, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPolynomial(self.field,
-                                 {e: -c for e, c in self.coeffs.items()})
+        f = self.field
+        return self._of(f, {e: f._neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -130,7 +135,8 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _wrap(self.field, _times(self.field, _raw(self), _raw(other)))
+        return self._of(self.field,
+                        _times(self.field, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -150,18 +156,16 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def shifted(self, k):
         """This polynomial times t^k."""
-        return LaurentPolynomial(self.field,
-                                 {e + k: c for e, c in self.coeffs.items()})
+        return self._of(self.field, {e + k: c for e, c in self.terms.items()})
 
     def evaluate(self, at):
         """Exact value at a nonzero field element."""
         f = self.field
-        if not isinstance(at, NFElement):
-            at = f.element(at)
+        at = f.element(at)
         if at.is_zero():
             raise ZeroDivisionError('Laurent polynomials are evaluated at '
                                     'nonzero points only')
@@ -176,29 +180,23 @@ class LaurentPolynomial:
 
     def _dense(self):
         """(ascending raw coefficient list, lowest exponent); zero -> ([], 0)."""
-        if not self.coeffs:
+        if not self.terms:
             return [], 0
         lo, hi = self.min_exp, self.max_exp
-        f = self.field
-        dense = [f._zero] * (hi - lo + 1)
-        for e, c in self.coeffs.items():
-            dense[e - lo] = c.coeffs
+        dense = [self.field._zero] * (hi - lo + 1)
+        for e, c in self.terms.items():
+            dense[e - lo] = c
         return dense, lo
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return '0'
         parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            parts.append('%s*t^%d' % (self.coeffs[e], e))
+        for e in sorted(self.terms, reverse=True):
+            parts.append('%s*t^%d' % (NFElement(self.field, self.terms[e]), e))
         return ' + '.join(parts)
 
     __repr__ = __str__
-
-
-def _raw(p):
-    """p's map exponent -> raw coefficient tuple."""
-    return {e: c.coeffs for e, c in p.coeffs.items()}
 
 
 def _times(field, a, b):
@@ -209,13 +207,6 @@ def _times(field, a, b):
             e, prod = e1 + e2, field._mul(x, y)
             out[e] = field._add(out[e], prod) if e in out else prod
     return {e: c for e, c in out.items() if any(c)}
-
-
-def _wrap(field, raw_coeffs):
-    p = LaurentPolynomial.__new__(LaurentPolynomial)
-    p.field = field
-    p.coeffs = {e: NFElement(field, c) for e, c in raw_coeffs.items()}
-    return p
 
 
 _TERM_RE = re.compile(r'^\[([^\]]*)\]\*t\^(-?\d+)$')
@@ -263,20 +254,20 @@ def _dense_eval(field, a, x):
 def order_at_one(p):
     """Largest k with (t-1)^k dividing p, and the cofactor's value at 1.
 
-    Divides by t - 1 while the remainder, the value at 1, is zero; the
-    returned value (p / (t-1)^k)(1) is nonzero.
+    With t = (t-1) + 1, the coefficient of (t-1)^k in t^-lo p is
+    sum_e C(e - lo, k) c_e, coordinate-wise: the order is the first k at
+    which it is nonzero, and it is then (p / (t-1)^k)(1).  No division.
     """
     if p.is_zero():
         raise ValueError('order at t=1 of the zero polynomial is undefined')
-    field = p.field
-    dense, _ = p._dense()
-    t_minus_one = [field._neg(field._one), field._one]
+    field, lo = p.field, p.min_exp
     order = 0
     while True:
-        quot, rem = _dense_divmod(field, dense, t_minus_one)
-        if rem:
-            return order, NFElement(field, rem[0])
-        dense = quot
+        value = tuple(sum(coords) for coords in zip(
+            *(field._scale(c, comb(e - lo, order))
+              for e, c in p.terms.items())))
+        if any(value):
+            return order, NFElement(field, value)
         order += 1
 
 
@@ -289,12 +280,12 @@ def normalize_unit(p):
     """
     if p.is_zero():
         return p, 1, 0
-    k = p.min_exp
-    lead = p.coeffs[p.max_exp].coeffs
-    first = next(c for c in lead if c)
+    field, k = p.field, p.min_exp
+    first = next(x for x in p.terms[p.max_exp] if x)
     sign = 1 if first > 0 else -1
-    canonical = LaurentPolynomial(
-        p.field, {e - k: (c if sign == 1 else -c) for e, c in p.coeffs.items()})
+    canonical = LaurentPolynomial._of(
+        field, {e - k: (c if sign == 1 else field._neg(c))
+                for e, c in p.terms.items()})
     return canonical, sign, k
 
 
@@ -339,9 +330,9 @@ class RationalFunction:
             lead_inv = field._inv(b[-1])
             b = [field._mul(c, lead_inv) for c in b]
             quo = [field._mul(c, lead_inv) for c in quo]
-        self.den = _wrap(field, {i: c for i, c in enumerate(b) if any(c)})
-        self.num = _wrap(field, {i + num_lo - den_lo: c
-                                 for i, c in enumerate(quo) if any(c)})
+        self.den = LaurentPolynomial._of(field, dict(enumerate(b)))
+        self.num = LaurentPolynomial._of(
+            field, {i + num_lo - den_lo: c for i, c in enumerate(quo)})
 
     @property
     def field(self):
@@ -394,10 +385,10 @@ class PolyMatrix:
             for p in row:
                 field._check_same(p.field)
         self.field = field
-        self.scale = _denominator(c.coeffs for row in polys for p in row
-                                  for c in p.coeffs.values())
-        self.cells = tuple(tuple({e: _integral(c.coeffs, self.scale)
-                                  for e, c in p.coeffs.items()} for p in row)
+        self.scale = _denominator(c for row in polys for p in row
+                                  for c in p.terms.values())
+        self.cells = tuple(tuple({e: _integral(c, self.scale)
+                                  for e, c in p.terms.items()} for p in row)
                            for row in polys)
 
     @classmethod
@@ -418,8 +409,9 @@ class PolyMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return _wrap(self.field, {e: _rational(c, self.scale)
-                                  for e, c in self.cells[i][j].items()})
+        return LaurentPolynomial._of(
+            self.field, {e: _rational(c, self.scale)
+                         for e, c in self.cells[i][j].items()})
 
     def drop_columns(self, start, width):
         """Remove `width` consecutive columns beginning at `start`."""
@@ -491,8 +483,9 @@ def determinant(matrix):
         det = {0: (1,) + (0,) * (field.degree - 1)}
         for i, row in enumerate(cells):
             det = _times(field, det, row[i])
-        return _wrap(field, {e: _rational(c, matrix.scale ** len(cells))
-                             for e, c in det.items()})
+        return LaurentPolynomial._of(
+            field, {e: _rational(c, matrix.scale ** len(cells))
+                    for e, c in det.items()})
     izero = (0,) * field.degree
     shift = 0
     scale = 1
@@ -522,5 +515,6 @@ def determinant(matrix):
     if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
-    return _wrap(field, {i + shift: _rational(coeff, scale)
-                         for i, coeff in enumerate(poly) if any(coeff)})
+    return LaurentPolynomial._of(
+        field, {i + shift: _rational(coeff, scale)
+                for i, coeff in enumerate(poly) if any(coeff)})

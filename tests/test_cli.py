@@ -391,6 +391,17 @@ class TestInvariantCommand:
         assert line.split('invariant: ')[1] == (
             '([1]*t^2 + [-3]*t^1 + [1]*t^0) / ([1]*t^1 + [-1]*t^0)')
 
+    def test_trivial_rep_rejects_other_n(self, capsys):
+        classical = run(capsys, 'invariant', FIG8_JOB, '--trivial-rep')
+        assert run(capsys, 'invariant', FIG8_JOB, '--trivial-rep',
+                   '--n', '1') == classical
+        for n in ('5', '2', '0'):
+            code, out, err = run(capsys, 'invariant', FIG8_JOB,
+                                 '--trivial-rep', '--n', n)
+            assert (code, out) == (1, '')
+            assert err.startswith('error [parse]: ')
+            assert '--trivial-rep' in err and '--n %s' % n in err
+
 
 class TestCheckCommand:
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
-                      NoAdmissibleColumnError, NumberField, Presentation,
-                      RationalFunction, Representation,
+                      NFElement, NoAdmissibleColumnError, NumberField,
+                      Presentation, RationalFunction, Representation,
                       SimpleZeroViolationError, TwistConfig, Word, invariant,
                       laurent,
                       determinant, equal_up_to_unit, fox_derivative,
@@ -159,6 +159,34 @@ class TestWadaMatrix:
         assert len(calls) == 0
         assert (m.nrows, m.ncols) == (3, 6)
 
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_rescales_nothing_over_one_scale(self, knots, knot, monkeypatch):
+        # every block of these jobs is over scale 1, so the blocks' cells
+        # go into the matrix as they are: no _scale call outside phi
+        cfg = TwistConfig(*knots[knot], 3)
+        inside_phi = []
+        calls = []
+        scale, block = NumberField._scale, invariant.phi
+
+        def counting(self, a, r):
+            if not inside_phi:
+                calls.append(None)
+            return scale(self, a, r)
+
+        def tracked(*args, **kwargs):
+            inside_phi.append(None)
+            try:
+                return block(*args, **kwargs)
+            finally:
+                inside_phi.pop()
+
+        monkeypatch.setattr(NumberField, '_scale', counting)
+        monkeypatch.setattr(invariant, 'phi', tracked)
+        m = wada_matrix(cfg)
+        monkeypatch.undo()
+        assert calls == []
+        assert (m.nrows, m.ncols) == (3, 6)
+
     def test_unknot_has_empty_wada_matrix(self, qfield):
         pres = parse_presentation('gens: a\n')
         rep = Representation.trivial(pres, qfield)
@@ -261,6 +289,27 @@ class TestTwistedAlexander:
             reversed_poly = LaurentPolynomial(
                 ufield, {hi + lo - e: c for e, c in num.coeffs.items()})
             assert equal_up_to_unit(num, reversed_poly), n
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'k17_5'])
+    def test_builds_no_field_element(self, knots, knot, monkeypatch):
+        # the pipeline runs on raw coefficient tuples up to the result
+        if knot == 'k17_5':
+            job = parse_job(RILEY_TEXTS[(17, 5)])
+            pres, rep = job.presentation, job.representation
+        else:
+            pres, rep = knots[knot]
+        calls = []
+        init = NFElement.__init__
+
+        def counting(self, *args):
+            calls.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(NFElement, '__init__', counting)
+        ta = twisted_alexander(TwistConfig(pres, rep, 3))
+        monkeypatch.undo()
+        assert len(calls) == 0
+        assert ta.value.num.min_exp == 0 and ta.value.den.min_exp == 0
 
     def test_invalid_n_rejected(self, fig8, fig8_rep):
         with pytest.raises(ValueError):

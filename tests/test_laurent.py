@@ -129,6 +129,48 @@ class TestArithmetic:
         t = LaurentPolynomial.t(qfield)
         assert ((t - 1) - (t - 1)).coeffs == {}
 
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    def test_against_element_dicts(self, request, field_name):
+        # reference: maps exponent -> NFElement, added and multiplied
+        # term by term, zeros dropped at the end
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(1301)
+
+        def nonzero(d):
+            return {e: c for e, c in d.items() if not c.is_zero()}
+
+        def ref_add(a, b):
+            out = dict(a)
+            for e, c in b.items():
+                out[e] = out.get(e, field.zero) + c
+            return nonzero(out)
+
+        def ref_mul(a, b):
+            out = {}
+            for e1, x in a.items():
+                for e2, y in b.items():
+                    out[e1 + e2] = out.get(e1 + e2, field.zero) + x * y
+            return nonzero(out)
+
+        def random_dict():
+            return {rng.randrange(-4, 4): (
+                field.zero if rng.random() < 0.3 else
+                field.element([random_rational(rng, 6)
+                               for _ in range(field.degree)]))
+                for _ in range(rng.randrange(0, 7))}
+
+        for _ in range(40):
+            a, b = random_dict(), random_dict()
+            p, q = LaurentPolynomial(field, a), LaurentPolynomial(field, b)
+            assert p.coeffs == nonzero(a) and q.coeffs == nonzero(b)
+            neg_b = {e: -c for e, c in b.items()}
+            for got, want in ((p + q, ref_add(a, b)),
+                              (p - q, ref_add(a, neg_b)),
+                              (p * q, ref_mul(a, b))):
+                assert got.coeffs == want
+                assert all(type(x) is Fraction
+                           for c in got.terms.values() for x in c)
+
 
 class TestDeterminant:
 
@@ -377,17 +419,23 @@ class TestOrderAtOne:
         assert (order, value.as_rational()) == (1, 28)
         assert calls == []
 
-    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
-    def test_factorization_property(self, field_name, request):
-        field = request.getfixturevalue(field_name)
-        rng = random.Random(600)
-        t = LaurentPolynomial.t(field)
-        for _ in range(30):
-            p = random_poly(field, rng)
-            if p.is_zero():
-                continue
-            k = rng.randrange(0, 4)
-            q = p * (t - 1) ** k
+    @pytest.mark.parametrize('inputs', ['qfield', 'ufield', 'cubic', 'fig8'])
+    def test_factorization_property(self, inputs, request):
+        if inputs == 'fig8':
+            # odd-n numerators: each has a simple zero at t = 1
+            invariants = request.getfixturevalue('fig8_invariants')
+            polys = [invariants[n].value.num for n in (3, 5, 7, 9)]
+        else:
+            field = request.getfixturevalue(inputs)
+            rng = random.Random(600)
+            t = LaurentPolynomial.t(field)
+            polys = []
+            for _ in range(30):
+                p = random_poly(field, rng)
+                if not p.is_zero():
+                    polys.append(p * (t - 1) ** rng.randrange(0, 4))
+        for q in polys:
+            t = LaurentPolynomial.t(q.field)
             order, value = order_at_one(q)
             cofactor, rest = long_division(q.shifted(-q.min_exp),
                                            (t - 1) ** order)
@@ -396,6 +444,7 @@ class TestOrderAtOne:
             assert cofactor * (t - 1) ** order == q
             assert cofactor.evaluate(1) == value
             assert not value.is_zero()
+            assert inputs != 'fig8' or order == 1
 
 
 class TestEvaluate:
