@@ -1,21 +1,23 @@
 """Wada's twisted Alexander invariant of a deficiency-one presentation.
 
-The pipeline maps group-ring elements through Phi(w) = t^alpha(w) *
-sigma_n(rho(w)), assembles the Fox-derivative block matrix, deletes one
-generator's block column, and divides the two determinants.  rho(w) and
-sigma_n(rho(w)) stay integral Matrix data, and phi sums each cell on
-ints into a PolyMatrix over one scale, the form the determinant takes;
-the deleted block column is a slice of it.  The result is reduced and
-brought to a deterministic representative; the invariant itself is
-only defined up to a unit +/- t^k, so comparisons go through the
-unit-normalized form.
+The pipeline picks the deleted generator column j by its denominator
+det Phi(x_j - 1), in closed form from tr rho(x_j), then maps group-ring
+elements through Phi(w) = t^alpha(w) * sigma_n(rho(w)), assembles the
+Fox-derivative block matrix, deletes block column j, and divides the
+two determinants.  rho(w) and sigma_n(rho(w)) stay integral Matrix
+data, and phi sums each cell on ints into a PolyMatrix over one scale,
+the form the determinant takes; the deleted block column is a slice of
+it.  The result is reduced and brought to a deterministic
+representative; the invariant itself is only defined up to a unit
++/- t^k, so comparisons go through the unit-normalized form.
 """
 
 from dataclasses import dataclass
 from math import lcm
 
 from .group import GroupRingElement, Word, fox_derivative
-from .rep import Matrix, symmetric_power
+from .field import _rational
+from .rep import Matrix, _is_sl2, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
                       determinant, equal_up_to_unit, normalize_unit,
                       order_at_one, reduce)
@@ -98,7 +100,7 @@ def _sigma(mat, n, powers):
     return power
 
 
-def wada_matrix(cfg, powers=None):
+def wada_matrix(cfg):
     """The n(g-1) x ng block matrix Phi(d r_i / d x_j).
 
     Rows run over relators, block columns over generators in
@@ -107,17 +109,14 @@ def wada_matrix(cfg, powers=None):
     brought to the lcm of their scales, on ints; a block already over
     it keeps its cells.  Every Fox-derivative term is a prefix of its
     relator, so one prefix dict shared by all the terms makes rho cost
-    one int multiply per relator letter; it is dropped on return.  One
-    powers dict (see phi), the caller's or a new one, is shared by every
-    block, so a value rho(w) that recurs, in one block or across blocks
-    and relators, is expanded once.
+    one int multiply per relator letter; one powers dict (see phi) for
+    every block expands each recurring value rho(w) once.  Both are
+    dropped on return.
     """
     pres = cfg.presentation
     g = pres.num_generators
     f = cfg.rep.field
-    prefixes = {}
-    if powers is None:
-        powers = {}
+    prefixes, powers = {}, {}
     blocks = [[phi(fox_derivative(r, j), cfg, prefixes, powers)
                for j in range(g)] for r in pres.relators()]
     scale = lcm(*(block.scale for row in blocks for block in row))
@@ -132,11 +131,28 @@ def wada_matrix(cfg, powers=None):
     return PolyMatrix._of(f, tuple(cells), scale)
 
 
-def _denominator(cfg, j, powers=None):
-    """det Phi(x_j - 1) for the j-th generator; powers as in phi."""
-    pres = cfg.presentation
-    element = GroupRingElement(pres.generator_word(j)) - 1
-    return determinant(phi(element, cfg, powers=powers))
+def _denominator(cfg, j):
+    """det Phi(x_j - 1) = det(t^a sigma_n(A) - I), A = rho(x_j), a = alpha_j.
+
+    sigma_n(A) has the eigenvalues lambda^(n-1-2k), so for det A = 1 and
+    V_0 = 2, V_1 = tr A, V_(k+1) = tr A V_k - V_(k-1) it is the product of
+    (t^a - 1) for odd n and t^(2a) - V_k t^a + 1, k = n-1, n-3, ... > 0.
+    """
+    image, n, a = cfg.rep.images[j], cfg.n, cfg.presentation.alpha[j]
+    if not _is_sl2(image):
+        raise ValueError('symmetric power expects determinant 1')
+    f = image.field
+    tau = _rational(f._add(image.ints[0][0], image.ints[1][1]), image.scale)
+    v = [f._scale(f._one, 2), tau]
+    for k in range(1, n - 1):
+        v.append(f._sub(f._mul(tau, v[k]), v[k - 1]))
+    one, t_a = LaurentPolynomial.one(f), LaurentPolynomial._of(f, {a: f._one})
+    factors = [t_a - one] if n % 2 else []
+    factors += [t_a * t_a + one - LaurentPolynomial._of(f, {a: v[k]})
+                for k in range(n - 1, 0, -2)]
+    zero, size = LaurentPolynomial.zero(f), range(len(factors))
+    return determinant(PolyMatrix(f, [[factors[i] if i == k else zero
+                                       for k in size] for i in size]))
 
 
 class TwistedAlexander:
@@ -181,11 +197,8 @@ def twisted_alexander(cfg):
     """Wada's invariant det M_j-hat / det Phi(x_j - 1), reduced and normalized.
 
     Independent, up to a unit, of which admissible generator column is
-    deleted; errors when no generator gives a nonzero denominator.  One
-    powers dict (see phi), owned by this call, serves the Wada matrix
-    and every denominator tried, so sigma_n is expanded once per
-    distinct non-identity value of rho; it is released before the
-    numerator determinant runs, and nothing outlives the call.
+    deleted; errors when no generator gives a nonzero denominator, which
+    is known before the Wada matrix is assembled.
     """
     pres = cfg.presentation
     names = pres.generator_names
@@ -193,11 +206,9 @@ def twisted_alexander(cfg):
         candidates = list(range(len(names)))
     else:
         candidates = [pres.generator_index(cfg.column)]
-    powers = {}
-    full = wada_matrix(cfg, powers)
     n = cfg.n
     for j in candidates:
-        den = _denominator(cfg, j, powers)
+        den = _denominator(cfg, j)
         if not den.is_zero():
             break
         if cfg.column != AUTO:
@@ -208,8 +219,7 @@ def twisted_alexander(cfg):
         raise NoAdmissibleColumnError(
             'no generator has a nonzero denominator det Phi(x_j - 1); the '
             'representation is degenerate for n=%d' % (n,))
-    del powers      # the numerator determinant needs no sigma_n
-    num = determinant(full.drop_columns(j * n, n))
+    num = determinant(wada_matrix(cfg).drop_columns(j * n, n))
     value = reduce(num, den)
     # a unit times the numerator leaves the pair reduced: no second gcd
     value.num, sign, exp = normalize_unit(value.num)

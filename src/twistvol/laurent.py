@@ -163,7 +163,7 @@ class LaurentPolynomial:
         return self._of(self.field, {e + k: c for e, c in self.terms.items()})
 
     def evaluate(self, at):
-        """Exact value at a nonzero field element."""
+        """Exact value at a nonzero field element (no multiply if rational)."""
         f = self.field
         at = f.element(at)
         if at.is_zero():
@@ -171,12 +171,11 @@ class LaurentPolynomial:
                                     'nonzero points only')
         dense, lo = self._dense()
         x = at.coeffs
-        acc = _dense_eval(f, dense, x)
-        if lo > 0:
-            acc = f._mul(acc, f._pow(x, lo))
-        elif lo < 0:
-            acc = f._mul(acc, f._pow(f._inv(x), -lo))
-        return NFElement(f, acc)
+        if at.is_rational():        # Horner and t^lo coordinate-wise
+            x = x[0]
+            return NFElement(f, f._scale(_dense_eval(f, dense, x), x ** lo))
+        power = f._pow(x if lo >= 0 else f._inv(x), abs(lo))
+        return NFElement(f, f._mul(_dense_eval(f, dense, x), power))
 
     def _dense(self):
         """(ascending raw coefficient list, lowest exponent); zero -> ([], 0)."""
@@ -461,10 +460,10 @@ def _newton_interpolate(field, points, values):
 def determinant(matrix):
     """Exact determinant of a square PolyMatrix.
 
-    A triangular matrix, upper or lower, such as t^a sigma_n(A) - I for
-    a triangular A, is the product of its diagonal, multiplied on the
-    ints; it runs no elimination.  Any other matrix with a zero row is
-    0, and one without is interpolated.  Each row is divided by its gcd
+    A triangular matrix, upper or lower, such as the diagonal one of a
+    denominator's factors, is the product of its diagonal, multiplied on
+    the ints; it runs no elimination.  Any other matrix with a zero row
+    is 0, and one without is interpolated.  Each row is divided by its gcd
     with the scale, which leaves it over the least common denominator of
     its coefficients, and its lowest t-power is factored out, so every
     entry becomes an ordinary polynomial over Z[x]/(m).  The degree

@@ -434,6 +434,25 @@ class TestCheckCommand:
         assert code == 0
         assert 'FAIL' not in out and out.count('vacuous') == 2
 
+    def test_non_sl2_generator_without_relators_fails(self, capsys,
+                                                      tmp_path):
+        # no relator, so no sigma_n is expanded: the denominator alone
+        # must reject det != 1 in every invariant check
+        path = tmp_path / 'diagonal.job'
+        path.write_text('gens: a\nrep a: [[2,0],[0,1]]\n')
+        code, out, _ = run(capsys, 'check', str(path))
+        rejected = 'ValueError: symmetric power expects determinant 1'
+        assert code == 1
+        assert out == (
+            'FAIL  determinant check: det != 1 for a\n'
+            'PASS  relation check: 0 relation(s) hold exactly\n'
+            'PASS  fox fundamental identity: fundamental identity holds on '
+            'all relators\n'
+            'FAIL  column independence (n=2): %s\n'
+            'FAIL  column independence (n=3): %s\n'
+            'FAIL  parity of zero at t=1 (n=2): %s\n'
+            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+
     def test_no_column_option(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(['check', FIG8_JOB, '--column', 'b'])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       NFElement, NoAdmissibleColumnError, NumberField,
@@ -389,14 +391,13 @@ class TestAssemblyCost:
         assert all(vars(rep)[key] is value for key, value in state.items())
 
 
-def distinct_powers(cfg, columns):
+def distinct_powers(cfg):
     """Distinct non-identity values rho(w), as Matrix data (scale, ints),
-    over the Fox-derivative terms of every relator and the words x_j and
-    1 of the denominators of the given generator columns."""
+    over the Fox-derivative terms of every relator; the denominators
+    expand no sigma_n."""
     pres, rep = cfg.presentation, cfg.rep
     words = [w for r in pres.relators() for j in range(pres.num_generators)
              for w in fox_derivative(r, j).terms]
-    words += [pres.generator_word(j) for j in columns] + [Word()]
     identity = Matrix.identity(rep.field, 2)
     return {(m.scale, m.ints) for m in map(rep.evaluate, words)
             if m != identity}
@@ -423,7 +424,7 @@ class TestSymmetricPowerCost:
         for n in range(2, 5):
             cfg = TwistConfig(pres, rep, n)
             first = twisted_alexander(cfg)
-            want = distinct_powers(cfg, [pres.generator_index(first.column)])
+            want = distinct_powers(cfg)
             assert sorted(calls) == sorted(want), n
             calls.clear()
             second = twisted_alexander(cfg)
@@ -431,7 +432,7 @@ class TestSymmetricPowerCost:
             calls.clear()
             assert str(second.value) == str(first.value)
         terms = sum(len(fox_derivative(r, j).terms) for r in pres.relators()
-                    for j in range(pres.num_generators)) + 2
+                    for j in range(pres.num_generators))
         assert len(want) < terms       # the memo saves expansions
 
 
@@ -470,9 +471,9 @@ def conjugated(pres, rep, p=((1, 0), (1, 1))):
     """rep with every image conjugated by p, of determinant 1.
 
     By the default P = [[1,0],[1,1]] the meridian images [[1,1],[0,1]]
-    become non-triangular, so the denominators
-    det(t^a sigma_n(P A P^-1) - I) leave no row with a single nonzero
-    entry and go through the Bareiss path.
+    become non-triangular, so the matrices t^a sigma_n(P A P^-1) - I
+    would need elimination; the closed-form denominators never build
+    them.
     """
     f = rep.field
     (a, b), (c, d) = p
@@ -482,7 +483,8 @@ def conjugated(pres, rep, p=((1, 0), (1, 1))):
 
 
 class TestDenominatorExpansion:
-    """Triangular denominators are expanded exactly, with no elimination."""
+    """Denominators come in closed form from tr rho(x_j): for any image,
+    triangular or not, they run no elimination and no sigma_n."""
 
     @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
     def test_conjugation_invariance(self, knots, knot):
@@ -507,16 +509,82 @@ class TestDenominatorExpansion:
             return eliminate(self, rows)
 
         monkeypatch.setattr(NumberField, '_det', counting)
+        expand = invariant.symmetric_power
+
+        def counting_power(matrix, n):
+            calls.append(None)
+            return expand(matrix, n)
+
+        monkeypatch.setattr(invariant, 'symmetric_power', counting_power)
         t = LaurentPolynomial.t(rep.field)
         # J = [[0,1],[-1,0]] makes the meridian image lower triangular,
         # [[1,0],[-1,1]]
         lower = conjugated(pres, rep, ((0, 1), (-1, 0)))
         assert lower.evaluate(Word([1])) == Matrix(rep.field, [[1, 0], [-1, 1]])
-        for image, want in ((rep, 0), (lower, 0), (conjugated(pres, rep), 14)):
+        for image in (rep, lower, conjugated(pres, rep)):
             den = invariant._denominator(TwistConfig(pres, image, 12), 0)
-            assert len(calls) == want      # D + 2 = 14 points when eliminated
+            assert len(calls) == 0
             assert den == (t - 1) ** 12
-            calls.clear()
+
+
+@st.composite
+def sl2_matrices(draw, field):
+    """+-I, or +-U(x) L(y) U(z) diag(u, 1/u) with unipotent U, L and
+    entries of denominator up to 4."""
+    sign = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        return Matrix(field, [[sign, 0], [0, sign]])
+    x, y, z, u = (field.element(draw(st.tuples(
+        *[st.fractions(min_value=-3, max_value=3, max_denominator=4)]
+        * field.degree))) for _ in range(4))
+    if u.is_zero():
+        u = field.one
+    return (Matrix(field, [[sign, sign * x], [0, sign]])
+            * Matrix(field, [[1, 0], [y, 1]]) * Matrix(field, [[1, z], [0, 1]])
+            * Matrix(field, [[u, 0], [0, 1 / u]]))
+
+
+def denominator_oracle(cfg, j):
+    """det Phi(x_j - 1) through phi, sigma_n and the determinant."""
+    x = GroupRingElement(cfg.presentation.generator_word(j))
+    return determinant(phi(x - 1, cfg))
+
+
+class TestClosedFormDenominator:
+    """The closed form from tr rho(x_j) is det Phi(x_j - 1) exactly."""
+
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_determinant_of_phi(self, request, field_name, data):
+        field = request.getfixturevalue(field_name)
+        image = data.draw(sl2_matrices(field))
+        for a in range(-2, 3):
+            pres = Presentation(('x',), [], alpha=(a,))
+            rep = Representation(pres, {'x': image})
+            for n in range(1, 9):
+                cfg = TwistConfig(pres, rep, n)
+                assert (invariant._denominator(cfg, 0)
+                        == denominator_oracle(cfg, 0)), (a, n)
+
+    @pytest.mark.parametrize('column', ['auto', 'a'])
+    def test_column_chosen_before_assembly(self, fig8_rep, column,
+                                           monkeypatch):
+        # alpha = 0 and tr = 2 make every denominator 0: the error comes
+        # before any Wada block is built
+        pres = parse_presentation('gens: a b\nrel: aBAba = baBAb\n'
+                                  'alpha: a=0 b=0\n')
+        calls = []
+        twist = invariant.phi
+
+        def counting(*args):
+            calls.append(None)
+            return twist(*args)
+
+        monkeypatch.setattr(invariant, 'phi', counting)
+        with pytest.raises(NoAdmissibleColumnError):
+            twisted_alexander(TwistConfig(pres, fig8_rep, 2, column))
+        assert calls == []
 
 
 class TestDetPathSelection:
@@ -632,6 +700,30 @@ class TestValueAtOne:
         for n, want in expected.items():
             got = value_at_one(fig8_invariants[n])
             assert got.as_rational() == want
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k17_5'])
+    def test_rational_point_makes_one_field_multiply(self, knots, knot,
+                                                     monkeypatch):
+        # t = 1 is evaluated coordinate-wise; the one multiply is the
+        # division by den(1)
+        if knot == 'k17_5':
+            job = parse_job(RILEY_TEXTS[(17, 5)])
+            pres, rep = job.presentation, job.representation
+        else:
+            pres, rep = knots[knot]
+        multiply = NumberField._mul
+        for n in (2, 4):
+            ta = twisted_alexander(TwistConfig(pres, rep, n))
+            calls = []
+
+            def counting(self, a, b):
+                calls.append(None)
+                return multiply(self, a, b)
+
+            monkeypatch.setattr(NumberField, '_mul', counting)
+            value_at_one(ta)
+            monkeypatch.undo()
+            assert len(calls) == 1, n
 
     def test_n1_denominator_vanishes(self, fig8, qfield):
         rep = Representation.trivial(fig8, qfield)
