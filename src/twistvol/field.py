@@ -15,13 +15,14 @@ both built on the int matrix of multiplication by an integral element
 (_mul_matrix): each entry update is one int dot product per
 coordinate, and _inv_integral is fraction-free Gauss-Jordan on that
 matrix, giving w and D with b * w = D on ints; _inv is its Fraction
-wrapper.  _mul is the one element-by-element multiply.  Polynomials
-in t over the field, dense lists of raw elements, have their one
-division with remainder
-(_dense_divmod) and one Euclid loop (_dense_gcd) here as well.  All
-ring operations are exact; the only inexact step is the embedding into
-arbitrary-precision complex numbers (mpmath), whose root of m is the
-one nearest a user-supplied hint, refined by Newton iteration.
+wrapper.  _mul is the one element-by-element multiply, _fold the one
+reduction by m and _horner the one evaluation loop.  Polynomials in t
+over the field, dense lists of raw elements, have their one division
+with remainder (_dense_divmod) and one Euclid loop (_dense_gcd) here
+as well.  All ring operations are exact; the only inexact step is the
+embedding into arbitrary-precision complex numbers (mpmath), whose root
+of m is the one nearest a user-supplied hint, refined by Newton
+iteration.
 Degree 1 gives plain rational arithmetic, so the classical (untwisted)
 pipeline runs through the same code path.
 """
@@ -47,6 +48,7 @@ _PACKED_BITS = 1200
 
 
 def _horner(coeffs, z):
+    """Value at z of the nonempty ascending coefficient list coeffs."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
@@ -117,14 +119,19 @@ class NumberField:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        # fold x^k for k >= d using x^d = -(m_0 + ... + m_{d-1} x^{d-1})
+        return self._fold(prod)
+
+    def _fold(self, coeffs):
+        """The d coordinates of the ascending list coeffs, folded in place
+        from the top by x^d = -(m_0 + ... + m_{d-1} x^{d-1})."""
+        d = self.degree
         m = self.min_poly
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
+        for k in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs[k]
             if c:
                 for i in range(d):
-                    prod[k - d + i] -= c * m[i]
-        return tuple(prod[:d])
+                    coeffs[k - d + i] -= c * m[i]
+        return tuple(coeffs[:d])
 
     def _inv(self, a):
         scale = _denominator([a])
@@ -167,15 +174,9 @@ class NumberField:
         previous one shifted up a degree and folded by m, so coordinate
         r of a * b is the dot product of row r with b.
         """
-        m = self.min_poly
-        col = list(a)
-        cols = [col]
+        cols = [a]
         for _ in range(self.degree - 1):
-            top = col[-1]
-            col = [0] + col[:-1]
-            if top:
-                col = [c - top * mi for c, mi in zip(col, m)]
-            cols.append(col)
+            cols.append(self._fold([0, *cols[-1]]))
         return list(zip(*cols))
 
     def _pow(self, a, k):
@@ -231,16 +232,8 @@ class NumberField:
         d = self.degree
         n = len(rows)
         shift = bound.bit_length() + 1
-        packed = []
-        for row in rows:
-            packed_row = []
-            for a in row:
-                v = 0
-                for c in reversed(a):
-                    v = (v << shift) + c
-                packed_row.append(v)
-            packed.append(packed_row)
-        value = _bareiss(packed)
+        x = 1 << shift
+        value = _bareiss([[_horner(a, x) for a in row] for row in rows])
         half = 1 << (shift - 1)
         mask = (1 << shift) - 1
         digits = []
@@ -254,14 +247,7 @@ class NumberField:
             raise ArithmeticError('packed determinant has digits beyond '
                                   'degree %d; the coefficient bound is '
                                   'wrong' % (n * (d - 1)))
-        # fold x^k for k >= d using x^d = -(m_0 + ... + m_{d-1} x^{d-1})
-        m = self.min_poly
-        for k in range(len(digits) - 1, d - 1, -1):
-            c = digits[k]
-            if c:
-                for i in range(d):
-                    digits[k - d + i] -= c * m[i]
-        return tuple(digits[:d])
+        return self._fold(digits)
 
     def _det_coords(self, rows):
         """_det on the d int coordinates of each entry.
@@ -431,19 +417,8 @@ class NumberField:
         self._check_same(element.field)
         r = self.root(precision)
         with mpmath.workprec(precision + 64):
-            acc = mpmath.mpc(0)
-            for c in reversed(element.coeffs):
-                acc = acc * r + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            acc = +acc
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, NumberField)
-                and self.min_poly == other.min_poly
-                and self.embedding_hint == other.embedding_hint)
-
-    def __hash__(self):
-        return hash((self.min_poly, self.embedding_hint))
+            return +_horner([mpmath.mpc(c.numerator) / mpmath.mpf(c.denominator)
+                             for c in element.coeffs], r)
 
     def __repr__(self):
         terms = ' + '.join('%d*x^%d' % (c, i)
@@ -663,9 +638,6 @@ class NFElement:
         if not self.is_rational():
             raise ValueError('element is not rational')
         return self.coeffs[0]
-
-    def embed(self, precision=256):
-        return self.field.embed(self, precision)
 
     def __str__(self):
         return '[' + ','.join(str(c) for c in self.coeffs) + ']'

@@ -48,11 +48,6 @@ class Word:
     def __invert__(self):
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def __pow__(self, k):
-        if k < 0:
-            return (~self) ** (-k)
-        return Word(self.letters * k)
-
     def __len__(self):
         return len(self.letters)
 
@@ -112,8 +107,8 @@ def abelianize(word, alpha):
 class GroupRingElement:
     """Integer formal sum of freely reduced words (an element of Z[F]).
 
-    Supports +, -, and * with other elements, Words and integers; the
-    group product is concatenate-then-reduce, applied eagerly.
+    Supports +, - and * with an element, a Word or an int on the right,
+    and + on either side; products concatenate, then reduce, eagerly.
     """
 
     __slots__ = ('terms',)
@@ -155,12 +150,6 @@ class GroupRingElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -171,12 +160,6 @@ class GroupRingElement:
                 w = u * v
                 terms[w] = terms.get(w, 0) + cu * cv
         return GroupRingElement(terms)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -207,16 +190,13 @@ class GroupRingElement:
 
 
 def fox_derivative(word, gen):
-    """Fox free derivative d(word)/d(x_gen) as a GroupRingElement.
+    """Fox free derivative d(word)/d(x_gen) of a Word, as a GroupRingElement.
 
     gen is a 0-based generator index.  Uses the rules dx/dx = 1,
     d(x^-1)/dx = -x^-1 and d(uv)/dx = du/dx + u * dv/dx.  Every prefix
     of a reduced word is reduced, so no re-reduction is needed.
     """
-    if isinstance(word, Word):
-        letters = word.letters
-    else:
-        letters = Word(word).letters
+    letters = word.letters
     target = gen + 1
     terms = {}
     for i, x in enumerate(letters):

@@ -14,11 +14,12 @@ x = 2^B for a small matrix or on the field coordinates for a large one
 common denominator D!, divided out exactly; the row scales and the
 factored-out power of t are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
-points and in LaurentPolynomial.evaluate, goes through one Horner
-function, _dense_eval.  A LaurentPolynomial holds raw coefficient
-tuples.  A RationalFunction divides once (_dense_divmod) and runs Euclid
-(_dense_gcd) only on a nonzero remainder; the order at t = 1 is read off
-the Taylor coefficients there, with no division.
+points and in LaurentPolynomial.evaluate (rational points only), is
+_dense_eval: the field's Horner loop on each coordinate.  A
+LaurentPolynomial holds raw coefficient tuples.  A RationalFunction
+divides once (_dense_divmod) and runs Euclid (_dense_gcd) only on a
+nonzero remainder; the order at t = 1 is read off the Taylor
+coefficients there, with no division.
 """
 
 import re
@@ -26,7 +27,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
-                    _denominator, _exact_quotient, _integral, _rational)
+                    _denominator, _exact_quotient, _horner, _integral,
+                    _rational)
 
 
 class LaurentPolynomial:
@@ -163,19 +165,17 @@ class LaurentPolynomial:
         return self._of(self.field, {e + k: c for e, c in self.terms.items()})
 
     def evaluate(self, at):
-        """Exact value at a nonzero field element (no multiply if rational)."""
+        """Exact value at a nonzero rational point, coordinate-wise.
+
+        An irrational field element raises ValueError.
+        """
         f = self.field
-        at = f.element(at)
-        if at.is_zero():
+        x = f.element(at).as_rational()
+        if not x:
             raise ZeroDivisionError('Laurent polynomials are evaluated at '
                                     'nonzero points only')
         dense, lo = self._dense()
-        x = at.coeffs
-        if at.is_rational():        # Horner and t^lo coordinate-wise
-            x = x[0]
-            return NFElement(f, f._scale(_dense_eval(f, dense, x), x ** lo))
-        power = f._pow(x if lo >= 0 else f._inv(x), abs(lo))
-        return NFElement(f, f._mul(_dense_eval(f, dense, x), power))
+        return NFElement(f, f._scale(_dense_eval(f, dense, x), x ** lo))
 
     def _dense(self):
         """(ascending raw coefficient list, lowest exponent); zero -> ([], 0)."""
@@ -232,22 +232,14 @@ def parse_polynomial(field, text):
 # ----- ordinary-polynomial helpers on dense raw-coefficient lists -----
 
 def _dense_eval(field, a, x):
-    """Value of the dense ascending list a at x by Horner's rule.
+    """Value of the dense ascending list a at the int or Fraction x.
 
-    x is a raw element, or an int or Fraction scalar; at a scalar each
-    step is coordinate-wise (acc * x + c), never a field multiply, so
-    int coefficients at an int point give int coordinates.
+    Each coordinate runs through field._horner on its own, never a field
+    multiply, so int coefficients at an int point give int coordinates.
     """
     if not a:
         return field._zero
-    acc = a[-1]
-    if isinstance(x, tuple):
-        for c in a[-2::-1]:
-            acc = field._add(field._mul(acc, x), c)
-    else:
-        for c in a[-2::-1]:
-            acc = tuple(u * x + v for u, v in zip(acc, c))
-    return acc
+    return tuple(_horner(coords, x) for coords in zip(*a))
 
 
 def order_at_one(p):

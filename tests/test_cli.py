@@ -9,6 +9,8 @@ from twistvol.cli import JobError, main
 
 FIG8_JOB = str(bundled_job_path('figure-eight'))
 FIG8_TEXT = bundled_job_path('figure-eight').read_text(encoding='utf-8')
+FIG8_REP_A = 'rep a: [[[1,0],[1,0]],[[0,0],[1,0]]]'
+FIG8_REP_B = 'rep b: [[[1,0],[0,0]],[[0,-1],[1,0]]]'
 
 BROKEN_JOB = """\
 gens: a b
@@ -276,6 +278,26 @@ class TestCompute:
         assert err == ('error [simple-zero violation]: expected a simple '
                        'zero at t = 1 for odd n=3, found the zero invariant\n')
 
+    @pytest.mark.parametrize('argv, job_text, line', [
+        pytest.param(['invariant', '--n', '2'],
+                     FIG8_TEXT + 'alpha: a=0 b=0\n',
+                     'error [no admissible column]: no generator has a '
+                     'nonzero denominator det Phi(x_j - 1); the '
+                     'representation is degenerate for n=2',
+                     id='no-admissible-column'),
+        # v_4 needs A_2(1), whose reduced denominator (t - 1)^2 vanishes
+        pytest.param(['compute', '--n', '4..5'],
+                     'gens: a\nrep a: [[1,1],[0,1]]\n',
+                     'error [computation]: reduced denominator vanishes at '
+                     't = 1 for n=2', id='computation'),
+    ])
+    def test_runtime_error_line(self, capsys, tmp_path, argv, job_text,
+                                line):
+        path = tmp_path / 'job.job'
+        path.write_text(job_text)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (1, '', line + '\n')
+
 
 @pytest.mark.parametrize('argv, job_text, message', [
     (['compute', '--precision', '32'], None, '--precision'),
@@ -335,6 +357,34 @@ class TestCompute:
     # a job file must be UTF-8 text
     pytest.param(['invariant', '--n', '3'], b'\xff\xfe\x00bad',
                  'bad.job: not a UTF-8 text file', id='not-utf8'),
+    # malformed rep and embed lines, and a job with no rep lines
+    pytest.param(['compute'], FIG8_TEXT.replace(FIG8_REP_A, 'rep a:'),
+                 'line 12: unexpected end of matrix literal',
+                 id='rep-empty'),
+    pytest.param(['compute'], FIG8_TEXT.replace(FIG8_REP_A, FIG8_REP_A + ' 5'),
+                 'line 12: trailing junk in matrix literal', id='rep-junk'),
+    pytest.param(['compute'], FIG8_TEXT.replace('rep a:', 'rep:'),
+                 'line 12: rep line needs a generator', id='rep-no-gen'),
+    pytest.param(['compute'], FIG8_TEXT.replace('embed: -0.5 0.8660254038',
+                                                'embed: -0.5'),
+                 'line 9: embed needs two decimal components',
+                 id='embed-one-component'),
+    pytest.param(['compute'], FIG8_TEXT.replace(
+        FIG8_REP_A, 'rep a: [[1,1,0],[0,1,0]]'),
+                 'line 12: rep matrix must be 2x2', id='rep-2x3'),
+    pytest.param(['compute'], FIG8_TEXT.replace(
+        FIG8_REP_A, 'rep a: [[[1,0,0],[1,0]],[[0,0],[1,0]]]'),
+                 ('field validation', 'line 12: coefficient vector longer '
+                  'than the field degree'), id='rep-coords-past-degree'),
+    pytest.param(['compute'], FIG8_TEXT.replace(FIG8_REP_A, '').replace(
+        FIG8_REP_B, ''),
+                 ('representation validation',
+                  'job file declares no representation'), id='no-rep'),
+    # --n ranges
+    pytest.param(['compute', '--n', '4-6'], None, "bad --n range '4-6'",
+                 id='range-4-6'),
+    pytest.param(['compute', '--n', '1..5'], None, 'compute needs n >= 2',
+                 id='compute-1..5'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):

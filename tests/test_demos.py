@@ -6,11 +6,10 @@ import pytest
 
 DEMOS = Path(__file__).parent.parent / 'demos'
 
-# 04_volume_table recomputes the whole n <= 15 sweep; covered by the
-# acceptance suite already, so only the fast demos run here.
 FAST_DEMOS = ['01_words_and_fox_calculus.py',
               '02_symmetric_powers.py',
-              '03_twisted_invariants.py']
+              '03_twisted_invariants.py',
+              '04_volume_table.py']
 
 
 @pytest.mark.parametrize('name', FAST_DEMOS)

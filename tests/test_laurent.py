@@ -280,10 +280,14 @@ class TestDeterminant:
         with pytest.raises(ArithmeticError, match='verification point'):
             determinant(m)
 
-    def test_zero_row_short_circuits(self, qfield):
-        z = LaurentPolynomial.zero(qfield)
-        one = LaurentPolynomial.one(qfield)
-        m = PolyMatrix(qfield, [[z, z], [one, one]])
+    def test_zero_row_short_circuits(self, qfield, monkeypatch):
+        """A zero row in a matrix that is not triangular: 0, no kernel."""
+        def refuse(self, rows):
+            raise AssertionError('the kernel ran on a matrix with a zero row')
+
+        monkeypatch.setattr(NumberField, '_det', refuse)
+        t = LaurentPolynomial.t(qfield)
+        m = PolyMatrix(qfield, [[1, t, 1], [t, 1, 1], [0, 0, 0]])
         assert determinant(m).is_zero()
 
 
@@ -464,6 +468,11 @@ class TestEvaluate:
         t = LaurentPolynomial.t(qfield)
         with pytest.raises(ZeroDivisionError):
             (t + 1).evaluate(0)
+
+    def test_irrational_point_rejected(self, ufield):
+        t = LaurentPolynomial.t(ufield)
+        with pytest.raises(ValueError, match='element is not rational'):
+            (t + 1).evaluate(ufield.generator)
 
 
 class TestPrintParse:
