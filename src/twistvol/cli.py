@@ -105,6 +105,15 @@ def _check_reference(text, where):
                        % (where, text))
 
 
+def _parse_int(text, where):
+    """text as an int; a parse error naming where if it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise JobError('parse', '%s %r is not an integer'
+                       % (where, text)) from None
+
+
 def parse_job(text):
     """Parse and validate job text into a JobFile (without relation check).
 
@@ -155,13 +164,8 @@ def parse_job(text):
         elif len(words) > 2:
             raise JobError('parse', 'field of degree >= 2 needs an '
                            'embed: line selecting a root')
-        coeffs = []
-        for word in words:
-            try:
-                coeffs.append(int(word))
-            except ValueError:
-                raise JobError('parse', 'line %d: field coefficient %r is '
-                               'not an integer' % (lineno, word)) from None
+        coeffs = [_parse_int(word, 'line %d: field coefficient' % lineno)
+                  for word in words]
         try:
             number_field = NumberField(coeffs, hint)
         except ValueError as exc:
@@ -266,7 +270,8 @@ def cmd_compute(args):
     if args.extrapolate and n_max - max(4, n_min) < 1:
         raise JobError('parse', '--extrapolate needs at least two volume '
                        'rows (n >= 4), e.g. --n 4..15; got %r' % args.n)
-    if args.precision < 64:
+    precision = _parse_int(args.precision, '--precision')
+    if precision < 64:
         raise JobError('parse', '--precision must be at least 64 bits')
     if args.reference is not None:
         _check_reference(args.reference, '--reference')
@@ -281,7 +286,7 @@ def cmd_compute(args):
         out.append('%sinvariant value at t=1 for n=%d: %s' % (prefix, n, values[n]))
     if n_max >= 4:
         report = report_from_values(values, max(4, n_min), n_max,
-                                    args.precision, reference)
+                                    precision, reference)
         text = (report.format_csv() if args.format == 'csv'
                 else report.format_table())
         out.append(text.rstrip('\n'))
@@ -297,10 +302,11 @@ def cmd_invariant(args):
     job = load_job(args.job)
     rep = _require_rep(job, args.trivial_rep)
     _check_column(job, args.column)
-    if args.trivial_rep and args.n not in (None, 1):
+    n = None if args.n is None else _parse_int(args.n, '--n')
+    if args.trivial_rep and n not in (None, 1):
         raise JobError('parse', '--trivial-rep computes the n = 1 invariant; '
-                       'it conflicts with --n %d' % args.n)
-    n = 1 if args.trivial_rep else (2 if args.n is None else args.n)
+                       'it conflicts with --n %d' % n)
+    n = 1 if args.trivial_rep else (2 if n is None else n)
     if n < 1:
         raise JobError('parse', '--n must be at least 1')
     ta = twisted_alexander(TwistConfig(job.presentation, rep, n, args.column))
@@ -392,7 +398,7 @@ def build_parser():
     common(p)
     p.add_argument('--n', default='4..15', metavar='<min>..<max>',
                    help='dimension range (default 4..15)')
-    p.add_argument('--precision', type=int, default=256, metavar='<bits>',
+    p.add_argument('--precision', default='256', metavar='<bits>',
                    help='embedding precision in bits (default 256)')
     p.add_argument('--format', choices=('table', 'csv'), default='table')
     p.add_argument('--reference', default=None, metavar='<decimal>',
@@ -402,7 +408,7 @@ def build_parser():
 
     p = sub.add_parser('invariant', help='print one normalized invariant')
     common(p)
-    p.add_argument('--n', type=int, default=None,
+    p.add_argument('--n', default=None,
                    help='dimension (default 2; --trivial-rep takes only 1)')
     p.add_argument('--trivial-rep', action='store_true',
                    help='use the trivial representation at n=1 '

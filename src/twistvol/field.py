@@ -3,23 +3,23 @@
 Elements are vectors of rationals reduced modulo a monic integer
 polynomial m, which is screened for visible reducibility at
 construction.  The determinant kernel (_det) runs on the integral
-elements, Z[x]/(m), with Python int coordinates; callers clear
-denominators first.  It takes one of two exact paths by the size of
-the matrix.  A small matrix is packed by Kronecker substitution
-x = 2^B into one int matrix, whose integer Bareiss determinant is
-decoded into the coefficients of det A in Z[x] and folded by m
-(_det_packed); B comes from a rigorous coefficient bound, and digits
-left over raise ArithmeticError.  A large matrix runs Bareiss on the
-coordinates (_det_coords).  Its elimination step and the inverse are
-both built on the int matrix of multiplication by an integral element
-(_mul_matrix): each entry update is one int dot product per
-coordinate, and _inv_integral is fraction-free Gauss-Jordan on that
+elements, Z[x]/(m), with Python int coordinates: its callers hold ints
+over one scale from phi to the printed invariant.  It takes one of two
+exact paths by the size of the matrix.  A small matrix is packed by
+Kronecker substitution x = 2^B into one int matrix, whose integer
+Bareiss determinant is decoded into the coefficients of det A in Z[x]
+and folded by m (_det_packed); B comes from a rigorous coefficient
+bound, and digits left over raise ArithmeticError.  A large matrix runs
+Bareiss on the coordinates (_det_coords).  Its elimination step and the
+inverse are both built on the int matrix of multiplication by an
+integral element (_mul_matrix): each entry update is one int dot product
+per coordinate, and _inv_integral is fraction-free Gauss-Jordan on that
 matrix, giving w and D with b * w = D on ints; _inv is its Fraction
 wrapper.  _mul is the one element-by-element multiply, _fold the one
 reduction by m and _horner the one evaluation loop.  Polynomials in t
 over the field, dense lists of raw elements, have their one division
-with remainder (_dense_divmod) and one Euclid loop (_dense_gcd) here
-as well.  All ring operations are exact; the only inexact step is the
+with remainder (_dense_divmod) and one Euclid loop (_dense_gcd) here as
+well.  All ring operations are exact; the only inexact step is the
 embedding into arbitrary-precision complex numbers (mpmath), whose root
 of m is the one nearest a user-supplied hint, refined by Newton
 iteration.
@@ -77,10 +77,8 @@ class NumberField:
         self.degree = len(coeffs) - 1
         re, im = embedding_hint
         self.embedding_hint = (str(re), str(im))
-        self._zero = (Fraction(0),) * self.degree
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self._one = tuple(one)
+        self._zero = _rational(_unit(self, 0), 1)
+        self._one = _rational(_unit(self, 1), 1)
         self._root_cache = {}
         self._nearest = None
         # screen the hint at load, cheaply: it must be numbers from which
@@ -463,6 +461,11 @@ def _rational(a, scale):
     return tuple(Fraction(c, scale) for c in a)
 
 
+def _unit(field, k):
+    """The integer k as a raw element with int coordinates."""
+    return (k,) + (0,) * (field.degree - 1)
+
+
 def _bareiss(rows):
     """Determinant of a nonempty square int matrix, eliminated in place.
 
@@ -519,19 +522,16 @@ def _dense_divmod(field, a, b):
     b = _dense_trim(list(b))
     if not b:
         raise ZeroDivisionError('polynomial division by zero')
-    # a monic divisor ((t - 1)^n, a monic gcd) needs no leading multiply
-    inv = None if b[-1] == field._one else field._inv(b[-1])
-    # a rational divisor coefficient (all of (t - 1)^n) is applied as a
-    # coordinate scaling, not a field multiply
-    rational = [not any(y[1:]) for y in b]
-    q = [field._zero] * max(0, len(a) - len(b) + 1)
+    # a monic divisor (an integral knot denominator, a monic gcd) needs no
+    # leading multiply, so int lists give an int quotient and remainder
+    inv = None if b[-1] == _unit(field, 1) else field._inv(b[-1])
+    q = [_unit(field, 0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
         c = a[-1] if inv is None else field._mul(a[-1], inv)
         k = len(a) - len(b)
-        q[k] = field._add(q[k], c)
+        q[k] = c
         for i, y in enumerate(b):
-            cy = field._scale(c, y[0]) if rational[i] else field._mul(c, y)
-            a[k + i] = field._sub(a[k + i], cy)
+            a[k + i] = field._sub(a[k + i], field._mul(c, y))
         a.pop()
         _dense_trim(a)
     return q, a

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .group import GroupRingElement, Word, fox_derivative
-from .field import _rational
+from .field import _unit
 from .rep import Matrix, _is_sl2, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
                       determinant, equal_up_to_unit, normalize_unit,
@@ -137,18 +137,20 @@ def _denominator(cfg, j):
     sigma_n(A) has the eigenvalues lambda^(n-1-2k), so for det A = 1 and
     V_0 = 2, V_1 = tr A, V_(k+1) = tr A V_k - V_(k-1) it is the product of
     (t^a - 1) for odd n and t^(2a) - V_k t^a + 1, k = n-1, n-3, ... > 0.
+    On the ints of A over its scale s, v_k = V_k s^k runs
+    v_(k+1) = tau v_k - s^2 v_(k-1), tau = s tr A, all ints.
     """
     image, n, a = cfg.rep.images[j], cfg.n, cfg.presentation.alpha[j]
     if not _is_sl2(image):
         raise ValueError('symmetric power expects determinant 1')
-    f = image.field
-    tau = _rational(f._add(image.ints[0][0], image.ints[1][1]), image.scale)
-    v = [f._scale(f._one, 2), tau]
+    f, s = image.field, image.scale
+    tau = f._add(image.ints[0][0], image.ints[1][1])
+    v = [_unit(f, 2), tau]
     for k in range(1, n - 1):
-        v.append(f._sub(f._mul(tau, v[k]), v[k - 1]))
-    one, t_a = LaurentPolynomial.one(f), LaurentPolynomial._of(f, {a: f._one})
+        v.append(f._sub(f._mul(tau, v[k]), f._scale(v[k - 1], s * s)))
+    one, t_a = LaurentPolynomial.one(f), LaurentPolynomial.one(f).shifted(a)
     factors = [t_a - one] if n % 2 else []
-    factors += [t_a * t_a + one - LaurentPolynomial._of(f, {a: v[k]})
+    factors += [t_a * t_a + one - LaurentPolynomial._of(f, {a: v[k]}, s ** k)
                 for k in range(n - 1, 0, -2)]
     zero, size = LaurentPolynomial.zero(f), range(len(factors))
     return determinant(PolyMatrix(f, [[factors[i] if i == k else zero

@@ -16,45 +16,48 @@ factored-out power of t are restored at the end.  One extra evaluation
 point cross-checks the interpolated result.  Every evaluation, at those
 points and in LaurentPolynomial.evaluate (rational points only), is
 _dense_eval: the field's Horner loop on each coordinate.  A
-LaurentPolynomial holds raw coefficient tuples.  A RationalFunction
-divides once (_dense_divmod) and runs Euclid (_dense_gcd) only on a
-nonzero remainder; the order at t = 1 is read off the Taylor
-coefficients there, with no division.
+LaurentPolynomial holds int coordinates over one scale too, so the data
+are ints over one scale from phi to the printed invariant, and
+Fractions appear only in the NFElements a polynomial hands out.  A
+RationalFunction divides once (_dense_divmod) and runs Euclid
+(_dense_gcd) only on a nonzero remainder; the order at t = 1 is read
+off the Taylor coefficients there, with no division.
 """
 
 import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm, prod
 
 from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
                     _denominator, _exact_quotient, _horner, _integral,
-                    _rational)
+                    _rational, _unit)
 
 
 class LaurentPolynomial:
     """A finite sum of c_k * t^k with exact number-field coefficients.
 
-    terms maps each exponent with a nonzero coefficient to its raw
-    coordinate tuple of Fractions; the zero polynomial is the empty map.
+    terms maps each exponent with a nonzero coefficient to its int
+    coordinates over the one positive int scale, as in rep.Matrix; the
+    pair is reduced by its gcd, so equal polynomials hold equal data.
     coeffs, coefficient, evaluate and str build NFElements on demand.
     """
 
-    __slots__ = ('field', 'terms')
+    __slots__ = ('field', 'terms', 'scale')
 
     def __init__(self, field, coeffs=None):
         self.field = field
-        self.terms = {}
-        for e, c in (coeffs or {}).items():
-            c = field.element(c).coeffs
-            if any(c):
-                self.terms[e] = c
+        self.terms, self.scale = _cleared(
+            {e: field.element(c).coeffs for e, c in (coeffs or {}).items()})
 
     @classmethod
-    def _of(cls, field, terms):
-        """The polynomial with the raw map terms, its zero tuples dropped."""
+    def _of(cls, field, terms, scale=1):
+        """The polynomial terms / scale, for int coordinates and an int
+        scale > 0: its zero tuples dropped and the pair reduced."""
+        g = gcd(scale, *(x for c in terms.values() for x in c))
         p = cls.__new__(cls)
-        p.field = field
-        p.terms = {e: c for e, c in terms.items() if any(c)}
+        p.field, p.scale = field, scale // g
+        p.terms = {e: tuple(x // g for x in c)
+                   for e, c in terms.items() if any(c)}
         return p
 
     @classmethod
@@ -67,7 +70,7 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls, field):
-        return cls._of(field, {0: field._one})
+        return cls._of(field, {0: _unit(field, 1)})
 
     @classmethod
     def t(cls, field, exponent=1, coefficient=1):
@@ -76,7 +79,11 @@ class LaurentPolynomial:
     @property
     def coeffs(self):
         """The map exponent -> NFElement coefficient, built on each call."""
-        return {e: NFElement(self.field, c) for e, c in self.terms.items()}
+        return {e: self._element(c) for e, c in self.terms.items()}
+
+    def _element(self, c):
+        """The NFElement of the int coordinates c over this scale."""
+        return NFElement(self.field, _rational(c, self.scale))
 
     def is_zero(self):
         return not self.terms
@@ -94,8 +101,7 @@ class LaurentPolynomial:
         return max(self.terms)
 
     def coefficient(self, exponent):
-        return NFElement(self.field,
-                         self.terms.get(exponent, self.field._zero))
+        return self._element(self.terms.get(exponent, _unit(self.field, 0)))
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -109,17 +115,20 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        f = self.field
-        out = dict(self.terms)
+        f, scale = self.field, lcm(self.scale, other.scale)
+        p, q = scale // self.scale, scale // other.scale
+        out = {e: f._scale(c, p) for e, c in self.terms.items()}
         for e, c in other.terms.items():
+            c = f._scale(c, q)
             out[e] = f._add(out[e], c) if e in out else c
-        return self._of(f, out)
+        return self._of(f, out, scale)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return self._of(f, {e: f._neg(c) for e, c in self.terms.items()})
+        return self._of(f, {e: f._neg(c) for e, c in self.terms.items()},
+                        self.scale)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -137,32 +146,30 @@ class LaurentPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._of(self.field,
-                        _times(self.field, self.terms, other.terms))
+        f, out = self.field, {}
+        for e1, x in self.terms.items():
+            for e2, y in other.terms.items():
+                e, c = e1 + e2, f._mul(x, y)
+                out[e] = f._add(out[e], c) if e in out else c
+        return self._of(f, out, self.scale * other.scale)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError('negative powers of polynomials are not defined')
-        acc = LaurentPolynomial.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return prod([self] * k, start=LaurentPolynomial.one(self.field))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.scale == other.scale and self.terms == other.terms
 
     def shifted(self, k):
         """This polynomial times t^k."""
-        return self._of(self.field, {e + k: c for e, c in self.terms.items()})
+        return self._of(self.field, {e + k: c for e, c in self.terms.items()},
+                        self.scale)
 
     def evaluate(self, at):
         """Exact value at a nonzero rational point, coordinate-wise.
@@ -175,14 +182,14 @@ class LaurentPolynomial:
             raise ZeroDivisionError('Laurent polynomials are evaluated at '
                                     'nonzero points only')
         dense, lo = self._dense()
-        return NFElement(f, f._scale(_dense_eval(f, dense, x), x ** lo))
+        return self._element(f._scale(_dense_eval(f, dense, x), x ** lo))
 
     def _dense(self):
-        """(ascending raw coefficient list, lowest exponent); zero -> ([], 0)."""
+        """(ascending int coordinates, lowest exponent); zero -> ([], 0)."""
         if not self.terms:
             return [], 0
         lo, hi = self.min_exp, self.max_exp
-        dense = [self.field._zero] * (hi - lo + 1)
+        dense = [_unit(self.field, 0)] * (hi - lo + 1)
         for e, c in self.terms.items():
             dense[e - lo] = c
         return dense, lo
@@ -190,22 +197,10 @@ class LaurentPolynomial:
     def __str__(self):
         if not self.terms:
             return '0'
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            parts.append('%s*t^%d' % (NFElement(self.field, self.terms[e]), e))
-        return ' + '.join(parts)
+        return ' + '.join('%s*t^%d' % (self._element(self.terms[e]), e)
+                          for e in sorted(self.terms, reverse=True))
 
     __repr__ = __str__
-
-
-def _times(field, a, b):
-    """The product of two maps exponent -> raw coefficient, zeros dropped."""
-    out = {}
-    for e1, x in a.items():
-        for e2, y in b.items():
-            e, prod = e1 + e2, field._mul(x, y)
-            out[e] = field._add(out[e], prod) if e in out else prod
-    return {e: c for e, c in out.items() if any(c)}
 
 
 _TERM_RE = re.compile(r'^\[([^\]]*)\]\*t\^(-?\d+)$')
@@ -258,7 +253,7 @@ def order_at_one(p):
             *(field._scale(c, comb(e - lo, order))
               for e, c in p.terms.items())))
         if any(value):
-            return order, NFElement(field, value)
+            return order, p._element(value)
         order += 1
 
 
@@ -271,13 +266,10 @@ def normalize_unit(p):
     """
     if p.is_zero():
         return p, 1, 0
-    field, k = p.field, p.min_exp
+    k = p.min_exp
     first = next(x for x in p.terms[p.max_exp] if x)
     sign = 1 if first > 0 else -1
-    canonical = LaurentPolynomial._of(
-        field, {e - k: (c if sign == 1 else field._neg(c))
-                for e, c in p.terms.items()})
-    return canonical, sign, k
+    return (p if sign == 1 else -p).shifted(-k), sign, k
 
 
 def equal_up_to_unit(p, q):
@@ -294,10 +286,12 @@ class RationalFunction:
 
     The denominator is made monic with lowest exponent 0 and the
     numerator carries the residual unit; the denominator is never zero.
-    Construction divides num by den once, on dense lists (_dense_divmod):
-    a zero remainder leaves quotient / 1 with no gcd at all; otherwise
-    Euclid goes on from (den, remainder), since gcd(num, den) =
-    gcd(den, remainder), and both are divided by that gcd.
+    Construction divides num by den once, on dense int lists
+    (_dense_divmod), which stay int for an integral monic den: a zero
+    remainder leaves quotient / 1 with no gcd at all; otherwise Euclid
+    goes on from (den, remainder), since gcd(num, den) =
+    gcd(den, remainder), and both are divided by that gcd.  Fractions
+    from the other paths are cleared back to ints over one scale.
     """
 
     __slots__ = ('num', 'den')
@@ -315,15 +309,17 @@ class RationalFunction:
             quo = _dense_divmod(field, a, g)[0]
             b = _dense_divmod(field, b, g)[0]
         else:
-            b = [field._one]
-        if b[-1] != field._one:
+            b = [_unit(field, 1)]
+        if b[-1] != _unit(field, 1):
             # a monic denominator: the same unit multiplies the numerator
             lead_inv = field._inv(b[-1])
             b = [field._mul(c, lead_inv) for c in b]
             quo = [field._mul(c, lead_inv) for c in quo]
-        self.den = LaurentPolynomial._of(field, dict(enumerate(b)))
-        self.num = LaurentPolynomial._of(
-            field, {i + num_lo - den_lo: c for i, c in enumerate(quo)})
+        self.den = LaurentPolynomial._of(field, *_cleared(dict(enumerate(b))))
+        # num / den = (a / b) * den.scale / num.scale
+        self.num = LaurentPolynomial._of(field, *_cleared(
+            {i + num_lo - den_lo: field._scale(c, den.scale)
+             for i, c in enumerate(quo)}, num.scale))
 
     @property
     def field(self):
@@ -348,6 +344,14 @@ class RationalFunction:
     __repr__ = __str__
 
 
+def _cleared(terms, scale=1):
+    """(ints, scale) of the map terms / scale, for int or Fraction
+    coordinates: zeros dropped, over their least common denominator."""
+    common = _denominator(terms.values())
+    return ({e: _integral(c, common) for e, c in terms.items() if any(c)},
+            common * scale)
+
+
 def reduce(num, den):
     """Reduced rational function num/den (see RationalFunction)."""
     return RationalFunction(num, den)
@@ -359,9 +363,9 @@ class PolyMatrix:
     cells[i][j] maps each exponent of entry (i, j) with a nonzero
     coefficient to that coefficient's int coordinates; every entry is
     over the one positive int scale, which need not be the least.  The
-    constructor takes Laurent polynomials (or constants) and clears
-    their denominators once; m[i, j] builds a LaurentPolynomial on
-    demand.
+    constructor takes Laurent polynomials (or constants) and brings
+    them to the lcm of their scales; m[i, j] builds a LaurentPolynomial
+    on demand.
     """
 
     __slots__ = ('field', 'cells', 'scale')
@@ -376,9 +380,8 @@ class PolyMatrix:
             for p in row:
                 field._check_same(p.field)
         self.field = field
-        self.scale = _denominator(c for row in polys for p in row
-                                  for c in p.terms.values())
-        self.cells = tuple(tuple({e: _integral(c, self.scale)
+        self.scale = lcm(*(p.scale for row in polys for p in row))
+        self.cells = tuple(tuple({e: field._scale(c, self.scale // p.scale)
                                   for e, c in p.terms.items()} for p in row)
                            for row in polys)
 
@@ -400,9 +403,7 @@ class PolyMatrix:
 
     def __getitem__(self, key):
         i, j = key
-        return LaurentPolynomial._of(
-            self.field, {e: _rational(c, self.scale)
-                         for e, c in self.cells[i][j].items()})
+        return LaurentPolynomial._of(self.field, self.cells[i][j], self.scale)
 
     def drop_columns(self, start, width):
         """Remove `width` consecutive columns beginning at `start`."""
@@ -471,12 +472,8 @@ def determinant(matrix):
     field, cells = matrix.field, matrix.cells
     if (not any(any(row[:i]) for i, row in enumerate(cells))
             or not any(any(row[i + 1:]) for i, row in enumerate(cells))):
-        det = {0: (1,) + (0,) * (field.degree - 1)}
-        for i, row in enumerate(cells):
-            det = _times(field, det, row[i])
-        return LaurentPolynomial._of(
-            field, {e: _rational(c, matrix.scale ** len(cells))
-                    for e, c in det.items()})
+        return prod((matrix[i, i] for i in range(len(cells))),
+                    start=LaurentPolynomial.one(field))
     izero = (0,) * field.degree
     shift = 0
     scale = 1
@@ -506,6 +503,4 @@ def determinant(matrix):
     if _dense_eval(field, poly, points[-1]) != values[-1]:
         raise ArithmeticError('determinant interpolation failed its '
                               'verification point; degree bound bug')
-    return LaurentPolynomial._of(
-        field, {i + shift: _rational(coeff, scale)
-                for i, coeff in enumerate(poly) if any(coeff)})
+    return LaurentPolynomial._of(field, dict(enumerate(poly, shift)), scale)

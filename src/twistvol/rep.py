@@ -18,7 +18,8 @@ caller-owned prefix dict, shared across the terms of the Wada matrix.
 from functools import reduce
 from math import comb, gcd, lcm
 
-from .field import NFElement, NumberField, _denominator, _integral, _rational
+from .field import (NFElement, NumberField, _denominator, _integral, _rational,
+                    _unit)
 
 
 class Matrix:
@@ -115,11 +116,6 @@ class Matrix:
     def __repr__(self):
         body = '; '.join(', '.join(str(e) for e in row) for row in self.rows)
         return 'Matrix[%s]' % body
-
-
-def _unit(field, k):
-    """The integer k as a raw element with int coordinates."""
-    return (k,) + (0,) * (field.degree - 1)
 
 
 def _is_sl2(m):

@@ -385,6 +385,11 @@ class TestCompute:
                  id='range-4-6'),
     pytest.param(['compute', '--n', '1..5'], None, 'compute needs n >= 2',
                  id='compute-1..5'),
+    # integer options are parsed by the command, not by argparse
+    pytest.param(['invariant', '--n', '4-6'], None,
+                 "--n '4-6' is not an integer", id='invariant-n-4-6'),
+    pytest.param(['compute', '--precision', 'abc'], None,
+                 "--precision 'abc' is not an integer", id='precision-abc'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):

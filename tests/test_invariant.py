@@ -294,23 +294,33 @@ class TestTwistedAlexander:
 
     @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'k17_5'])
     def test_builds_no_field_element(self, knots, knot, monkeypatch):
-        # the pipeline runs on raw coefficient tuples up to the result
+        # the pipeline runs on int coordinates over one scale up to the
+        # result: no NFElement and no Fraction until it is printed
         if knot == 'k17_5':
             job = parse_job(RILEY_TEXTS[(17, 5)])
             pres, rep = job.presentation, job.representation
         else:
             pres, rep = knots[knot]
-        calls = []
-        init = NFElement.__init__
+        calls, fractions = [], []
+        init, new = NFElement.__init__, Fraction.__new__
 
         def counting(self, *args):
             calls.append(None)
             init(self, *args)
 
+        def counting_fraction(cls, *args, **kwargs):
+            fractions.append(None)
+            return new(cls, *args, **kwargs)
+
         monkeypatch.setattr(NFElement, '__init__', counting)
+        monkeypatch.setattr(Fraction, '__new__',
+                            staticmethod(counting_fraction))
         ta = twisted_alexander(TwistConfig(pres, rep, 3))
+        assert len(calls) == 0 and len(fractions) == 0
+        # the wrap counts: printing the value builds Fractions
+        str(ta.value)
         monkeypatch.undo()
-        assert len(calls) == 0
+        assert len(calls) > 0 and len(fractions) > 0
         assert ta.value.num.min_exp == 0 and ta.value.den.min_exp == 0
 
     def test_invalid_n_rejected(self, fig8, fig8_rep):
@@ -488,14 +498,51 @@ class TestDenominatorExpansion:
 
     @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
     def test_conjugation_invariance(self, knots, knot):
+        # diag(2, 1/2) puts rho(b) over scale 4, so the Wada matrix and
+        # the denominator recurrence run with a scale s > 1
         pres, rep = knots[knot]
-        other = conjugated(pres, rep)
-        assert other.check_relations(pres) == []
-        for n in range(2, 7):
-            base = twisted_alexander(TwistConfig(pres, rep, n))
-            ta = twisted_alexander(TwistConfig(pres, other, n))
-            assert (str(ta.value), ta.unit_str(), ta.column) == \
-                (str(base.value), base.unit_str(), base.column), n
+        for p in (((1, 0), (1, 1)), ((2, 0), (0, Fraction(1, 2)))):
+            other = conjugated(pres, rep, p)
+            assert other.check_relations(pres) == []
+            for n in range(1, 7):
+                for column in ('auto', 'a', 'b'):
+                    base = twisted_alexander(TwistConfig(pres, rep, n,
+                                                         column))
+                    ta = twisted_alexander(TwistConfig(pres, other, n,
+                                                       column))
+                    assert (str(ta.value), ta.unit_str(), ta.column) == \
+                        (str(base.value), base.unit_str(), base.column), \
+                        (p, n, column)
+
+    def test_non_monic_denominator(self, fig8, fig8_rep, monkeypatch):
+        # alpha = -1 sends t to 1/t; at odd n the factor t^-1 - 1 leads
+        # with -1, so the division takes _dense_divmod's inverse path
+        pres = Presentation(fig8.generator_names, fig8.relations,
+                            alpha=(-1, -1))
+        rep = Representation(pres, dict(zip(fig8_rep.names,
+                                            fig8_rep.images)))
+        f = rep.field
+
+        def flip(p):
+            return LaurentPolynomial(f, {-e: c for e, c in p.coeffs.items()})
+
+        for n in range(1, 8):
+            for column in ('auto', 'a', 'b'):
+                base = twisted_alexander(TwistConfig(fig8, fig8_rep, n,
+                                                     column))
+                ta = twisted_alexander(TwistConfig(pres, rep, n, column))
+                assert equal_up_to_unit(ta.value.num, flip(base.value.num))
+                assert equal_up_to_unit(ta.value.den, flip(base.value.den))
+        calls = []
+        inverse = NumberField._inv
+
+        def counting(self, a):
+            calls.append(a)
+            return inverse(self, a)
+
+        monkeypatch.setattr(NumberField, '_inv', counting)
+        twisted_alexander(TwistConfig(pres, rep, 3))
+        assert calls == [(-1, 0)]
 
     @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
     def test_triangular_denominator_runs_no_elimination(self, knots, knot,

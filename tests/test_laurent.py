@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -168,8 +169,12 @@ class TestArithmetic:
                               (p - q, ref_add(a, neg_b)),
                               (p * q, ref_mul(a, b))):
                 assert got.coeffs == want
-                assert all(type(x) is Fraction
-                           for c in got.terms.values() for x in c)
+                # int coordinates over one scale, reduced, so equality
+                # holds across construction paths
+                ints = [x for c in got.terms.values() for x in c]
+                assert all(type(x) is int for x in [got.scale] + ints)
+                assert got.scale > 0 and gcd(got.scale, *ints) == 1
+                assert got == LaurentPolynomial(field, want)
 
 
 class TestDeterminant:
