@@ -441,9 +441,6 @@ def main(argv=None):
     except SimpleZeroViolationError as exc:
         print('error [simple-zero violation]: %s' % exc, file=sys.stderr)
         return 1
-    except group.ParseError as exc:
-        print('error [parse]: %s' % exc, file=sys.stderr)
-        return 1
     except (ZeroDivisionError, ArithmeticError) as exc:
         print('error [computation]: %s' % exc, file=sys.stderr)
         return 1

@@ -13,16 +13,16 @@ bound, and digits left over raise ArithmeticError.  A large matrix runs
 Bareiss on the coordinates (_det_coords).  Its elimination step and the
 inverse are both built on the int matrix of multiplication by an
 integral element (_mul_matrix): each entry update is one int dot product
-per coordinate, and _inv_integral is fraction-free Gauss-Jordan on that
-matrix, giving w and D with b * w = D on ints; _inv is its Fraction
-wrapper.  _mul is the one element-by-element multiply, _fold the one
-reduction by m and _horner the one evaluation loop.  Polynomials in t
-over the field, dense lists of raw elements, have their one division
-with remainder (_dense_divmod) and one Euclid loop (_dense_gcd) here as
-well.  All ring operations are exact; the only inexact step is the
-embedding into arbitrary-precision complex numbers (mpmath), whose root
-of m is the one nearest a user-supplied hint, refined by Newton
-iteration.
+per coordinate, and _inv_integral is one _bareiss pass on that matrix
+augmented by e_0 plus back substitution, giving w and D with b * w = D
+on ints; _inv is its Fraction wrapper.  _bareiss, the one int
+elimination besides _det_coords, also gives the squarefree screen of m
+its Sylvester resultant.  _mul is the one element-by-element multiply,
+_fold the one reduction by m and _horner the one evaluation loop.
+Polynomials in t live in laurent.  All ring operations are exact; the
+only inexact step is the embedding into arbitrary-precision complex
+numbers (mpmath), whose root of m is the one nearest a user-supplied
+hint, refined by Newton iteration.
 Degree 1 gives plain rational arithmetic, so the classical (untwisted)
 pipeline runs through the same code path.
 """
@@ -139,31 +139,26 @@ class NumberField:
     def _inv_integral(self, b):
         """(w, D) with b * w = D on ints, for a nonzero integral b.
 
-        Fraction-free Gauss-Jordan on [M_b | e_0] leaves every diagonal
-        entry D = +-det M_b and the last column D * M_b^-1 e_0, the
-        coordinates of D / b.  D need not be the least denominator.
+        _bareiss on [M_b | e_0] leaves U upper triangular, the column y
+        and the last pivot D = +-det M_b.  w = D M_b^-1 e_0, the
+        coordinates of D / b, is +-adj(M_b) e_0, integral, so back
+        substitution w_i = (D y_i - sum_{j>i} U_ij w_j) / U_ii divides
+        exactly.  D need not be the least denominator.
         """
         if not any(b):
             raise ZeroDivisionError('division by zero in the number field')
         d = self.degree
-        rows = [r + (int(i == 0),) for i, r in enumerate(self._mul_matrix(b))]
-        prev = 1
-        for k in range(d):
-            pivot = next((i for i in range(k, d) if rows[i][k]), None)
-            if pivot is None:
-                raise ZeroDivisionError('element is a zero divisor; '
-                                        'minimal polynomial is not irreducible')
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            row_k = rows[k]
-            akk = row_k[k]
-            for i in range(d):
-                if i != k:
-                    aik = rows[i][k]
-                    rows[i] = _exact_quotient(
-                        [akk * x - aik * y for x, y in zip(rows[i], row_k)],
-                        prev)
-            prev = akk
-        return tuple(r[d] for r in rows), prev
+        rows = [[*r, int(i == 0)] for i, r in enumerate(self._mul_matrix(b))]
+        if not _bareiss(rows):
+            raise ZeroDivisionError('element is a zero divisor; '
+                                    'minimal polynomial is not irreducible')
+        denom = rows[d - 1][d - 1]
+        w = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            acc = denom * row[d] - sum(map(mul, row[i + 1:d], w[i + 1:]))
+            w[i], = _exact_quotient((acc,), row[i])
+        return tuple(w), denom
 
     def _mul_matrix(self, a):
         """Rows of the int matrix of multiplication by the integral a.
@@ -425,16 +420,21 @@ class NumberField:
 
 
 def _reject_reducible(m):
-    """ValueError when the monic integer m is visibly reducible over Q.
+    """ValueError when the monic integer m, of degree n >= 2, is visibly
+    reducible over Q.
 
-    Two screens: m must be squarefree (gcd(m, m') = 1 over Q) and must
-    have no integer root (a monic integer polynomial's rational roots are
+    Two screens: m must be squarefree (Res(m, m') != 0, the _bareiss
+    determinant of their (2n-1)-square Sylvester matrix) and must have
+    no integer root (a monic integer polynomial's rational roots are
     integers dividing m_0; m_0 = 0 means x divides m).  They decide
     irreducibility in degree 2 and 3 only.
     """
-    rationals = NumberField.rationals()
-    deriv = [(i * c,) for i, c in enumerate(m)][1:]
-    if len(_dense_gcd(rationals, [(c,) for c in m], deriv)) > 1:
+    n = len(m) - 1
+    top = list(m[::-1])
+    deriv = [i * c for i, c in enumerate(m)][:0:-1]
+    sylvester = [[0] * k + top + [0] * (n - 2 - k) for k in range(n - 1)]
+    sylvester += [[0] * k + deriv + [0] * (n - 1 - k) for k in range(n)]
+    if not _bareiss(sylvester):
         raise ValueError('minimal polynomial %r is not squarefree'
                          % (list(m),))
     m0 = abs(m[0])
@@ -467,11 +467,13 @@ def _unit(field, k):
 
 
 def _bareiss(rows):
-    """Determinant of a nonempty square int matrix, eliminated in place.
+    """Determinant of a nonempty n-row int matrix, n x n or n x (n + 1).
 
-    Fraction-free Bareiss: every entry after step k is a (k+1) x (k+1)
-    minor, so each division by the previous pivot is exact
-    (_exact_quotient); a remainder raises ArithmeticError.
+    Eliminated in place by fraction-free Bareiss: every entry after step
+    k is a (k+1) x (k+1) minor, so each division by the previous pivot
+    is exact (_exact_quotient); a remainder raises ArithmeticError.  A
+    nonzero result leaves the first n columns upper triangular, the last
+    pivot rows[n-1][n-1] = +-det; an augmented column rides along.
     """
     n = len(rows)
     sign = 1
@@ -505,43 +507,6 @@ def _exact_quotient(a, denom):
                                   'the matrix is not over Z[x]/(m)')
         out.append(q)
     return tuple(out)
-
-
-# ----- polynomials in t as dense ascending lists of raw elements -----
-
-def _dense_trim(a):
-    """Drop the trailing zero coefficients of a, in place; returns a."""
-    while a and not any(a[-1]):
-        a.pop()
-    return a
-
-
-def _dense_divmod(field, a, b):
-    """Division with remainder in F[t] on dense ascending lists."""
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not b:
-        raise ZeroDivisionError('polynomial division by zero')
-    # a monic divisor (an integral knot denominator, a monic gcd) needs no
-    # leading multiply, so int lists give an int quotient and remainder
-    inv = None if b[-1] == _unit(field, 1) else field._inv(b[-1])
-    q = [_unit(field, 0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] if inv is None else field._mul(a[-1], inv)
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = field._sub(a[k + i], field._mul(c, y))
-        a.pop()
-        _dense_trim(a)
-    return q, a
-
-
-def _dense_gcd(field, a, b):
-    """A gcd in F[t] of the trimmed dense lists a and b (not monic)."""
-    while b:
-        a, b = b, _dense_divmod(field, a, b)[1]
-    return a
 
 
 class NFElement:

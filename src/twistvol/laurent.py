@@ -18,19 +18,20 @@ points and in LaurentPolynomial.evaluate (rational points only), is
 _dense_eval: the field's Horner loop on each coordinate.  A
 LaurentPolynomial holds int coordinates over one scale too, so the data
 are ints over one scale from phi to the printed invariant, and
-Fractions appear only in the NFElements a polynomial hands out.  A
-RationalFunction divides once (_dense_divmod) and runs Euclid
-(_dense_gcd) only on a nonzero remainder; the order at t = 1 is read
-off the Taylor coefficients there, with no division.
+Fractions appear only in the NFElements a polynomial hands out.
+Ordinary polynomials in t, dense ascending lists of raw elements, have
+their one division with remainder (_dense_divmod) and one Euclid loop
+(_dense_gcd) here: a RationalFunction divides once and runs Euclid only
+on a nonzero remainder.  The order at t = 1 is read off the Taylor
+coefficients there, with no division.
 """
 
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
-from .field import (NFElement, _dense_divmod, _dense_gcd, _dense_trim,
-                    _denominator, _exact_quotient, _horner, _integral,
-                    _rational, _unit)
+from .field import (NFElement, _denominator, _exact_quotient, _horner,
+                    _integral, _rational, _unit)
 
 
 class LaurentPolynomial:
@@ -225,6 +226,41 @@ def parse_polynomial(field, text):
 
 
 # ----- ordinary-polynomial helpers on dense raw-coefficient lists -----
+
+def _dense_trim(a):
+    """Drop the trailing zero coefficients of a, in place; returns a."""
+    while a and not any(a[-1]):
+        a.pop()
+    return a
+
+
+def _dense_divmod(field, a, b):
+    """Division with remainder in F[t] on dense ascending lists."""
+    a = _dense_trim(list(a))
+    b = _dense_trim(list(b))
+    if not b:
+        raise ZeroDivisionError('polynomial division by zero')
+    # a monic divisor (an integral knot denominator, a monic gcd) needs no
+    # leading multiply, so int lists give an int quotient and remainder
+    inv = None if b[-1] == _unit(field, 1) else field._inv(b[-1])
+    q = [_unit(field, 0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] if inv is None else field._mul(a[-1], inv)
+        k = len(a) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] = field._sub(a[k + i], field._mul(c, y))
+        a.pop()
+        _dense_trim(a)
+    return q, a
+
+
+def _dense_gcd(field, a, b):
+    """A gcd in F[t] of the trimmed dense lists a and b (not monic)."""
+    while b:
+        a, b = b, _dense_divmod(field, a, b)[1]
+    return a
+
 
 def _dense_eval(field, a, x):
     """Value of the dense ascending list a at the int or Fraction x.

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -518,8 +520,13 @@ class TestCheckCommand:
 class TestConsoleEntry:
 
     def test_module_invocation(self):
+        # the subprocess finds the package in src/ with no install
+        src = str(Path(__file__).resolve().parents[1] / 'src')
+        path = os.environ.get('PYTHONPATH')
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ''))
         proc = subprocess.run(
             [sys.executable, '-m', 'twistvol', 'invariant', FIG8_JOB, '--n', '2'],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert '[-4,0]*t^1' in proc.stdout

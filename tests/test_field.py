@@ -252,6 +252,7 @@ class TestValidation:
         ([-6, 1, 1], 'has the root -3'),             # (x - 2)(x + 3)
         ([-2, 1, 0, 0, 1], 'has the root 1'),        # x^4 + x - 2
         ([4, 0, 0, -4, 0, 0, 1], 'not squarefree'),  # (x^3 - 2)^2
+        ([27, 0, 27, 0, 9, 0, 1], 'not squarefree'),  # (x^2 + 3)^3
     ])
     def test_reducible_rejected(self, min_poly, message):
         with pytest.raises(ValueError, match=message):
@@ -270,3 +271,79 @@ class TestValidation:
         # real start on a polynomial with no real roots never converges
         with pytest.raises(EmbeddingError):
             NumberField([1, 1, 1], ('5', '0'))
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def fraction_gcd(a, b):
+    """A gcd over Q of two ascending coefficient lists: Euclid on Fractions."""
+    a = _trim([Fraction(c) for c in a])
+    b = _trim([Fraction(c) for c in b])
+    while b:
+        while len(a) >= len(b):
+            q, k = a[-1] / b[-1], len(a) - len(b)
+            for i, y in enumerate(b):
+                a[k + i] -= q * y
+            _trim(a)
+        a, b = b, a
+    return a
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def monic(degree):
+    return st.lists(st.integers(-5, 5), min_size=degree,
+                    max_size=degree).map(lambda c: c + [1])
+
+
+@st.composite
+def monic_polys(draw):
+    """Monic integer m of degree 2..6: random, a product of two factors,
+    or a square f^2 times a cofactor."""
+    kind = draw(st.sampled_from(['random', 'product', 'square']))
+    if kind == 'random':
+        return draw(st.integers(2, 6).flatmap(monic))
+    f = draw(st.integers(1, 3).flatmap(monic))
+    if kind == 'product':
+        return poly_mul(f, draw(st.integers(1, 3).flatmap(monic)))
+    rest = draw(st.integers(0, 8 - 2 * len(f)).flatmap(monic))
+    return poly_mul(poly_mul(f, f), rest)
+
+
+class TestSquarefreeScreen:
+    """The Sylvester-resultant screen against Euclid's gcd(m, m')."""
+
+    @PROPERTY
+    @given(monic_polys())
+    def test_rejects_exactly_the_non_squarefree(self, m):
+        deriv = [i * c for i, c in enumerate(m)][1:]
+        squarefree = len(fraction_gcd(m, deriv)) == 1
+        try:
+            NumberField(m, ('0.3', '0.9'))
+            message = ''
+        except ValueError as exc:
+            message = str(exc)
+        assert ('not squarefree' in message) == (not squarefree), m
+
+    def test_one_field_is_built_per_construction(self, monkeypatch):
+        # the screen runs on ints: no second (rational) field is built
+        calls = []
+        init = NumberField.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumberField, '__init__', counting)
+        NumberField([-1, 2, -1, 1], ('0.215', '1.307'))
+        assert len(calls) == 1

@@ -370,6 +370,45 @@ class TestTietzeInvariance:
                 ta = twisted_alexander(TwistConfig(other, other_rep, n))
                 assert ta.equal_up_to_unit(base), (n, other.to_text())
 
+    # (added generators, n range): c = abA, then d = Bab as well; one
+    # relator per added generator, so g = 3 has two block rows, g = 4 three
+    GENERATOR_MOVES = [((('c', 'abA'),), range(1, 6)),
+                       ((('c', 'abA'), ('d', 'Bab')), range(1, 5))]
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'fig8-conjugated'])
+    @pytest.mark.parametrize('move', [0, 1])
+    def test_added_generators(self, knots, knot, move):
+        """Every column of the g-generator presentation gives the
+        two-generator invariant; diag(2, 1/2) puts the blocks over scale 4."""
+        added, ns = self.GENERATOR_MOVES[move]
+        if knot == 'fig8-conjugated':
+            pres, rep = knots['fig8']
+            rep = conjugated(pres, rep, ((2, 0), (0, Fraction(1, 2))))
+        else:
+            pres, rep = knots[knot]
+        other, other_rep = add_generators(pres, rep, added)
+        assert other.num_generators == 2 + len(added)
+        assert other_rep.check_relations(other) == []
+        for n in ns:
+            base = twisted_alexander(TwistConfig(pres, rep, n))
+            for column in ('auto', *other.generator_names):
+                ta = twisted_alexander(TwistConfig(other, other_rep, n,
+                                                   column))
+                assert ta.equal_up_to_unit(base), (n, column, other.to_text())
+
+
+def add_generators(pres, rep, added):
+    """pres with a generator x and the relation x = w for each (x, w) of
+    added, w a word in the old generators; rho(x) = rho(w)."""
+    gens, rest = pres.to_text().split('\n', 1)
+    text = ' '.join([gens, *(x for x, _ in added)]) + '\n' + rest
+    text += ''.join('rel: %s = %s\n' % pair for pair in added)
+    other = parse_presentation(text)
+    images = dict(zip(rep.names, rep.images))
+    images.update((x, rep.evaluate(pres.word_from_string(w)))
+                  for x, w in added)
+    return other, Representation(other, images)
+
 
 class TestAssemblyCost:
     """rho of the relator prefixes is shared within one invariant only."""
