@@ -9,15 +9,18 @@ exact paths by the size of the matrix.  A small matrix is packed by
 Kronecker substitution x = 2^B into one int matrix, whose integer
 Bareiss determinant is decoded into the coefficients of det A in Z[x]
 and folded by m (_det_packed); B comes from a rigorous coefficient
-bound, and digits left over raise ArithmeticError.  A large matrix runs
-Bareiss on the coordinates (_det_coords).  Its elimination step and the
-inverse are both built on the int matrix of multiplication by an
-integral element (_mul_matrix): each entry update is one int dot product
-per coordinate, and _inv_integral is one _bareiss pass on that matrix
-augmented by e_0 plus back substitution, giving w and D with b * w = D
-on ints; _inv is its Fraction wrapper.  _bareiss, the one int
+bound, and digits left over raise ArithmeticError.  That decode
+(_unpack) also serves the packed symmetric power in rep.  A large
+matrix runs Bareiss on the coordinates (_det_coords).  Its elimination
+step and the inverse are both built on the int matrix of multiplication
+by an integral element (_mul_matrix): each entry update is one int dot
+product per coordinate, and _inv_integral is one _bareiss pass on that
+matrix augmented by e_0 plus back substitution, giving w and D with
+b * w = D on ints; _inv is its Fraction wrapper.  _bareiss, the one int
 elimination besides _det_coords, also gives the squarefree screen of m
-its Sylvester resultant.  _mul is the one element-by-element multiply,
+its Sylvester resultant, and a prime not dividing that resultant lets
+the integer-root screen lift the roots of m mod p (_integer_roots).
+_mul is the one element-by-element multiply,
 _fold the one reduction by m and _horner the one evaluation loop.
 Polynomials in t live in laurent.  All ring operations are exact; the
 only inexact step is the embedding into arbitrary-precision complex
@@ -28,6 +31,7 @@ pipeline runs through the same code path.
 """
 
 from fractions import Fraction
+from itertools import count
 from math import isqrt, lcm
 from operator import mul
 
@@ -53,6 +57,25 @@ def _horner(coeffs, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
+
+
+def _unpack(value, shift, size):
+    """The size balanced base-2^shift digits of the int value, lowest
+    first, each in [-2^(shift-1), 2^(shift-1)); ArithmeticError when
+    value needs more: the coefficient bound behind shift was wrong."""
+    half = 1 << (shift - 1)
+    mask = (1 << shift) - 1
+    digits = []
+    for _ in range(size):
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        digits.append(digit)
+        value = (value - digit) >> shift
+    if value:
+        raise ArithmeticError('packed value has digits beyond degree %d; '
+                              'the coefficient bound is wrong' % (size - 1))
+    return digits
 
 
 class NumberField:
@@ -218,29 +241,15 @@ class NumberField:
         Bareiss gives det A (2^B) exactly, dividing exactly at every
         step (_bareiss).  det A in Z[x] has degree <= n(d - 1), and
         bound > every |coefficient| puts each one in a balanced base-2^B
-        digit, so n(d - 1) + 1 digits decode it.  Anything left beyond
-        them raises ArithmeticError: the bound was wrong.  The digits
-        are folded by m into d coordinates.
+        digit, so n(d - 1) + 1 digits decode it (_unpack, which raises
+        ArithmeticError on anything left beyond them: the bound was
+        wrong).  The digits are folded by m into d coordinates.
         """
-        d = self.degree
         n = len(rows)
         shift = bound.bit_length() + 1
         x = 1 << shift
         value = _bareiss([[_horner(a, x) for a in row] for row in rows])
-        half = 1 << (shift - 1)
-        mask = (1 << shift) - 1
-        digits = []
-        for _ in range(n * (d - 1) + 1):
-            digit = value & mask
-            if digit >= half:
-                digit -= mask + 1
-            digits.append(digit)
-            value = (value - digit) >> shift
-        if value:
-            raise ArithmeticError('packed determinant has digits beyond '
-                                  'degree %d; the coefficient bound is '
-                                  'wrong' % (n * (d - 1)))
-        return self._fold(digits)
+        return self._fold(_unpack(value, shift, n * (self.degree - 1) + 1))
 
     def _det_coords(self, rows):
         """_det on the d int coordinates of each entry.
@@ -426,24 +435,52 @@ def _reject_reducible(m):
     Two screens: m must be squarefree (Res(m, m') != 0, the _bareiss
     determinant of their (2n-1)-square Sylvester matrix) and must have
     no integer root (a monic integer polynomial's rational roots are
-    integers dividing m_0; m_0 = 0 means x divides m).  They decide
-    irreducibility in degree 2 and 3 only.
+    integers; m_0 = 0 means x divides m).  They decide irreducibility in
+    degree 2 and 3 only.  The least integer root is named.
     """
     n = len(m) - 1
     top = list(m[::-1])
     deriv = [i * c for i, c in enumerate(m)][:0:-1]
     sylvester = [[0] * k + top + [0] * (n - 2 - k) for k in range(n - 1)]
     sylvester += [[0] * k + deriv + [0] * (n - 1 - k) for k in range(n)]
-    if not _bareiss(sylvester):
+    resultant = _bareiss(sylvester)
+    if not resultant:
         raise ValueError('minimal polynomial %r is not squarefree'
                          % (list(m),))
-    m0 = abs(m[0])
-    divisors = {d for k in range(1, isqrt(m0) + 1) if m0 % k == 0
-                for d in (k, m0 // k)} if m0 else {0}
-    for root in sorted(divisors | {-d for d in divisors}):
-        if _horner(m, root) == 0:
-            raise ValueError('minimal polynomial %r has the root %d; it is '
-                             'not irreducible' % (list(m), root))
+    roots = _integer_roots(m, resultant) if m[0] else [0]
+    if roots:
+        raise ValueError('minimal polynomial %r has the root %d; it is '
+                         'not irreducible' % (list(m), min(roots)))
+
+
+def _integer_roots(m, resultant):
+    """The integer roots of the monic m, given Res(m, m') = resultant != 0.
+
+    For the least prime p not dividing the resultant, m mod p is
+    squarefree, so each root of m mod p is simple and Newton's method
+    lifts it uniquely mod p^2, p^4, ...  An integer root r has
+    |r| <= 1 + max |m_i|, so once the modulus q passes twice that, the
+    lift's residue in (-q/2, q/2] is the only candidate over its root
+    mod p, and _horner checks it exactly.  The cost is polynomial in the
+    bit size of m.
+    """
+    p = next(p for p in count(2) if resultant % p
+             and all(p % k for k in range(2, isqrt(p) + 1)))
+    deriv = [i * c for i, c in enumerate(m)][1:]
+    height = 2 * (1 + max(map(abs, m[:-1])))
+    roots = []
+    for r in range(p):
+        if _horner(m, r) % p:
+            continue
+        q = p
+        while q <= height:
+            q *= q
+            r = (r - _horner(m, r) * pow(_horner(deriv, r), -1, q)) % q
+        if r > q // 2:
+            r -= q
+        if not _horner(m, r):
+            roots.append(r)
+    return roots
 
 
 def _denominator(elements):

@@ -3,11 +3,11 @@
 The pipeline picks the deleted generator column j by its denominator
 det Phi(x_j - 1), in closed form from tr rho(x_j), then maps group-ring
 elements through Phi(w) = t^alpha(w) * sigma_n(rho(w)), assembles the
-Fox-derivative block matrix, deletes block column j, and divides the
-two determinants.  rho(w) and sigma_n(rho(w)) stay integral Matrix
-data, and phi sums each cell on ints into a PolyMatrix over one scale,
-the form the determinant takes; the deleted block column is a slice of
-it.  The result is reduced and brought to a deterministic
+Fox-derivative block matrix without block column j (left as zero
+cells), slices that column off, and divides the two determinants.
+rho(w) and sigma_n(rho(w)) stay integral Matrix data, and phi sums each
+cell on ints into a PolyMatrix over one scale, the form the determinant
+takes.  The result is reduced and brought to a deterministic
 representative; the invariant itself is only defined up to a unit
 +/- t^k, so comparisons go through the unit-normalized form.
 """
@@ -100,7 +100,7 @@ def _sigma(mat, n, powers):
     return power
 
 
-def wada_matrix(cfg):
+def wada_matrix(cfg, deleted=None):
     """The n(g-1) x ng block matrix Phi(d r_i / d x_j).
 
     Rows run over relators, block columns over generators in
@@ -112,21 +112,29 @@ def wada_matrix(cfg):
     one int multiply per relator letter; one powers dict (see phi) for
     every block expands each recurring value rho(w) once.  Both are
     dropped on return.
+
+    deleted, a generator index, skips phi for that block column, and
+    with it every sigma_n that only its Fox terms need; the column is
+    left as n zero columns, and the lcm runs over the kept blocks only.
+    None builds every block.
     """
     pres = cfg.presentation
     g = pres.num_generators
     f = cfg.rep.field
     prefixes, powers = {}, {}
-    blocks = [[phi(fox_derivative(r, j), cfg, prefixes, powers)
+    blocks = [[None if j == deleted
+               else phi(fox_derivative(r, j), cfg, prefixes, powers)
                for j in range(g)] for r in pres.relators()]
-    scale = lcm(*(block.scale for row in blocks for block in row))
+    scale = lcm(*(block.scale for row in blocks for block in row
+                  if block is not None))
+    zero = tuple(tuple({} for _ in range(cfg.n)) for _ in range(cfg.n))
     cells = []
     for row in blocks:
-        weights = [scale // block.scale for block in row]
+        parts = [(zero, 1) if block is None
+                 else (block.cells, scale // block.scale) for block in row]
         cells.extend(tuple(cell if k == 1
                            else {e: f._scale(c, k) for e, c in cell.items()}
-                           for block, k in zip(row, weights)
-                           for cell in block.cells[i])
+                           for part, k in parts for cell in part[i])
                      for i in range(cfg.n))
     return PolyMatrix._of(f, tuple(cells), scale)
 
@@ -200,7 +208,10 @@ def twisted_alexander(cfg):
 
     Independent, up to a unit, of which admissible generator column is
     deleted; errors when no generator gives a nonzero denominator, which
-    is known before the Wada matrix is assembled.
+    is known before the Wada matrix is assembled.  The Wada matrix is
+    then built without block column j, so neither phi nor any sigma_n
+    needed only there runs, and drop_columns slices off its zero cells:
+    the numerator is the matrix drop_columns returns.
     """
     pres = cfg.presentation
     names = pres.generator_names
@@ -221,7 +232,7 @@ def twisted_alexander(cfg):
         raise NoAdmissibleColumnError(
             'no generator has a nonzero denominator det Phi(x_j - 1); the '
             'representation is degenerate for n=%d' % (n,))
-    num = determinant(wada_matrix(cfg).drop_columns(j * n, n))
+    num = determinant(wada_matrix(cfg, j).drop_columns(j * n, n))
     value = reduce(num, den)
     # a unit times the numerator leaves the pair reduced: no second gcd
     value.num, sign, exp = normalize_unit(value.num)

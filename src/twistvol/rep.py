@@ -10,16 +10,23 @@ contragredient identification sigma_2(M) = transpose(M^-1).
 A Matrix stores int coordinates over one reduced common denominator and
 builds NFElements only at its public boundary; products, the determinant
 (the field's integral Bareiss kernel) and the symmetric power run on the
-ints, and one check, ad - bc = scale^2, decides det = 1.
+ints, and one check, ad - bc = scale^2, decides det = 1.  The symmetric
+power packs the entries of scale * M^-1 at x = 2^B (Kronecker
+substitution), so its binomial expansion multiplies plain ints and no
+field element; B comes from an l1 bound on each column's coefficients,
+and each cell is decoded by the field's _unpack, which raises
+ArithmeticError on digits beyond the degree, and folded by m.
 Representation.evaluate can extend the products of earlier words from a
 caller-owned prefix dict, shared across the terms of the Wada matrix.
 """
 
 from functools import reduce
+from itertools import accumulate
 from math import comb, gcd, lcm
+from operator import mul
 
-from .field import (NFElement, NumberField, _denominator, _integral, _rational,
-                    _unit)
+from .field import (NFElement, NumberField, _denominator, _horner, _integral,
+                    _rational, _unit, _unpack)
 
 
 class Matrix:
@@ -133,6 +140,17 @@ def symmetric_power(matrix, n):
     (a x + b y)^(n-1-j) (c x + d y)^j with M^-1 = [[a, b], [c, d]];
     coefficients are exact binomial-expansion sums.
 
+    The expansion runs on plain ints.  The four entries of scale * M^-1,
+    polynomials in Z[x] of degree < d, are packed at x = 2^B (Kronecker
+    substitution), so every cell is one int, the value at 2^B of its
+    coefficient polynomial in Z[x], of degree <= (n-1)(d-1).  With l1
+    norms of the coordinates, the coefficients of column j sum in
+    absolute value to at most (|a| + |b|)^(n-1-j) (|c| + |d|)^j, so
+    B = bits(max(1, |a| + |b|, |c| + |d|)^(n-1)) + 1 puts each one in a
+    balanced base-2^B digit.  Each cell is decoded (field._unpack, which
+    raises ArithmeticError on digits beyond the degree: a wrong bound)
+    and folded by m.
+
     >>> from .field import NumberField
     >>> Q = NumberField.rationals()
     >>> shear = Matrix(Q, [[1, 1], [0, 1]])
@@ -150,30 +168,29 @@ def symmetric_power(matrix, n):
     # is homogeneous of degree n-1 in its entries: over scale^(n-1)
     (a, b), (c, d) = matrix.ints
     deg = n - 1
-    a_pow, b_pow, c_pow, d_pow = (_powers(f, e, deg)
-                                  for e in (d, f._neg(b), f._neg(c), a))
+    norm = max(1, sum(map(abs, d + b)), sum(map(abs, c + a)))
+    shift = (norm ** deg).bit_length() + 1
+    x = 1 << shift
+    a_pow, b_pow, c_pow, d_pow = (
+        list(accumulate([e] * deg, mul, initial=1))
+        for e in (_horner(d, x), -_horner(b, x), -_horner(c, x), _horner(a, x)))
     cols = []
     for j in range(n):
         # (a x + b y)^(deg - j) expanded in x, y
-        p = [f._scale(f._mul(a_pow[deg - j - i], b_pow[i]), comb(deg - j, i))
+        p = [comb(deg - j, i) * a_pow[deg - j - i] * b_pow[i]
              for i in range(deg - j + 1)]
         # times (c x + d y)^j
-        q = [f._scale(f._mul(c_pow[j - i], d_pow[i]), comb(j, i))
-             for i in range(j + 1)]
-        col = [_unit(f, 0)] * n
-        for i1, x in enumerate(p):
-            for i2, y in enumerate(q):
-                col[i1 + i2] = f._add(col[i1 + i2], f._mul(x, y))
+        q = [comb(j, i) * c_pow[j - i] * d_pow[i] for i in range(j + 1)]
+        col = [0] * n
+        for i1, u in enumerate(p):
+            for i2, v in enumerate(q):
+                col[i1 + i2] += u * v
         cols.append(col)
-    return Matrix._of(f, tuple(zip(*cols)), matrix.scale ** deg)
-
-
-def _powers(field, raw, upto):
-    """raw^0, ..., raw^upto for an element with int coordinates."""
-    out = [_unit(field, 1)]
-    for _ in range(upto):
-        out.append(field._mul(out[-1], raw))
-    return out
+    # (n-1)(d-1) + 1 digits; at n = 1 the one digit is padded to d
+    count = max(deg * (f.degree - 1) + 1, f.degree)
+    return Matrix._of(f, tuple(tuple(f._fold(_unpack(v, shift, count))
+                                     for v in row) for row in zip(*cols)),
+                      matrix.scale ** deg)
 
 
 class Representation:

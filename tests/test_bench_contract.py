@@ -37,5 +37,9 @@ def test_traced_pass_records_every_core_span(monkeypatch):
     totals = tracer.totals({0: 1.0})
     for name in worker.CORE_SPANS:
         assert totals[name]['calls'] > 0, name
+    # one kept block column per invariant: one phi, one numerator and
+    # one denominator each, told apart by the drop_columns identity
+    assert totals['invariant.phi']['calls'] == 4
     assert totals['laurent.det_num']['calls'] == 4
+    assert totals['laurent.det_den']['calls'] == 4
     assert totals['laurent.det_num']['out_bits'] > 0

@@ -1,12 +1,15 @@
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistvol import EmbeddingError, NumberField
+from twistvol.field import _reject_reducible
 
 from test_kernel import FIELDS, PROPERTY
 
@@ -347,3 +350,79 @@ class TestSquarefreeScreen:
         monkeypatch.setattr(NumberField, '__init__', counting)
         NumberField([-1, 2, -1, 1], ('0.215', '1.307'))
         assert len(calls) == 1
+
+
+def trial_division_root(m):
+    """The least integer root of the monic m by trial division over the
+    divisors of m_0, the screen's former method; 0 when m_0 = 0, None
+    when m has no integer root."""
+    m0 = abs(m[0])
+    if not m0:
+        return 0
+    divisors = {d for k in range(1, isqrt(m0) + 1) if m0 % k == 0
+                for d in (k, m0 // k)}
+    return next((r for r in sorted(divisors | {-d for d in divisors})
+                 if sum(c * r ** i for i, c in enumerate(m)) == 0), None)
+
+
+@st.composite
+def rooted_polys(draw):
+    """Monic integer m of degree 2..6; half of them (x - r) times a monic
+    cofactor, so they have the integer root r."""
+    degree = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        root = draw(st.integers(-60, 60))
+        cofactor = draw(st.lists(st.integers(-30, 30), min_size=degree - 1,
+                                 max_size=degree - 1)) + [1]
+        return poly_mul([-root, 1], cofactor)
+    return draw(st.lists(st.integers(-300, 300), min_size=degree,
+                         max_size=degree)) + [1]
+
+
+class TestIntegerRootScreen:
+    """Roots mod p lifted by Newton's method, against trial division."""
+
+    @settings(PROPERTY, max_examples=200)
+    @given(rooted_polys())
+    def test_names_the_least_integer_root(self, m):
+        deriv = [i * c for i, c in enumerate(m)][1:]
+        if len(fraction_gcd(m, deriv)) > 1:
+            with pytest.raises(ValueError, match='not squarefree'):
+                _reject_reducible(tuple(m))
+            return
+        root = trial_division_root(m)
+        if root is None:
+            _reject_reducible(tuple(m))
+        else:
+            with pytest.raises(ValueError) as info:
+                _reject_reducible(tuple(m))
+            assert str(info.value) == ('minimal polynomial %r has the root '
+                                       '%d; it is not irreducible' % (m, root))
+
+    def test_large_constant_term_loads(self):
+        # x^2 + x + (10^20 + 3): trial division would run to 10^10
+        start = time.perf_counter()
+        field = NumberField([10 ** 20 + 3, 1, 1], ('-0.5', '1e10'))
+        assert time.perf_counter() - start < 1.0
+        assert field.degree == 2
+
+    def test_large_root_is_named(self):
+        r = 10 ** 15 + 37
+        m = poly_mul([-r, 1], [1, 1, 1])          # (x - r)(x^2 + x + 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match='has the root %d;' % r):
+            NumberField(m, ('-0.5', '0.87'))
+        assert time.perf_counter() - start < 1.0
+
+    def test_zero_constant_term_names_zero(self):
+        # x (x + 1)(x^2 + 1) has the least root -1; x | m is named first
+        with pytest.raises(ValueError, match='has the root 0;'):
+            _reject_reducible((0, 1, 1, 1, 1))
+
+    def test_roots_near_the_height_bound(self):
+        # (x - r)(x^2 + x + 1) has height 1 + max |m_i| = r for r >= 2, so
+        # the lift must pass 2r before its symmetric residue can be r
+        for r in range(2, 300):
+            m = tuple(poly_mul([-r, 1], [1, 1, 1]))
+            with pytest.raises(ValueError, match='has the root %d;' % r):
+                _reject_reducible(m)

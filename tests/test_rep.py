@@ -4,7 +4,25 @@ from math import comb, gcd, lcm
 
 import pytest
 
-from twistvol import Matrix, Representation, parse_presentation, symmetric_power
+from twistvol import (Matrix, NumberField, Representation, parse_presentation,
+                      symmetric_power)
+from twistvol.field import _horner, _unpack
+from twistvol.rep import _is_sl2
+
+# the degree-8 field of K(17/5), from bench/jobs/k17_5.job
+K17_5_FIELD = ((1, -4, -6, 14, 3, -22, 19, -7, 1),
+               ('1.679246255265', '0.851241638634'))
+
+
+@pytest.fixture(scope='module')
+def linear():
+    """A degree-1 field other than Q[x]/(x): x is the rational 3."""
+    return NumberField((-3, 1), ('3', '0'))
+
+
+@pytest.fixture(scope='module')
+def octic():
+    return NumberField(*K17_5_FIELD)
 
 
 def shear_entry(rng, max_den):
@@ -47,12 +65,13 @@ def binomial_sigma(m, n):
     """
     (a, b), (c, d) = adjugate(m).rows
     deg = n - 1
+    a, b, c, d = ([x ** k for k in range(n)] for x in (a, b, c, d))
     rows = [[m.field.zero] * n for _ in range(n)]
     for j in range(n):
         for i1 in range(deg - j + 1):
+            left = comb(deg - j, i1) * a[deg - j - i1] * b[i1]
             for i2 in range(j + 1):
-                term = (comb(deg - j, i1) * a ** (deg - j - i1) * b ** i1
-                        * comb(j, i2) * c ** (j - i2) * d ** i2)
+                term = left * (comb(j, i2) * c[j - i2] * d[i2])
                 rows[i1 + i2][j] = rows[i1 + i2][j] + term
     return rows
 
@@ -164,14 +183,15 @@ class TestSymmetricPowerProperties:
             assert product == Matrix.identity(ufield, n)
 
     @pytest.mark.parametrize('max_den', [1, 6])
-    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    @pytest.mark.parametrize('field_name', ['qfield', 'linear', 'ufield',
+                                            'cubic', 'octic'])
     def test_matches_binomial_reference(self, request, field_name, max_den):
         # max_den = 6 gives M^-1 non-integral entries, so the integral
         # expansion divides scale^(n-1) out of every coordinate
         field = request.getfixturevalue(field_name)
         rng = random.Random(44)
         fractional = False
-        for n in range(1, 9):
+        for n in range(1, 13):
             m1 = random_sl2(field, rng, max_den=max_den)
             m2 = random_sl2(field, rng, max_den=max_den)
             fractional |= any(c.denominator > 1 for row in m1.rows
@@ -184,6 +204,47 @@ class TestSymmetricPowerProperties:
             if n == 2:
                 assert s1 == adjugate(m1).transpose()
         assert fractional == (max_den > 1)
+
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'octic'])
+    def test_expansion_makes_no_field_multiply(self, request, field_name,
+                                               monkeypatch):
+        """The packed expansion multiplies ints: the only NumberField._mul
+        calls are the two of the det = 1 check."""
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(45)
+        calls = []
+        multiply = NumberField._mul
+
+        def counting(self, a, b):
+            calls.append(None)
+            return multiply(self, a, b)
+
+        monkeypatch.setattr(NumberField, '_mul', counting)
+        for n in (1, 2, 5, 9):
+            m = random_sl2(field, rng, max_den=6)
+            calls.clear()
+            assert _is_sl2(m)
+            check = len(calls)
+            calls.clear()
+            symmetric_power(m, n)
+            assert len(calls) == check == 2, n
+
+    def test_too_small_shift_is_caught(self, octic):
+        """The shared decode refuses a value with digits left over."""
+        rng = random.Random(46)
+        m = random_sl2(octic, rng)
+        (a, b), (c, d) = m.ints
+        norm = max(1, sum(map(abs, d + b)), sum(map(abs, c + a)))
+        n = 4
+        shift = (norm ** (n - 1)).bit_length() + 1
+        size = (n - 1) * (octic.degree - 1) + 1
+        value = _horner(d, 1 << shift) ** (n - 1)
+        want = symmetric_power(m, n).ints[0][0]
+        assert octic._fold(_unpack(value, shift, size)) == want
+        with pytest.raises(ArithmeticError, match='coefficient bound'):
+            _unpack(value, shift - 2, size)
+        with pytest.raises(ArithmeticError, match='coefficient bound'):
+            _unpack(value, shift, size - 1)
 
     def test_trace_of_diagonal(self, qfield):
         # diag(lam, 1/lam) has sigma_n trace sum lam^(n-1-2k), fixing basis order
