@@ -8,8 +8,8 @@ and turn the values at t = 1 into the volume-converging sequence
 """
 
 from .group import (GroupRingElement, ParseError, Presentation, Word,
-                    abelianize, fox_derivative, free_reduce,
-                    parse_presentation, relator)
+                    abelianize, fox_derivative, parse_presentation,
+                    relator)
 from .field import EmbeddingError, NFElement, NumberField
 from .rep import Matrix, Representation, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,

@@ -9,8 +9,8 @@ exact paths by the size of the matrix.  A small matrix is packed by
 Kronecker substitution x = 2^B into one int matrix, whose integer
 Bareiss determinant is decoded into the coefficients of det A in Z[x]
 and folded by m (_det_packed); B comes from a rigorous coefficient
-bound, and digits left over raise ArithmeticError.  That decode
-(_unpack) also serves the packed symmetric power in rep.  A large
+bound, and digits left over raise ArithmeticError.  That decode and
+fold (_decode) also serves the packed symmetric power in rep.  A large
 matrix runs Bareiss on the coordinates (_det_coords).  Its elimination
 step and the inverse are both built on the int matrix of multiplication
 by an integral element (_mul_matrix): each entry update is one int dot
@@ -57,25 +57,6 @@ def _horner(coeffs, z):
     for c in reversed(coeffs[:-1]):
         acc = acc * z + c
     return acc
-
-
-def _unpack(value, shift, size):
-    """The size balanced base-2^shift digits of the int value, lowest
-    first, each in [-2^(shift-1), 2^(shift-1)); ArithmeticError when
-    value needs more: the coefficient bound behind shift was wrong."""
-    half = 1 << (shift - 1)
-    mask = (1 << shift) - 1
-    digits = []
-    for _ in range(size):
-        digit = value & mask
-        if digit >= half:
-            digit -= mask + 1
-        digits.append(digit)
-        value = (value - digit) >> shift
-    if value:
-        raise ArithmeticError('packed value has digits beyond degree %d; '
-                              'the coefficient bound is wrong' % (size - 1))
-    return digits
 
 
 class NumberField:
@@ -129,8 +110,6 @@ class NumberField:
 
     def _mul(self, a, b):
         d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
         # a zero of the coordinates' own type: int rows stay int, and
         # Fraction rows pay for one Fraction(0), not one per accumulator
         zero = a[0] * 0
@@ -153,6 +132,25 @@ class NumberField:
                 for i in range(d):
                     coeffs[k - d + i] -= c * m[i]
         return tuple(coeffs[:d])
+
+    def _decode(self, value, shift, size):
+        """The size balanced base-2^shift digits of the int value, lowest
+        first, each in [-2^(shift-1), 2^(shift-1)), folded by m (size >= d);
+        ArithmeticError when value needs more digits: the coefficient
+        bound behind shift was wrong."""
+        half = 1 << (shift - 1)
+        mask = (1 << shift) - 1
+        digits = []
+        for _ in range(size):
+            digit = value & mask
+            if digit >= half:
+                digit -= mask + 1
+            digits.append(digit)
+            value = (value - digit) >> shift
+        if value:
+            raise ArithmeticError('packed value has digits beyond degree %d; '
+                                  'the coefficient bound is wrong' % (size - 1))
+        return self._fold(digits)
 
     def _inv(self, a):
         scale = _denominator([a])
@@ -241,15 +239,15 @@ class NumberField:
         Bareiss gives det A (2^B) exactly, dividing exactly at every
         step (_bareiss).  det A in Z[x] has degree <= n(d - 1), and
         bound > every |coefficient| puts each one in a balanced base-2^B
-        digit, so n(d - 1) + 1 digits decode it (_unpack, which raises
-        ArithmeticError on anything left beyond them: the bound was
-        wrong).  The digits are folded by m into d coordinates.
+        digit, so n(d - 1) + 1 digits decode it, folded by m into d
+        coordinates (_decode, which raises ArithmeticError on anything
+        left beyond them: the bound was wrong).
         """
         n = len(rows)
         shift = bound.bit_length() + 1
         x = 1 << shift
         value = _bareiss([[_horner(a, x) for a in row] for row in rows])
-        return self._fold(_unpack(value, shift, n * (self.degree - 1) + 1))
+        return self._decode(value, shift, n * (self.degree - 1) + 1)
 
     def _det_coords(self, rows):
         """_det on the d int coordinates of each entry.

@@ -80,13 +80,6 @@ class Word:
         return 'Word%r' % (self.letters,)
 
 
-def free_reduce(letters):
-    """Freely reduce a raw letter sequence into a Word.  Idempotent."""
-    if isinstance(letters, Word):
-        return letters
-    return Word(letters)
-
-
 def relator(lhs, rhs):
     """Relator of the relation lhs = rhs, fixed as lhs * rhs^-1."""
     return lhs * ~rhs

@@ -489,9 +489,9 @@ def _newton_interpolate(field, points, values):
 def determinant(matrix):
     """Exact determinant of a square PolyMatrix.
 
-    A triangular matrix, upper or lower, such as the diagonal one of a
-    denominator's factors, is the product of its diagonal, multiplied on
-    the ints; it runs no elimination.  Any other matrix with a zero row
+    A triangular matrix, upper or lower, such as the 1x1 matrix of a
+    closed-form denominator, is the product of its diagonal, multiplied
+    on the ints; it runs no elimination.  Any other matrix with a zero row
     is 0, and one without is interpolated.  Each row is divided by its gcd
     with the scale, which leaves it over the least common denominator of
     its coefficients, and its lowest t-power is factored out, so every

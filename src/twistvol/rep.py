@@ -14,8 +14,8 @@ ints, and one check, ad - bc = scale^2, decides det = 1.  The symmetric
 power packs the entries of scale * M^-1 at x = 2^B (Kronecker
 substitution), so its binomial expansion multiplies plain ints and no
 field element; B comes from an l1 bound on each column's coefficients,
-and each cell is decoded by the field's _unpack, which raises
-ArithmeticError on digits beyond the degree, and folded by m.
+and the field's _decode turns each cell into its digits folded by m; it
+raises ArithmeticError on digits beyond the degree.
 Representation.evaluate can extend the products of earlier words from a
 caller-owned prefix dict, shared across the terms of the Wada matrix.
 """
@@ -26,7 +26,7 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from .field import (NFElement, NumberField, _denominator, _horner, _integral,
-                    _rational, _unit, _unpack)
+                    _rational, _unit)
 
 
 class Matrix:
@@ -147,9 +147,9 @@ def symmetric_power(matrix, n):
     norms of the coordinates, the coefficients of column j sum in
     absolute value to at most (|a| + |b|)^(n-1-j) (|c| + |d|)^j, so
     B = bits(max(1, |a| + |b|, |c| + |d|)^(n-1)) + 1 puts each one in a
-    balanced base-2^B digit.  Each cell is decoded (field._unpack, which
-    raises ArithmeticError on digits beyond the degree: a wrong bound)
-    and folded by m.
+    balanced base-2^B digit.  Each cell is decoded and folded by m
+    (NumberField._decode, which raises ArithmeticError on digits beyond
+    the degree: a wrong bound).
 
     >>> from .field import NumberField
     >>> Q = NumberField.rationals()
@@ -188,7 +188,7 @@ def symmetric_power(matrix, n):
         cols.append(col)
     # (n-1)(d-1) + 1 digits; at n = 1 the one digit is padded to d
     count = max(deg * (f.degree - 1) + 1, f.degree)
-    return Matrix._of(f, tuple(tuple(f._fold(_unpack(v, shift, count))
+    return Matrix._of(f, tuple(tuple(f._decode(v, shift, count)
                                      for v in row) for row in zip(*cols)),
                       matrix.scale ** deg)
 

@@ -14,6 +14,9 @@ import mpmath
 
 from .invariant import TwistConfig, twisted_alexander, value_at_one
 
+# significant digits of the table's columns; csv prints the full precision
+_TABLE_DIGITS = 6
+
 
 def invariant_values(presentation, rep, ns, column='auto'):
     """Exact value_at_one for each requested dimension, computed once."""
@@ -94,13 +97,14 @@ class VolumeReport:
     def _digits(self):
         return mpmath.libmp.libmpf.prec_to_dps(self.precision)
 
-    def format_table(self, digits=6):
+    def format_table(self):
         headers = ['n', '|A_n(1)|', 'v_n', 'gap']
         body = []
         for row in self.rows:
-            gap = mpmath.nstr(row.gap, digits) if row.gap is not None else '-'
-            body.append([str(row.n), mpmath.nstr(row.ratio_abs, digits),
-                         mpmath.nstr(row.estimate, digits), gap])
+            gap = (mpmath.nstr(row.gap, _TABLE_DIGITS) if row.gap is not None
+                   else '-')
+            body.append([str(row.n), mpmath.nstr(row.ratio_abs, _TABLE_DIGITS),
+                         mpmath.nstr(row.estimate, _TABLE_DIGITS), gap])
         widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
                   for i, h in enumerate(headers)]
         lines = ['  '.join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]

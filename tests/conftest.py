@@ -7,6 +7,12 @@ from twistvol import (Matrix, NumberField, Representation, TwistConfig,
 
 FIG8_TEXT = 'gens: a b\nrel: aBAba = baBAb\n'
 
+# A Wirtinger presentation of the figure-eight: four arcs and three of
+# its four crossing relations.  With c = abA, aBAba = baBAb reads
+# C b a = b C b, that is cbC = baB.
+FIG8_WIRTINGER_TEXT = ('gens: a b c d\nrel: c = abA\nrel: d = cbC\n'
+                       'rel: d = baB\n')
+
 # The two-bridge knot K(7/3) with its Riley parabolic representation over
 # the cubic field Q[u]/(u^3 - u^2 + 2u - 1); the embedding is the root with
 # the largest imaginary part.
@@ -18,6 +24,16 @@ embed: 0.215079854501 1.307141278682
 rep a: [[[1,0,0],[1,0,0]],[[0,0,0],[1,0,0]]]
 rep b: [[[1,0,0],[0,0,0]],[[0,-1,0],[1,0,0]]]
 '''
+
+
+def fig8_wirtinger(rep):
+    """The Wirtinger presentation, with rho(c) = rho(abA) and rho(d) =
+    rho(baB) for the images of rep on the two-generator presentation."""
+    pres = parse_presentation(FIG8_WIRTINGER_TEXT)
+    images = dict(zip(rep.names, rep.images))
+    images.update((x, rep.evaluate(pres.word_from_string(w)))
+                  for x, w in (('c', 'abA'), ('d', 'baB')))
+    return pres, Representation(pres, images)
 
 
 def make_ufield():

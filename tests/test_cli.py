@@ -300,6 +300,17 @@ class TestCompute:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (1, '', line + '\n')
 
+    @pytest.mark.parametrize('command, target, line', [
+        ('invariant', 'missing.job', "[Errno 2] No such file or directory"),
+        ('check', '', "[Errno 21] Is a directory"),
+    ], ids=['missing-file', 'directory'])
+    def test_unreadable_job_line(self, capsys, tmp_path, command, target,
+                                 line):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, '')
+        assert err == "error [parse]: %s: '%s'\n" % (line, path)
+
 
 @pytest.mark.parametrize('argv, job_text, message', [
     (['compute', '--precision', '32'], None, '--precision'),
@@ -316,6 +327,11 @@ class TestCompute:
                                                 'embed: 1/0 0.8'),
                  ('field validation', "embedding hint ('1/0', '0.8')"),
                  id='embed-1/0'),
+    # -0.5 is a critical point of u^2 + u + 1
+    pytest.param(['check'], FIG8_TEXT.replace('embed: -0.5 0.8660254038',
+                                              'embed: -0.5 0'),
+                 ('field validation', 'derivative vanished during Newton '
+                  'refinement; bad embedding hint'), id='embed-critical-point'),
     pytest.param(['compute'], FIG8_TEXT.replace('reference: 2.02988',
                                                 'reference: 1/0'),
                  "line 16: reference '1/0'", id='reference-1/0'),

@@ -15,15 +15,20 @@ from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       symmetric_power, twisted_alexander, value_at_one,
                       wada_matrix)
 
+from conftest import fig8_wirtinger
 from test_laurent import reference_reduce
 from test_theorems import RILEY_TEXTS
 
 
 @pytest.fixture(scope='module')
 def knots(fig8, fig8_rep, k7_3):
-    """(presentation, representation) of the one-relator test knots."""
+    """(presentation, representation) of the one-relator test knots; in
+    fig8-conjugated, diag(2, 1/2) puts the figure-eight's images over
+    scale 4."""
     return {'fig8': (fig8, fig8_rep),
-            'k7_3': (k7_3.presentation, k7_3.representation)}
+            'k7_3': (k7_3.presentation, k7_3.representation),
+            'fig8-conjugated': (fig8, conjugated(fig8, fig8_rep, (
+                (2, 0), (0, Fraction(1, 2)))))}
 
 
 def unshared_wada_blocks(cfg):
@@ -141,16 +146,18 @@ class TestWadaMatrix:
                             assert m[r * n + i, j * n + k] == block[i][k]
 
     @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'fig8-conjugated'])
-    @pytest.mark.parametrize('move', [None, 0, 1])
+    @pytest.mark.parametrize('move', [None, 0, 1, 'wirtinger'])
     def test_kept_columns_match_full_matrix(self, knots, knot, move):
         """Assembling without block column j leaves, once j is sliced
-        off, the cells and the scale of the full matrix; g = 2, 3, 4."""
-        if knot == 'fig8-conjugated':
-            pres, rep = knots['fig8']
-            rep = conjugated(pres, rep, ((2, 0), (0, Fraction(1, 2))))
-        else:
-            pres, rep = knots[knot]
-        if move is not None:
+        off, the cells and the scale of the full matrix; g = 2, 3, 4.
+
+        The comparison holds for any images, so the figure-eight's
+        Wirtinger presentation also runs with K(7/3)'s images, which do
+        not satisfy its relations."""
+        pres, rep = knots[knot]
+        if move == 'wirtinger':
+            pres, rep = fig8_wirtinger(rep)
+        elif move is not None:
             added, _ = TestTietzeInvariance.GENERATOR_MOVES[move]
             pres, rep = add_generators(pres, rep, added)
         for n in range(1, 5):
@@ -405,11 +412,7 @@ class TestTietzeInvariance:
         """Every column of the g-generator presentation gives the
         two-generator invariant; diag(2, 1/2) puts the blocks over scale 4."""
         added, ns = self.GENERATOR_MOVES[move]
-        if knot == 'fig8-conjugated':
-            pres, rep = knots['fig8']
-            rep = conjugated(pres, rep, ((2, 0), (0, Fraction(1, 2))))
-        else:
-            pres, rep = knots[knot]
+        pres, rep = knots[knot]
         other, other_rep = add_generators(pres, rep, added)
         assert other.num_generators == 2 + len(added)
         assert other_rep.check_relations(other) == []
@@ -419,6 +422,20 @@ class TestTietzeInvariance:
                 ta = twisted_alexander(TwistConfig(other, other_rep, n,
                                                    column))
                 assert ta.equal_up_to_unit(base), (n, column, other.to_text())
+
+    @pytest.mark.parametrize('knot', ['fig8', 'fig8-conjugated'])
+    def test_wirtinger_presentation(self, knots, knot):
+        """Four arcs and three crossing relations (g = 4, three block
+        rows) give the two-generator invariant over every column."""
+        pres, rep = knots[knot]
+        other, other_rep = fig8_wirtinger(rep)
+        assert other_rep.check_relations(other) == []
+        for n in range(1, 6):
+            base = twisted_alexander(TwistConfig(pres, rep, n))
+            for column in ('auto', *other.generator_names):
+                ta = twisted_alexander(TwistConfig(other, other_rep, n,
+                                                   column))
+                assert ta.equal_up_to_unit(base), (n, column)
 
 
 def add_generators(pres, rep, added):

@@ -6,7 +6,7 @@ import pytest
 
 from twistvol import (Matrix, NumberField, Representation, parse_presentation,
                       symmetric_power)
-from twistvol.field import _horner, _unpack
+from twistvol.field import _horner
 from twistvol.rep import _is_sl2
 
 # the degree-8 field of K(17/5), from bench/jobs/k17_5.job
@@ -240,11 +240,11 @@ class TestSymmetricPowerProperties:
         size = (n - 1) * (octic.degree - 1) + 1
         value = _horner(d, 1 << shift) ** (n - 1)
         want = symmetric_power(m, n).ints[0][0]
-        assert octic._fold(_unpack(value, shift, size)) == want
+        assert octic._decode(value, shift, size) == want
         with pytest.raises(ArithmeticError, match='coefficient bound'):
-            _unpack(value, shift - 2, size)
+            octic._decode(value, shift - 2, size)
         with pytest.raises(ArithmeticError, match='coefficient bound'):
-            _unpack(value, shift, size - 1)
+            octic._decode(value, shift, size - 1)
 
     def test_trace_of_diagonal(self, qfield):
         # diag(lam, 1/lam) has sigma_n trace sum lam^(n-1-2k), fixing basis order
@@ -330,8 +330,10 @@ class TestMatrix:
         # pivot 1 + x of norm 3 in Z[x]/(x^3 - 2): (1+x)^3 - 2(1+x)
         ('cubic', [[[1, 1], 1, 0], [1, [1, 1], 1], [0, 1, [1, 1]]],
          [1, 1, 3]),
+        ('qfield', [], 1),                            # empty: det = 1
+        ('cubic', [], 1),
     ], ids=['rows0--1', 'rows1-27', 'rows2-0', 'rows3-0', 'rational-rows',
-            'cubic-non-unit-pivot'])
+            'cubic-non-unit-pivot', 'empty', 'cubic-empty'])
     def test_det_pivoting_and_singular(self, request, field_name, rows, det):
         field = request.getfixturevalue(field_name)
         assert Matrix(field, rows).det() == field.element(det)
