@@ -32,7 +32,7 @@ pipeline runs through the same code path.
 
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 
 import mpmath
@@ -193,16 +193,6 @@ class NumberField:
             cols.append(self._fold([0, *cols[-1]]))
         return list(zip(*cols))
 
-    def _pow(self, a, k):
-        acc = self._one
-        base = a
-        while k:
-            if k & 1:
-                acc = self._mul(acc, base)
-            base = self._mul(base, base)
-            k >>= 1
-        return acc
-
     def _det(self, rows):
         """Determinant of a square matrix of integral raw elements.
 
@@ -223,7 +213,7 @@ class NumberField:
         field, and is 16-17 at the figure-eight's n = 20 (12100).
         """
         if not rows:
-            return (1,) + (0,) * (self.degree - 1)
+            return _unit(self, 1)
         limit = _PACKED_BITS // len(rows)
         bound = 1
         for row in rows:
@@ -265,13 +255,13 @@ class NumberField:
         n = len(rows)
         sign = 1
         # the previous pivot's inverse is w / denom; 1 / 1 at the first step
-        w, denom = (1,) + (0,) * (self.degree - 1), 1
+        w, denom = _unit(self, 1), 1
         for k in range(n - 1):
             if not any(rows[k][k]):
                 pivot = next((i for i in range(k + 1, n) if any(rows[i][k])),
                              None)
                 if pivot is None:
-                    return (0,) * self.degree
+                    return _unit(self, 0)
                 rows[k], rows[pivot] = rows[pivot], rows[k]
                 sign = -sign
             if k:
@@ -607,10 +597,8 @@ class NFElement:
                          self.field._mul(other.coeffs, self.field._inv(self.coeffs)))
 
     def __pow__(self, k):
-        if k < 0:
-            return NFElement(self.field,
-                             self.field._pow(self.field._inv(self.coeffs), -k))
-        return NFElement(self.field, self.field._pow(self.coeffs, k))
+        base = self if k >= 0 else 1 / self
+        return prod([base] * abs(k), start=self.field.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -218,6 +218,20 @@ def _parse_word(names, text):
     return Word(letters)
 
 
+def _checked_names(generator_names):
+    """The generator names as a tuple: nonempty, distinct single
+    lowercase letters, else ParseError."""
+    names = tuple(generator_names)
+    if not names:
+        raise ParseError('presentation needs at least one generator')
+    for name in names:
+        if not _GENS_RE.match(name):
+            raise ParseError('generator %r is not a single lowercase letter' % (name,))
+    if len(set(names)) != len(names):
+        raise ParseError('generator names are not distinct')
+    return names
+
+
 class Presentation:
     """A deficiency-one group presentation with an abelianization map.
 
@@ -227,14 +241,7 @@ class Presentation:
     """
 
     def __init__(self, generator_names, relations, alpha=None):
-        names = tuple(generator_names)
-        if not names:
-            raise ParseError('presentation needs at least one generator')
-        for name in names:
-            if not _GENS_RE.match(name):
-                raise ParseError('generator %r is not a single lowercase letter' % (name,))
-        if len(set(names)) != len(names):
-            raise ParseError('generator names are not distinct')
+        names = _checked_names(generator_names)
         relations = tuple((lhs, rhs) for lhs, rhs in relations)
         if len(relations) != len(names) - 1:
             raise ParseError('wrong deficiency: %d relations for %d generators '
@@ -348,7 +355,7 @@ def build_presentation(items):
     alpha_spec = None
     for lineno, head, body, line in items:
         if head == 'gens':
-            names = tuple(body.split())
+            names = body.split()
         elif head == 'rel':
             if body.count('=') != 1:
                 raise ParseError('line %d: relation needs exactly one "="' % lineno)
@@ -362,6 +369,7 @@ def build_presentation(items):
             raise ParseError('line %d: unrecognized directive %r' % (lineno, line))
     if names is None:
         raise ParseError('missing gens: line')
+    names = _checked_names(names)
 
     relations = []
     for lineno, lhs, rhs in raw_relations:

@@ -6,24 +6,26 @@ upper or lower, is the product of its diagonal, taken on those ints,
 and never reaches the kernel; a zero row gives 0.  Any other matrix is
 computed by evaluation and interpolation: each row is divided by its
 gcd with the scale and shifted to ordinary-polynomial form, the matrix
-is evaluated at D+1 integer points 0, 1, -1, 2, -2, ... for a
-certified degree bound D, the field's integral kernel (NumberField._det)
-runs on Python ints at each point, as one packed integer Bareiss at
-x = 2^B for a small matrix or on the field coordinates for a large one
-(its choice, by size), and the int values are interpolated with the one
-common denominator D!, divided out exactly; the row scales and the
-factored-out power of t are restored at the end.  One extra evaluation
-point cross-checks the interpolated result.  Every evaluation, at those
-points and in LaurentPolynomial.evaluate (rational points only), is
-_dense_eval: the field's Horner loop on each coordinate.  A
-LaurentPolynomial holds int coordinates over one scale too, so the data
-are ints over one scale from phi to the printed invariant, and
-Fractions appear only in the NFElements a polynomial hands out.
-Ordinary polynomials in t, dense ascending lists of raw elements, have
-their one division with remainder (_dense_divmod) and one Euclid loop
-(_dense_gcd) here: a RationalFunction divides once and runs Euclid only
-on a nonzero remainder.  The order at t = 1 is read off the Taylor
-coefficients there, with no division.
+is evaluated at one ascending run of D+2 consecutive integers, about
+zero, for a certified degree bound D, the field's integral kernel
+(NumberField._det) runs on Python ints at each point, as one packed
+integer Bareiss at x = 2^B for a small matrix or on the field
+coordinates for a large one (its choice, by size), and one
+forward-difference table of the int values both certifies and
+interpolates them: the (D+1)-th difference must be zero (the
+verification point), and the Newton form on the first D+1 values is
+expanded with the one common denominator D!, divided out exactly; the
+row scales and the factored-out power of t are restored at the end.
+Every evaluation, at those points and in LaurentPolynomial.evaluate
+(rational points only), is _dense_eval: the field's Horner loop on each
+coordinate.  A LaurentPolynomial holds int coordinates over one scale
+too, so the data are ints over one scale from phi to the printed
+invariant, and Fractions appear only in the NFElements a polynomial
+hands out.  Ordinary polynomials in t, dense ascending lists of raw
+elements, have their one division with remainder (_dense_divmod) and
+one Euclid loop (_dense_gcd) here: a RationalFunction divides once and
+runs Euclid only on a nonzero remainder.  The order at t = 1 is read
+off the Taylor coefficients there, with no division.
 """
 
 import re
@@ -269,7 +271,7 @@ def _dense_eval(field, a, x):
     multiply, so int coefficients at an int point give int coordinates.
     """
     if not a:
-        return field._zero
+        return _unit(field, 0)
     return tuple(_horner(coords, x) for coords in zip(*a))
 
 
@@ -310,11 +312,7 @@ def normalize_unit(p):
 
 def equal_up_to_unit(p, q):
     """Whether p = (+/- t^k) q for some integer k."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    cp, _, _ = normalize_unit(p)
-    cq, _, _ = normalize_unit(q)
-    return cp == cq or cp == -cq
+    return normalize_unit(p)[0] == normalize_unit(q)[0]
 
 
 class RationalFunction:
@@ -450,30 +448,32 @@ class PolyMatrix:
         return '<PolyMatrix %dx%d>' % (self.nrows, self.ncols)
 
 
-def _newton_interpolate(field, points, values):
+def _newton_interpolate(field, start, values):
     """Dense ascending int coefficients of the interpolant of int values.
 
-    The n points are distinct integers forming a run of consecutive
-    integers, in any order.  In ascending order the Newton coefficients
-    are the forward differences of the values over k!, so the Newton
-    form is expanded on ints with the one common denominator (n-1)! and
+    values holds n + 1 values at the consecutive integers start, start + 1,
+    ..., start + n; the interpolant has degree < n.  The Newton
+    coefficients are the forward differences of the values over k!, and n
+    points fix it, so its degree is < n exactly when the n-th difference is
+    zero: that one further value is the verification point, and a nonzero
+    top difference raises ArithmeticError.  The Newton form on the first n
+    points is expanded on ints with the one common denominator (n-1)! and
     divided by it exactly at the end.  The interpolant of an integral
     determinant is integral: a remainder raises ArithmeticError.
     """
-    pairs = sorted(zip(points, values))
-    n = len(pairs)
-    xs = [x for x, _ in pairs]
-    if xs != list(range(xs[0], xs[0] + n)):
-        raise ValueError('interpolation points must be consecutive integers')
-    diffs = [v for _, v in pairs]
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
+    diffs = list(values)
+    n = len(diffs) - 1
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
             diffs[i] = field._sub(diffs[i], diffs[i - 1])
+    if any(diffs[n]):
+        raise ArithmeticError('determinant interpolation failed its '
+                              'verification point; degree bound bug')
     # poly <- poly * (t - x_k) + diffs[k] * (n-1)!/k!, for k = n-2 .. 0
     poly = [diffs[n - 1]]
     weight = 1
     for k in range(n - 2, -1, -1):
-        x = xs[k]
+        x = start + k
         weight *= k + 1
         poly = ([tuple(weight * u - x * v for u, v in zip(diffs[k], poly[0]))]
                 + [tuple(u - x * v for u, v in zip(lower, higher))
@@ -497,11 +497,12 @@ def determinant(matrix):
     its coefficients, and its lowest t-power is factored out, so every
     entry becomes an ordinary polynomial over Z[x]/(m).  The degree
     bound D sums, over rows, the largest entry degree.  The matrix is
-    evaluated at the D+1 integers 0, 1, -1, 2, -2, ..., the field's
-    integral Bareiss kernel runs at each point, and the values are
-    interpolated; one further integer point cross-checks the interpolant
-    against a direct elimination.  The row scales and the t-power are
-    restored at the end.
+    evaluated at the D+2 consecutive integers from -floor((D+1)/2), the
+    field's integral Bareiss kernel runs at each point, and one
+    difference table of the values checks that their (D+1)-th difference
+    is zero, the verification point, and interpolates the first D+1
+    (_newton_interpolate).  The row scales and the t-power are restored
+    at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
@@ -510,7 +511,7 @@ def determinant(matrix):
             or not any(any(row[i + 1:]) for i, row in enumerate(cells))):
         return prod((matrix[i, i] for i in range(len(cells))),
                     start=LaurentPolynomial.one(field))
-    izero = (0,) * field.degree
+    izero = _unit(field, 0)
     shift = 0
     scale = 1
     int_rows = []
@@ -531,12 +532,9 @@ def determinant(matrix):
             int_row.append(dense)
         int_rows.append(int_row)
         bound += max(len(entry) for entry in int_row) - 1
-    points = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 2)]
+    start = -((bound + 1) // 2)
     values = [field._det([[_dense_eval(field, entry, x) for entry in row]
                           for row in int_rows])
-              for x in points]
-    poly = _newton_interpolate(field, points[:-1], values[:-1])
-    if _dense_eval(field, poly, points[-1]) != values[-1]:
-        raise ArithmeticError('determinant interpolation failed its '
-                              'verification point; degree bound bug')
+              for x in range(start, start + bound + 2)]
+    poly = _newton_interpolate(field, start, values)
     return LaurentPolynomial._of(field, dict(enumerate(poly, shift)), scale)

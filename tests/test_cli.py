@@ -433,6 +433,34 @@ def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
     assert err.startswith('error [%s]: ' % stage) and message in err
 
 
+@pytest.mark.parametrize('job_text, message', [
+    pytest.param('gens:\n', 'presentation needs at least one generator',
+                 id='gens-empty'),
+    pytest.param('gens: 1 b\nrel: b = b\n',
+                 "generator '1' is not a single lowercase letter",
+                 id='gens-digit'),
+    # the names are checked before any relation word is parsed
+    pytest.param('gens: a B\nrel: aB = Ba\n',
+                 "generator 'B' is not a single lowercase letter",
+                 id='gens-uppercase'),
+    pytest.param('gens: a b\nrel: ab\n',
+                 'line 2: relation needs exactly one "="', id='rel-no-equals'),
+    pytest.param('gens: a b\nrel: = ab\n', 'line 2: empty relation side',
+                 id='rel-empty-side'),
+    pytest.param('rel: ab = ba\n', 'missing gens: line', id='no-gens'),
+    pytest.param('gens: a b\nrel: ab = ba\nalpha: c=1\n',
+                 "line 3: alpha names unknown generator 'c'",
+                 id='alpha-unknown-generator'),
+    pytest.param('gens: a b\nrel: ab = ba\nalpha: a=x\n',
+                 "line 3: bad alpha exponent 'x'", id='alpha-exponent-x'),
+])
+def test_bad_presentation_line(capsys, tmp_path, job_text, message):
+    path = tmp_path / 'bad.job'
+    path.write_text(job_text)
+    code, out, err = run(capsys, 'invariant', str(path))
+    assert (code, out, err) == (1, '', 'error [parse]: %s\n' % message)
+
+
 class TestInvariantCommand:
 
     def test_n2_golden(self, capsys):
@@ -525,6 +553,26 @@ class TestCheckCommand:
             'FAIL  column independence (n=3): %s\n'
             'FAIL  parity of zero at t=1 (n=2): %s\n'
             'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+
+    def test_no_admissible_column_fails(self, capsys, tmp_path):
+        # alpha = 0 makes every denominator det(sigma_n(A) - I) vanish
+        path = tmp_path / 'alpha0.job'
+        path.write_text(FIG8_TEXT + 'alpha: a=0 b=0\n')
+        code, out, _ = run(capsys, 'check', str(path))
+        degenerate = ('NoAdmissibleColumnError: no generator has a nonzero '
+                      'denominator det Phi(x_j - 1); the representation is '
+                      'degenerate for n=%d')
+        assert code == 1
+        assert out == (
+            'PASS  determinant check: all det = 1\n'
+            'PASS  relation check: 1 relation(s) hold exactly\n'
+            'PASS  fox fundamental identity: fundamental identity holds on '
+            'all relators\n'
+            'FAIL  column independence (n=2): no admissible column\n'
+            'FAIL  column independence (n=3): no admissible column\n'
+            'FAIL  parity of zero at t=1 (n=2): %s\n'
+            'FAIL  parity of zero at t=1 (n=3): %s\n'
+            % (degenerate % 2, degenerate % 3))
 
     def test_no_column_option(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -54,6 +54,11 @@ class TestArithmetic:
         u = ufield.generator
         assert u ** 3 == ufield.one       # u is a cube root of unity
         assert u ** -1 == 1 / u
+        assert u ** 0 == ufield.one
+        assert u ** -2 * u ** 2 == ufield.one
+        with pytest.raises(ZeroDivisionError,
+                           match='^division by zero in the number field$'):
+            ufield.zero ** -1
 
     def test_field_axioms_random(self, ufield, qfield):
         rng = random.Random(11)

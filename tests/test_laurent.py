@@ -519,6 +519,10 @@ class TestNormalizeUnit:
         p = t ** 2 - 4 * t + 1
         assert equal_up_to_unit(p, (-p).shifted(5))
         assert not equal_up_to_unit(p, p * (t - 1))
+        zero = p - p
+        assert equal_up_to_unit(zero, LaurentPolynomial.zero(qfield))
+        assert not equal_up_to_unit(zero, p)
+        assert not equal_up_to_unit(p, zero)
 
 
 class TestInterpolation:
@@ -533,19 +537,25 @@ class TestInterpolation:
         poly = data.draw(st.lists(st.tuples(*[coordinate] * field.degree),
                                   max_size=12))
         spare = data.draw(st.integers(0, 3))
-        # the order determinant uses: 0, 1, -1, 2, -2, ...
-        points = [(k + 1) // 2 if k % 2 else -(k // 2)
-                  for k in range(max(1, len(poly)) + spare)]
+        start = data.draw(st.integers(-20, 20))
+        # one value past those the degree needs: the verification point
+        points = range(start, start + max(1, len(poly)) + spare + 1)
         values = [_dense_eval(field, poly, x) for x in points]
-        got = _newton_interpolate(field, points, values)
+        got = _newton_interpolate(field, start, values)
         assert got == _dense_trim(list(poly))
         assert all(type(c) is int for coeff in got for c in coeff)
 
     def test_non_integral_interpolant_rejected(self, qfield):
-        # t (t - 1) / 2 takes the values 0, 0, 1 at 0, 1, -1
+        # t (t - 1) / 2 takes the values 1, 0, 0, 1 at -1, 0, 1, 2
         with pytest.raises(ArithmeticError, match='not integral'):
-            _newton_interpolate(qfield, [0, 1, -1], [(0,), (0,), (1,)])
+            _newton_interpolate(qfield, -1, [(1,), (0,), (0,), (1,)])
 
-    def test_points_must_be_consecutive(self, qfield):
-        with pytest.raises(ValueError, match='consecutive'):
-            _newton_interpolate(qfield, [0, 1, 3], [(0,), (1,), (3,)])
+    def test_nonzero_top_difference_fails_verification_point(self, qfield):
+        # 0, 1, 4, 10 at 0..3: the third difference is 1, not 0
+        with pytest.raises(ArithmeticError, match='verification point'):
+            _newton_interpolate(qfield, 0, [(0,), (1,), (4,), (10,)])
+
+    def test_empty_polynomial_evaluates_to_int_zero(self, cubic):
+        zero = _dense_eval(cubic, [], 3)
+        assert zero == (0, 0, 0)
+        assert all(type(c) is int for c in zero)
