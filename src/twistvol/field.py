@@ -10,7 +10,9 @@ Kronecker substitution x = 2^B into one int matrix, whose integer
 Bareiss determinant is decoded into the coefficients of det A in Z[x]
 and folded by m (_det_packed); B comes from a rigorous coefficient
 bound, and digits left over raise ArithmeticError.  That decode and
-fold (_decode) also serves the packed symmetric power in rep.  A large
+fold (_decode) also serves rep's packed symmetric power and laurent's
+pack-once determinant, which packs a matrix of polynomials in t once
+and runs _bareiss at each evaluation point.  A large
 matrix runs Bareiss on the coordinates (_det_coords).  Its elimination
 step and the inverse are both built on the int matrix of multiplication
 by an integral element (_mul_matrix): each entry update is one int dot
@@ -20,8 +22,10 @@ b * w = D on ints; _inv is its Fraction wrapper.  _bareiss, the one int
 elimination besides _det_coords, also gives the squarefree screen of m
 its Sylvester resultant, and a prime not dividing that resultant lets
 the integer-root screen lift the roots of m mod p (_integer_roots).
-_mul is the one element-by-element multiply,
-_fold the one reduction by m and _horner the one evaluation loop.
+_dot is the one multiply loop, a sum of products folded by m once, and
+_mul its one-term case; _fold is the one reduction by m, _horner the
+one evaluation loop and _digit_shift the one rule for a packing
+shift.
 Polynomials in t live in laurent.  All ring operations are exact; the
 only inexact step is the embedding into arbitrary-precision complex
 numbers (mpmath), whose root of m is the one nearest a user-supplied
@@ -109,16 +113,22 @@ class NumberField:
         return tuple(x * r for x in a)
 
     def _mul(self, a, b):
+        return self._dot((a,), (b,))
+
+    def _dot(self, xs, ys):
+        """sum_k xs[k] * ys[k] over nonempty sequences of raw elements,
+        summed unreduced and folded by m once."""
         d = self.degree
         # a zero of the coordinates' own type: int rows stay int, and
         # Fraction rows pay for one Fraction(0), not one per accumulator
-        zero = a[0] * 0
+        zero = xs[0][0] * 0
         prod = [zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+        for a, b in zip(xs, ys):
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        if y:
+                            prod[i + j] += x * y
         return self._fold(prod)
 
     def _fold(self, coeffs):
@@ -234,7 +244,7 @@ class NumberField:
         left beyond them: the bound was wrong).
         """
         n = len(rows)
-        shift = bound.bit_length() + 1
+        shift = _digit_shift(bound)
         x = 1 << shift
         value = _bareiss([[_horner(a, x) for a in row] for row in rows])
         return self._decode(value, shift, n * (self.degree - 1) + 1)
@@ -267,10 +277,12 @@ class NumberField:
             if k:
                 w, denom = self._inv_integral(rows[k - 1][k - 1])
             row_k = rows[k]
-            m_kk = self._mul_matrix(self._mul(w, row_k[k]))
+            # _dot, not _mul: no wrapper call on this path
+            m_kk = self._mul_matrix(self._dot((w,), (row_k[k],)))
             for i in range(k + 1, n):
                 row_i = rows[i]
-                m_ik = self._mul_matrix(self._mul(w, self._neg(row_i[k])))
+                m_ik = self._mul_matrix(
+                    self._dot((w,), (self._neg(row_i[k]),)))
                 step = [p + q for p, q in zip(m_kk, m_ik)]
                 for j in range(k + 1, n):
                     xy = row_i[j] + row_k[j]
@@ -484,6 +496,12 @@ def _integral(a, scale):
 def _rational(a, scale):
     """The raw element a / scale with Fraction coordinates (undoes _integral)."""
     return tuple(Fraction(c, scale) for c in a)
+
+
+def _digit_shift(bound):
+    """The least B whose balanced base-2^B digits, in [-2^(B-1), 2^(B-1)),
+    hold every int of absolute value at most bound."""
+    return bound.bit_length() + 1
 
 
 def _unit(field, k):

@@ -5,11 +5,13 @@ det Phi(x_j - 1), in closed form from tr rho(x_j), then maps group-ring
 elements through Phi(w) = t^alpha(w) * sigma_n(rho(w)), assembles the
 Fox-derivative block matrix without block column j (left as zero
 cells), slices that column off, and divides the two determinants.
-rho(w) and sigma_n(rho(w)) stay integral Matrix data, and phi sums each
-cell on ints into a PolyMatrix over one scale, the form the determinant
-takes.  The result is reduced and brought to a deterministic
-representative; the invariant itself is only defined up to a unit
-+/- t^k, so comparisons go through the unit-normalized form.
+rho(w) stays integral Matrix data.  phi groups a Fox sum's terms by
+t-exponent and takes one linear symmetric_power per group, so each
+t-coefficient of each cell is decoded once, and brings the groups to
+one scale in a PolyMatrix, the form the determinant takes.  The result
+is reduced and brought to a deterministic representative; the
+invariant itself is only defined up to a unit +/- t^k, so comparisons
+go through the unit-normalized form.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from math import lcm, prod
 
 from .group import GroupRingElement, Word, fox_derivative
 from .field import _unit
-from .rep import Matrix, _is_sl2, symmetric_power
+from .rep import _is_sl2, symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
                       determinant, equal_up_to_unit, normalize_unit,
                       order_at_one, reduce)
@@ -52,52 +54,34 @@ class TwistConfig:
             raise ValueError('symmetric-power dimension n must be >= 1')
 
 
-def phi(element, cfg, prefixes=None, powers=None):
+def phi(element, cfg, prefixes=None):
     """Blockwise twisted map Phi(sum c_w w) = sum c_w t^alpha(w) sigma_n(rho(w)).
 
-    Returns an n x n PolyMatrix, each cell summed on ints over the lcm
-    of the terms' scales; Phi is linear and sends the identity word to
-    the identity matrix.  prefixes, a dict of prefix products owned by
-    the caller, is passed on to Representation.evaluate.  powers, a
-    dict owned by the caller for one n, maps the data (scale, ints) of
-    a value rho(w) to sigma_n(rho(w)), so each distinct value is
-    expanded once however many words share it; without one, phi keeps
-    its own.  A value equal to the identity gives the n x n identity
-    with no expansion.
+    Returns an n x n PolyMatrix.  The terms are grouped by t-exponent,
+    and each group is one linear symmetric_power call, sum c_w
+    sigma_n(rho(w)) on packed ints with one decode per cell; the cells
+    are brought to the lcm of the groups' scales.  Phi is linear and
+    sends the identity word to the identity matrix.  prefixes, a dict of
+    prefix products owned by the caller, is passed on to
+    Representation.evaluate.
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
     n, f = cfg.n, cfg.rep.field
-    if powers is None:
-        powers = {}
-    terms = [(cfg.presentation.abelianize(word), coeff,
-              _sigma(cfg.rep.evaluate(word, prefixes), n, powers))
-             for word, coeff in element.terms.items()]
-    scale = lcm(*(mat.scale for _, _, mat in terms))
-    grid = [[{} for _ in range(n)] for _ in range(n)]
-    for exponent, coeff, mat in terms:
-        weight = coeff * (scale // mat.scale)
-        for cells, row in zip(grid, mat.ints):
-            for cell, c in zip(cells, row):
+    groups = {}
+    for word, coeff in element.terms.items():
+        groups.setdefault(cfg.presentation.abelianize(word), []).append(
+            (coeff, cfg.rep.evaluate(word, prefixes)))
+    sums = {e: symmetric_power(terms, n) for e, terms in groups.items()}
+    scale = lcm(*(mat.scale for mat in sums.values()))
+    cells = tuple(tuple({} for _ in range(n)) for _ in range(n))
+    for e, mat in sums.items():
+        k = scale // mat.scale
+        for row_cells, row in zip(cells, mat.ints):
+            for cell, c in zip(row_cells, row):
                 if any(c):
-                    prev = cell.get(exponent)
-                    raw = f._scale(c, weight)
-                    cell[exponent] = raw if prev is None else f._add(prev, raw)
-    return PolyMatrix._of(f, tuple(tuple({e: c for e, c in cell.items()
-                                          if any(c)} for cell in cells)
-                                   for cells in grid), scale)
-
-
-def _sigma(mat, n, powers):
-    """sigma_n(mat), looked up in powers by value and stored there."""
-    key = (mat.scale, mat.ints)
-    power = powers.get(key)
-    if power is None:
-        f = mat.field
-        power = powers[key] = (Matrix.identity(f, n)
-                               if mat == Matrix.identity(f, 2)
-                               else symmetric_power(mat, n))
-    return power
+                    cell[e] = c if k == 1 else f._scale(c, k)
+    return PolyMatrix._of(f, cells, scale)
 
 
 def wada_matrix(cfg, deleted=None):
@@ -109,9 +93,7 @@ def wada_matrix(cfg, deleted=None):
     brought to the lcm of their scales, on ints; a block already over
     it keeps its cells.  Every Fox-derivative term is a prefix of its
     relator, so one prefix dict shared by all the terms makes rho cost
-    one int multiply per relator letter; one powers dict (see phi) for
-    every block expands each recurring value rho(w) once.  Both are
-    dropped on return.
+    one int multiply per relator letter; it is dropped on return.
 
     deleted, a generator index, skips phi for that block column, and
     with it every sigma_n that only its Fox terms need; the column is
@@ -121,9 +103,9 @@ def wada_matrix(cfg, deleted=None):
     pres = cfg.presentation
     g = pres.num_generators
     f = cfg.rep.field
-    prefixes, powers = {}, {}
+    prefixes = {}
     blocks = [[None if j == deleted
-               else phi(fox_derivative(r, j), cfg, prefixes, powers)
+               else phi(fox_derivative(r, j), cfg, prefixes)
                for j in range(g)] for r in pres.relators()]
     scale = lcm(*(block.scale for row in blocks for block in row
                   if block is not None))

@@ -7,33 +7,42 @@ and never reaches the kernel; a zero row gives 0.  Any other matrix is
 computed by evaluation and interpolation: each row is divided by its
 gcd with the scale and shifted to ordinary-polynomial form, the matrix
 is evaluated at one ascending run of D+2 consecutive integers, about
-zero, for a certified degree bound D, the field's integral kernel
-(NumberField._det) runs on Python ints at each point, as one packed
-integer Bareiss at x = 2^B for a small matrix or on the field
-coordinates for a large one (its choice, by size), and one
+zero, for a certified degree bound D, and its determinant over
+Z[x]/(m) is taken at each point on Python ints: a small matrix is
+packed once at x = 2^B, so each point is a Horner in t on those ints,
+one integer Bareiss and one decode, and a large one takes the field's
+kernel (NumberField._det) at each point (see determinant).  One
 forward-difference table of the int values both certifies and
 interpolates them: the (D+1)-th difference must be zero (the
 verification point), and the Newton form on the first D+1 values is
 expanded with the one common denominator D!, divided out exactly; the
 row scales and the factored-out power of t are restored at the end.
 Every evaluation, at those points and in LaurentPolynomial.evaluate
-(rational points only), is _dense_eval: the field's Horner loop on each
-coordinate.  A LaurentPolynomial holds int coordinates over one scale
-too, so the data are ints over one scale from phi to the printed
-invariant, and Fractions appear only in the NFElements a polynomial
-hands out.  Ordinary polynomials in t, dense ascending lists of raw
-elements, have their one division with remainder (_dense_divmod) and
-one Euclid loop (_dense_gcd) here: a RationalFunction divides once and
-runs Euclid only on a nonzero remainder.  The order at t = 1 is read
-off the Taylor coefficients there, with no division.
+(rational points only), is the field's Horner loop: on the packed ints,
+or on each coordinate (_dense_eval).  A LaurentPolynomial holds int
+coordinates over one scale too, so the data are ints over one scale
+from phi to the printed invariant, and Fractions appear only in the
+NFElements a polynomial hands out.  Ordinary polynomials in t, dense
+ascending lists of raw elements, have their one division with
+remainder (_dense_divmod) and one Euclid loop (_dense_gcd) here: a
+RationalFunction divides once and runs Euclid only on a nonzero
+remainder.  The order at t = 1 is read off the Taylor coefficients
+there, with no division.
 """
 
 import re
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
-from .field import (NFElement, _denominator, _exact_quotient, _horner,
-                    _integral, _rational, _unit)
+from .field import (NFElement, _bareiss, _denominator, _digit_shift,
+                    _exact_quotient, _horner, _integral, _rational, _unit)
+
+# determinant packs a matrix once, for all its evaluation points, when
+# rows * bits(N*) is at most this, by field degree: degree 5 and up take
+# the last entry, and degree 1 packs at any size.  Each entry sits below
+# the size at which the pack-once time per determinant passed that of
+# NumberField._det at every point (BENCH_pr21.json, "crossover").
+_PACK_ONCE_BITS = {2: 2000, 3: 1400, 4: 1200, 5: 1050}
 
 
 class LaurentPolynomial:
@@ -497,12 +506,19 @@ def determinant(matrix):
     its coefficients, and its lowest t-power is factored out, so every
     entry becomes an ordinary polynomial over Z[x]/(m).  The degree
     bound D sums, over rows, the largest entry degree.  The matrix is
-    evaluated at the D+2 consecutive integers from -floor((D+1)/2), the
-    field's integral Bareiss kernel runs at each point, and one
-    difference table of the values checks that their (D+1)-th difference
-    is zero, the verification point, and interpolates the first D+1
-    (_newton_interpolate).  The row scales and the t-power are restored
-    at the end.
+    evaluated at the D+2 consecutive integers from -floor((D+1)/2), up
+    to R in absolute value.  Every entry a = sum_k c_k t^k has
+    ||a(x)||_1 <= sum_k ||c_k||_1 R^k there, so the product over rows of
+    those sums, N*, bounds every coefficient in Z[x] of det A(x) at
+    every point, as in NumberField._det.  If rows * bits(N*) is within
+    _PACK_ONCE_BITS for the field's degree, or the degree is 1, each
+    c_k is packed once at x = 2^B, B = bits(N*) + 1, and each point
+    evaluates the packed entries in t, runs _bareiss and decodes
+    rows * (d - 1) + 1 digits; otherwise NumberField._det runs at each
+    point.  One difference table of the values checks that their
+    (D+1)-th difference is zero, the verification point, and
+    interpolates the first D+1 (_newton_interpolate).  The row scales
+    and the t-power are restored at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
@@ -533,8 +549,26 @@ def determinant(matrix):
         int_rows.append(int_row)
         bound += max(len(entry) for entry in int_row) - 1
     start = -((bound + 1) // 2)
-    values = [field._det([[_dense_eval(field, entry, x) for entry in row]
-                          for row in int_rows])
-              for x in range(start, start + bound + 2)]
+    points = range(start, start + bound + 2)
+    # ||a(x)||_1 <= sum_k ||c_k||_1 |x|^k <= sum_k ||c_k||_1 R^k at every
+    # point, R = max |x|: one row-norm bound N* for all of them
+    far = max(-start, points[-1])
+    norm = prod(sum(_horner([sum(map(abs, c)) for c in entry], far)
+                    for entry in row) for row in int_rows)
+    n = len(int_rows)
+    if (field.degree == 1 or n * norm.bit_length()
+            <= _PACK_ONCE_BITS[min(field.degree, 5)]):
+        width = _digit_shift(norm)
+        base = 1 << width
+        packed = [[[_horner(c, base) for c in entry] for entry in row]
+                  for row in int_rows]
+        digits = n * (field.degree - 1) + 1
+        values = [field._decode(_bareiss([[_horner(entry, x)
+                                           for entry in row]
+                                          for row in packed]), width, digits)
+                  for x in points]
+    else:
+        values = [field._det([[_dense_eval(field, entry, x) for entry in row]
+                              for row in int_rows]) for x in points]
     poly = _newton_interpolate(field, start, values)
     return LaurentPolynomial._of(field, dict(enumerate(poly, shift)), scale)

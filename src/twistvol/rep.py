@@ -8,25 +8,28 @@ written as columns; this is the order that reproduces the standard
 contragredient identification sigma_2(M) = transpose(M^-1).
 
 A Matrix stores int coordinates over one reduced common denominator and
-builds NFElements only at its public boundary; products, the determinant
+builds NFElements only at its public boundary; products (each entry one
+sum of products folded by m once, NumberField._dot), the determinant
 (the field's integral Bareiss kernel) and the symmetric power run on the
 ints, and one check, ad - bc = scale^2, decides det = 1.  The symmetric
-power packs the entries of scale * M^-1 at x = 2^B (Kronecker
-substitution), so its binomial expansion multiplies plain ints and no
-field element; B comes from an l1 bound on each column's coefficients,
-and the field's _decode turns each cell into its digits folded by m; it
-raises ArithmeticError on digits beyond the degree.
+power is linear: it takes (weight, matrix) pairs, checks every matrix
+for det = 1 and returns the weighted sum of their sigma_n.  The entries
+of each scale * M^-1 are packed at one x = 2^B (Kronecker
+substitution), so the binomial expansions multiply plain ints and no
+field element and are added cell by cell; B comes from an l1 bound on
+the summed coefficients, and the field's _decode turns each cell, once,
+into its digits folded by m; it raises ArithmeticError on digits beyond
+the degree.
 Representation.evaluate can extend the products of earlier words from a
 caller-owned prefix dict, shared across the terms of the Wada matrix.
 """
 
-from functools import reduce
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
 
-from .field import (NFElement, NumberField, _denominator, _horner, _integral,
-                    _rational, _unit)
+from .field import (NFElement, NumberField, _denominator, _digit_shift,
+                    _horner, _integral, _rational, _unit)
 
 
 class Matrix:
@@ -86,8 +89,8 @@ class Matrix:
             raise ValueError('matrix shape mismatch')
         f = self.field
         cols = list(zip(*other.ints))
-        return Matrix._of(f, tuple(tuple(reduce(f._add, map(f._mul, r, c))
-                                         for c in cols) for r in self.ints),
+        return Matrix._of(f, tuple(tuple(f._dot(r, c) for c in cols)
+                                   for r in self.ints),
                           self.scale * other.scale)
 
     def __sub__(self, other):
@@ -132,65 +135,94 @@ def _is_sl2(m):
     return f._sub(f._mul(a, d), f._mul(b, c)) == _unit(f, m.scale ** 2)
 
 
-def symmetric_power(matrix, n):
-    """The n-th symmetric power sigma_n of an SL(2) matrix.
+def symmetric_power(terms, n):
+    """sum_k w_k sigma_n(M_k): the n-th symmetric power, made linear.
 
-    Column j (0-indexed) holds the coordinates of the image of the basis
-    monomial x^(n-1-j) y^j, which under p -> p(M^-1 (x,y)^t) is
-    (a x + b y)^(n-1-j) (c x + d y)^j with M^-1 = [[a, b], [c, d]];
-    coefficients are exact binomial-expansion sums.
+    terms is a list of (int weight, SL(2) Matrix) pairs; one Matrix M
+    stands for [(1, M)].  Every matrix is checked for det = 1, and equal
+    matrices are merged by summing their weights.
 
-    The expansion runs on plain ints.  The four entries of scale * M^-1,
-    polynomials in Z[x] of degree < d, are packed at x = 2^B (Kronecker
-    substitution), so every cell is one int, the value at 2^B of its
-    coefficient polynomial in Z[x], of degree <= (n-1)(d-1).  With l1
-    norms of the coordinates, the coefficients of column j sum in
-    absolute value to at most (|a| + |b|)^(n-1-j) (|c| + |d|)^j, so
-    B = bits(max(1, |a| + |b|, |c| + |d|)^(n-1)) + 1 puts each one in a
-    balanced base-2^B digit.  Each cell is decoded and folded by m
-    (NumberField._decode, which raises ArithmeticError on digits beyond
-    the degree: a wrong bound).
+    Column j (0-indexed) of sigma_n(M) holds the coordinates of the
+    image of the basis monomial x^(n-1-j) y^j, which under
+    p -> p(M^-1 (x,y)^t) is (a x + b y)^(n-1-j) (c x + d y)^j with
+    M^-1 = [[a, b], [c, d]]; coefficients are exact binomial-expansion
+    sums.
+
+    The expansion runs on plain ints.  The four entries of s * M^-1,
+    for M over scale s, are polynomials in Z[x] of degree < d, packed
+    at x = 2^B (Kronecker substitution), so every cell is one int, the
+    value at 2^B of its coefficient polynomial in Z[x], of degree
+    <= (n-1)(d-1).  sigma_n(M) is that expansion over s^(n-1), so the
+    sum is (sum_k w_k (L / s_k^(n-1)) expansion_k) / L for L the lcm of
+    the s_k^(n-1), added cell by cell on ints.  With l1 norms of the
+    coordinates, the coefficients of column j of one expansion sum in
+    absolute value to at most (|a| + |b|)^(n-1-j) (|c| + |d|)^j
+    <= norm^(n-1), norm = max(1, |a| + |b|, |c| + |d|), so the one
+    shift B = bits(1 + sum_k |w_k| (L / s_k^(n-1)) norm_k^(n-1)) + 1
+    puts every coefficient of the sum in a balanced base-2^B digit.
+    Each cell is decoded once and folded by m (NumberField._decode,
+    which raises ArithmeticError on digits beyond the degree: a wrong
+    bound).
 
     >>> from .field import NumberField
     >>> Q = NumberField.rationals()
     >>> shear = Matrix(Q, [[1, 1], [0, 1]])
     >>> symmetric_power(shear, 2).rows == Matrix(Q, [[1, 0], [-1, 1]]).rows
     True
+    >>> eye = Matrix.identity(Q, 2)
+    >>> two_terms = symmetric_power([(3, shear), (-2, eye)], 2)
+    >>> two_terms.rows == Matrix(Q, [[1, 0], [-3, 1]]).rows
+    True
     """
     if n < 1:
         raise ValueError('symmetric power needs n >= 1')
-    f = matrix.field
-    if matrix.nrows != 2 or matrix.ncols != 2:
-        raise ValueError('symmetric power expects a 2x2 matrix')
-    if not _is_sl2(matrix):
-        raise ValueError('symmetric power expects determinant 1')
-    # scale * M^-1 = adj(ints) on SL(2); each coordinate of the expansion
-    # is homogeneous of degree n-1 in its entries: over scale^(n-1)
-    (a, b), (c, d) = matrix.ints
+    if isinstance(terms, Matrix):
+        terms = [(1, terms)]
+    merged = {}
+    for weight, matrix in terms:
+        if matrix.nrows != 2 or matrix.ncols != 2:
+            raise ValueError('symmetric power expects a 2x2 matrix')
+        key = (matrix.scale, matrix.ints)
+        if key not in merged:
+            if not _is_sl2(matrix):
+                raise ValueError('symmetric power expects determinant 1')
+            merged[key] = [0, matrix]
+        merged[key][0] += weight
+    f = terms[0][1].field
     deg = n - 1
-    norm = max(1, sum(map(abs, d + b)), sum(map(abs, c + a)))
-    shift = (norm ** deg).bit_length() + 1
+    # each coordinate of sigma_n(M) is homogeneous of degree n-1 in the
+    # entries of s * M^-1 = adj(ints) on SL(2), so over s^(n-1); the sum
+    # is over L, the lcm of those
+    common = lcm(*(m.scale ** deg for _, m in merged.values()))
+    expansions = []
+    bound = 1
+    for weight, m in merged.values():
+        if weight:
+            (a, b), (c, d) = m.ints
+            weight *= common // m.scale ** deg
+            norm = max(1, sum(map(abs, d + b)), sum(map(abs, c + a)))
+            bound += abs(weight) * norm ** deg
+            expansions.append((weight, (d, f._neg(b), f._neg(c), a)))
+    shift = _digit_shift(bound)
     x = 1 << shift
-    a_pow, b_pow, c_pow, d_pow = (
-        list(accumulate([e] * deg, mul, initial=1))
-        for e in (_horner(d, x), -_horner(b, x), -_horner(c, x), _horner(a, x)))
-    cols = []
-    for j in range(n):
-        # (a x + b y)^(deg - j) expanded in x, y
-        p = [comb(deg - j, i) * a_pow[deg - j - i] * b_pow[i]
-             for i in range(deg - j + 1)]
-        # times (c x + d y)^j
-        q = [comb(j, i) * c_pow[j - i] * d_pow[i] for i in range(j + 1)]
-        col = [0] * n
-        for i1, u in enumerate(p):
-            for i2, v in enumerate(q):
-                col[i1 + i2] += u * v
-        cols.append(col)
+    grid = [[0] * n for _ in range(n)]
+    for weight, entries in expansions:
+        a_pow, b_pow, c_pow, d_pow = (
+            list(accumulate([_horner(e, x)] * deg, mul, initial=1))
+            for e in entries)
+        for j in range(n):
+            # (a x + b y)^(deg - j) expanded in x, y, times the weight
+            p = [weight * comb(deg - j, i) * a_pow[deg - j - i] * b_pow[i]
+                 for i in range(deg - j + 1)]
+            # times (c x + d y)^j
+            q = [comb(j, i) * c_pow[j - i] * d_pow[i] for i in range(j + 1)]
+            for i1, u in enumerate(p):
+                for i2, v in enumerate(q):
+                    grid[i1 + i2][j] += u * v
     # (n-1)(d-1) + 1 digits; at n = 1 the one digit is padded to d
     count = max(deg * (f.degree - 1) + 1, f.degree)
-    return Matrix._of(f, tuple(tuple(f._decode(v, shift, count)
-                                     for v in row) for row in zip(*cols)),
-                      matrix.scale ** deg)
+    return Matrix._of(f, tuple(tuple(f._decode(v, shift, count) for v in row)
+                               for row in grid), common)
 
 
 class Representation:

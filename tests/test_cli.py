@@ -21,6 +21,14 @@ rep a: [[[1],[1]],[[0],[1]]]
 rep b: [[[1],[0]],[[-1],[1]]]
 """
 
+# det rho(b) = 2, with a relator: loads only without validation
+NON_SL2_JOB = """\
+gens: a b
+rel: aBAba = baBAb
+rep a: [[1,1],[0,1]]
+rep b: [[2,0],[-1,1]]
+"""
+
 # every invariant of this job is zero
 ZERO_JOB = """\
 gens: a b
@@ -553,6 +561,28 @@ class TestCheckCommand:
             'FAIL  column independence (n=3): %s\n'
             'FAIL  parity of zero at t=1 (n=2): %s\n'
             'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+
+    def test_non_sl2_image_with_relator_fails(self, capsys, tmp_path):
+        # column a's Wada blocks expand sigma_n of words through b, and
+        # column b's denominator is sigma_n(rho(b)): one error text
+        path = tmp_path / 'non_sl2.job'
+        path.write_text(NON_SL2_JOB)
+        code, out, _ = run(capsys, 'check', str(path))
+        rejected = 'ValueError: symmetric power expects determinant 1'
+        assert code == 1
+        assert out == (
+            'FAIL  determinant check: det != 1 for b\n'
+            'FAIL  relation check: relation 1 fails under the '
+            'representation; difference Matrix[[-2], [2]; [2], [1/2]]\n'
+            'PASS  fox fundamental identity: fundamental identity holds on '
+            'all relators\n'
+            'FAIL  column independence (n=2): %s\n'
+            'FAIL  column independence (n=3): %s\n'
+            'FAIL  parity of zero at t=1 (n=2): %s\n'
+            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+        code, out, err = run(capsys, 'invariant', str(path), '--n', '3')
+        assert (code, out, err) == (
+            1, '', 'error [determinant check]: det != 1 for b\n')
 
     def test_no_admissible_column_fails(self, capsys, tmp_path):
         # alpha = 0 makes every denominator det(sigma_n(A) - I) vanish

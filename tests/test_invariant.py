@@ -354,6 +354,18 @@ class TestTwistedAlexander:
         assert len(calls) > 0 and len(fractions) > 0
         assert ta.value.num.min_exp == 0 and ta.value.den.min_exp == 0
 
+    @pytest.mark.parametrize('column', ['auto', 'a', 'b'])
+    def test_non_sl2_image_rejected(self, column):
+        """det rho(b) = 2: column b's denominator and the sigma_n of column
+        a's Wada blocks reject it with the same error."""
+        job = parse_job('gens: a b\nrel: aBAba = baBAb\n'
+                        'rep a: [[1,1],[0,1]]\nrep b: [[2,0],[-1,1]]\n')
+        for n in range(1, 5):
+            cfg = TwistConfig(job.presentation, job.representation, n, column)
+            with pytest.raises(ValueError) as info:
+                twisted_alexander(cfg)
+            assert str(info.value) == 'symmetric power expects determinant 1'
+
     def test_invalid_n_rejected(self, fig8, fig8_rep):
         with pytest.raises(ValueError):
             TwistConfig(fig8, fig8_rep, 0)
@@ -481,21 +493,27 @@ class TestAssemblyCost:
         assert all(vars(rep)[key] is value for key, value in state.items())
 
 
-def distinct_powers(cfg, deleted):
-    """Distinct non-identity values rho(w), as Matrix data (scale, ints),
-    over the Fox-derivative terms of every relator in the block columns
-    other than deleted; the denominators expand no sigma_n."""
+def fox_groups(cfg, deleted):
+    """The Fox-derivative terms of the block columns other than deleted,
+    grouped by (relator, block column, t-exponent): one sorted list of
+    (coefficient, Matrix data (scale, ints) of rho(w)) per group.  The
+    denominators expand no sigma_n."""
     pres, rep = cfg.presentation, cfg.rep
-    words = [w for r in pres.relators() for j in range(pres.num_generators)
-             if j != deleted for w in fox_derivative(r, j).terms]
-    identity = Matrix.identity(rep.field, 2)
-    return {(m.scale, m.ints) for m in map(rep.evaluate, words)
-            if m != identity}
+    groups = {}
+    for i, r in enumerate(pres.relators()):
+        for j in range(pres.num_generators):
+            if j == deleted:
+                continue
+            for w, c in fox_derivative(r, j).terms.items():
+                m = rep.evaluate(w)
+                groups.setdefault((i, j, pres.abelianize(w)), []).append(
+                    (c, m.scale, m.ints))
+    return sorted(sorted(group) for group in groups.values())
 
 
 class TestSymmetricPowerCost:
-    """sigma_n is expanded once per distinct non-identity rho value of
-    the kept block columns' Fox terms."""
+    """sigma_n runs once per kept block and distinct t-exponent, on the
+    weighted sum of that group's rho values."""
 
     @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'fig8-conjugated'])
     def test_once_per_distinct_value(self, knots, knot, monkeypatch):
@@ -507,25 +525,25 @@ class TestSymmetricPowerCost:
         expand = invariant.symmetric_power
         calls = []
 
-        def counting(matrix, n):
-            calls.append((matrix.scale, matrix.ints))
-            return expand(matrix, n)
+        def counting(terms, n):
+            calls.append(sorted((w, m.scale, m.ints) for w, m in terms))
+            return expand(terms, n)
 
         monkeypatch.setattr(invariant, 'symmetric_power', counting)
         for n in range(2, 5):
             cfg = TwistConfig(pres, rep, n)
             first = twisted_alexander(cfg)
             deleted = pres.generator_index(first.column)
-            want = distinct_powers(cfg, deleted)
-            assert sorted(calls) == sorted(want), n
+            want = fox_groups(cfg, deleted)
+            assert sorted(calls) == want, n
             calls.clear()
             second = twisted_alexander(cfg)
-            assert sorted(calls) == sorted(want), n    # nothing kept
+            assert sorted(calls) == want, n    # nothing kept
             calls.clear()
             assert str(second.value) == str(first.value)
         terms = sum(len(fox_derivative(r, j).terms) for r in pres.relators()
                     for j in range(pres.num_generators) if j != deleted)
-        assert len(want) < terms       # the memo saves expansions
+        assert len(want) < terms       # grouping saves expansion calls
 
 
 class TestReduceCost:
@@ -633,11 +651,18 @@ class TestDenominatorExpansion:
         calls = []
         eliminate = NumberField._det
 
+        bareiss = laurent._bareiss
+
         def counting(self, rows):
             calls.append(None)
             return eliminate(self, rows)
 
+        def counting_packed(rows):
+            calls.append(None)
+            return bareiss(rows)
+
         monkeypatch.setattr(NumberField, '_det', counting)
+        monkeypatch.setattr(laurent, '_bareiss', counting_packed)
         expand = invariant.symmetric_power
 
         def counting_power(matrix, n):
@@ -717,36 +742,40 @@ class TestClosedFormDenominator:
 
 
 class TestDetPathSelection:
-    """_det packs small matrices and keeps large ones on coordinates."""
+    """determinant packs a small matrix once for all its points; a large
+    one takes _det at each point, which keeps it on coordinates."""
 
     @staticmethod
     def count_kernel_calls(monkeypatch):
-        """{'_det': [], '_det_coords': [], '_inv_integral in _det': []},
-        filled by the calls that follow."""
-        calls = {'_det': [], '_det_coords': [], '_inv_integral in _det': []}
+        """{'pack-once': [], '_det': [], '_det_coords': [],
+        '_inv_integral in a kernel': []}, filled by the calls that follow:
+        rows per packed point, per _det call and per _det_coords call."""
+        calls = {'pack-once': [], '_det': [], '_det_coords': [],
+                 '_inv_integral in a kernel': []}
+        bareiss = laurent._bareiss
         det, coords, inv = (NumberField._det, NumberField._det_coords,
                             NumberField._inv_integral)
         inside = []
 
-        def counting_det(self, rows):
-            calls['_det'].append(len(rows))
-            inside.append(None)
-            try:
-                return det(self, rows)
-            finally:
-                inside.pop()
-
-        def counting_coords(self, rows):
-            calls['_det_coords'].append(len(rows))
-            return coords(self, rows)
+        def tracked(key, fn):
+            def wrapper(*args):
+                calls[key].append(len(args[-1]))
+                inside.append(None)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return wrapper
 
         def counting_inv(self, b):
             if inside:
-                calls['_inv_integral in _det'].append(None)
+                calls['_inv_integral in a kernel'].append(None)
             return inv(self, b)
 
-        monkeypatch.setattr(NumberField, '_det', counting_det)
-        monkeypatch.setattr(NumberField, '_det_coords', counting_coords)
+        monkeypatch.setattr(laurent, '_bareiss', tracked('pack-once', bareiss))
+        monkeypatch.setattr(NumberField, '_det', tracked('_det', det))
+        monkeypatch.setattr(NumberField, '_det_coords',
+                            tracked('_det_coords', coords))
         monkeypatch.setattr(NumberField, '_inv_integral', counting_inv)
         return calls
 
@@ -754,14 +783,15 @@ class TestDetPathSelection:
         job = parse_job(RILEY_TEXTS[(17, 5)])
         calls = self.count_kernel_calls(monkeypatch)
         twisted_alexander(TwistConfig(job.presentation, job.representation, 3))
-        assert calls['_det'] == [3] * 14      # D + 2 points, 3 rows each
-        assert calls['_det_coords'] == []
-        assert calls['_inv_integral in _det'] == []
+        assert calls['pack-once'] == [3] * 14   # D + 2 points, 3 rows each
+        assert calls['_det'] == calls['_det_coords'] == []
+        assert calls['_inv_integral in a kernel'] == []
 
     def test_fig8_n12_stays_on_coordinates(self, fig8, fig8_rep,
                                            monkeypatch):
         calls = self.count_kernel_calls(monkeypatch)
         twisted_alexander(TwistConfig(fig8, fig8_rep, 12))
+        assert calls['pack-once'] == []
         assert calls['_det'] == [12] * 26
         assert calls['_det_coords'] == calls['_det']
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
-                      equal_up_to_unit, normalize_unit, order_at_one,
+                      equal_up_to_unit, laurent, normalize_unit, order_at_one,
                       parse_polynomial, reduce, symmetric_power)
 from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
 
@@ -223,11 +223,18 @@ class TestDeterminant:
         calls = []
         eliminate = NumberField._det
 
+        bareiss = laurent._bareiss
+
         def counting(self, rows):
             calls.append(None)
             return eliminate(self, rows)
 
+        def counting_packed(rows):
+            calls.append(None)
+            return bareiss(rows)
+
         monkeypatch.setattr(NumberField, '_det', counting)
+        monkeypatch.setattr(laurent, '_bareiss', counting_packed)
         for trial in range(12):
             n = rng.randrange(1, 6)
             m = PolyMatrix(field, [[random_poly(field, rng, max_den=6)
@@ -259,38 +266,66 @@ class TestDeterminant:
 
     def test_wrong_value_fails_verification_point(self, ufield,
                                                   monkeypatch):
-        """A wrong kernel value at the extra point: ArithmeticError."""
+        """A wrong kernel value at the extra point: ArithmeticError, on the
+        pack-once path (the decode at each point) and on the per-point
+        path (_det at each point)."""
         rng = random.Random(316)
         m = PolyMatrix(ufield, [[random_poly(ufield, rng) for _ in range(3)]
                                 for _ in range(3)])
-        eliminate = NumberField._det
-        calls = []
+        want = determinant(m)
+        counts = []
+        for attr, limit in (('_decode', None),
+                            ('_det', dict.fromkeys(range(2, 6), -1))):
+            if limit is not None:
+                monkeypatch.setattr(laurent, '_PACK_ONCE_BITS', limit)
+            kernel = getattr(NumberField, attr)
+            calls = []
 
-        def counting(self, rows):
-            calls.append(None)
-            return eliminate(self, rows)
+            def counting(*args):
+                calls.append(None)
+                return kernel(*args)
 
-        monkeypatch.setattr(NumberField, '_det', counting)
-        determinant(m)
-        points = len(calls)
+            monkeypatch.setattr(NumberField, attr, counting)
+            assert determinant(m) == want
+            points = len(calls)
+            counts.append(points)
 
-        def wrong_last(self, rows):
-            calls.append(None)
-            value = eliminate(self, rows)
-            if len(calls) % points == 0:
-                value = (value[0] + 1,) + value[1:]
-            return value
+            def wrong_last(*args):
+                calls.append(None)
+                value = kernel(*args)
+                if len(calls) % points == 0:
+                    value = (value[0] + 1,) + value[1:]
+                return value
 
-        monkeypatch.setattr(NumberField, '_det', wrong_last)
-        with pytest.raises(ArithmeticError, match='verification point'):
-            determinant(m)
+            monkeypatch.setattr(NumberField, attr, wrong_last)
+            with pytest.raises(ArithmeticError, match='verification point'):
+                determinant(m)
+            monkeypatch.undo()
+        # both paths ran, each once per point of the same run
+        assert counts[0] == counts[1] > 2
+
+    def test_short_shift_is_caught(self, qfield, ufield, monkeypatch):
+        """A pack-once shift too short for the determinant's coefficients
+        leaves digits over: ArithmeticError from the decode."""
+        t = LaurentPolynomial.t(qfield)
+        u = LaurentPolynomial.constant(ufield, ufield.generator)
+        s = LaurentPolynomial.t(ufield)
+        cases = [PolyMatrix(qfield, [[3 * t + 5, t], [2, 7 * t - 1]]),
+                 PolyMatrix(ufield, [[3 * u * s + 5, s], [2 * u, 7 * s - u]])]
+        for m in cases:
+            assert determinant(m) == cofactor_determinant(m)
+        monkeypatch.setattr(laurent, '_digit_shift', lambda bound: 2)
+        for m in cases:
+            with pytest.raises(ArithmeticError, match='coefficient bound'):
+                determinant(m)
 
     def test_zero_row_short_circuits(self, qfield, monkeypatch):
         """A zero row in a matrix that is not triangular: 0, no kernel."""
-        def refuse(self, rows):
+        def refuse(*args):
             raise AssertionError('the kernel ran on a matrix with a zero row')
 
         monkeypatch.setattr(NumberField, '_det', refuse)
+        monkeypatch.setattr(laurent, '_bareiss', refuse)
         t = LaurentPolynomial.t(qfield)
         m = PolyMatrix(qfield, [[1, t, 1], [t, 1, 1], [0, 0, 0]])
         assert determinant(m).is_zero()

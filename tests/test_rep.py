@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistvol import (Matrix, NumberField, Representation, parse_presentation,
-                      symmetric_power)
+                      rep, symmetric_power)
 from twistvol.field import _horner
 from twistvol.rep import _is_sl2
 
@@ -254,6 +256,87 @@ class TestSymmetricPowerProperties:
                 expected = sum((Fraction(lam) ** (n - 1 - 2 * k)
                                 for k in range(n)), Fraction(0))
                 assert symmetric_power(m, n).trace().as_rational() == expected
+
+
+def weighted_sum(terms, n):
+    """sum_k w_k sigma_n(M_k) as NFElement rows, one expansion per term."""
+    field = terms[0][1].field
+    rows = [[field.zero] * n for _ in range(n)]
+    for weight, m in terms:
+        power = symmetric_power(m, n).rows
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = rows[i][j] + weight * power[i][j]
+    return tuple(map(tuple, rows))
+
+
+class TestLinearSymmetricPower:
+    """symmetric_power of (weight, matrix) pairs is the weighted sum of
+    the one-term expansions, decoded once per cell."""
+
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_equals_sum_of_one_term_expansions(self, request, field_name,
+                                               fig8_rep, data):
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        pool = [random_sl2(field, rng, max_den=data.draw(st.sampled_from(
+            [1, 6]))) for _ in range(3)]
+        if field_name == 'ufield':
+            # the figure-eight's images conjugated by diag(2, 1/2): scale 4
+            p = Matrix(field, [[2, 0], [0, Fraction(1, 2)]])
+            q = Matrix(field, [[Fraction(1, 2), 0], [0, 2]])
+            pool += [p * image * q for image in fig8_rep.images]
+        picks = data.draw(st.lists(st.tuples(
+            st.sampled_from([-3, -2, -1, 1, 2, 3]),
+            st.integers(0, len(pool) - 1)), min_size=1, max_size=5))
+        terms = [(w, pool[k]) for w, k in picks]
+        n = data.draw(st.integers(1, 6))
+        got = symmetric_power(terms, n)
+        assert got.rows == weighted_sum(terms, n)
+        # a sum that cancels is the zero matrix, in lowest terms
+        zero = symmetric_power(terms + [(-w, m) for w, m in terms], n)
+        assert zero.is_zero() and zero.scale == 1
+        assert (zero.nrows, zero.ncols) == (n, n)
+
+    def test_scales_combine(self, qfield):
+        # sigma_3 of diag(2, 1/2) and diag(3, 1/3) are over 4 and 9: the
+        # sum is over their lcm, 36, and equal matrices merge
+        d2 = Matrix(qfield, [[2, 0], [0, Fraction(1, 2)]])
+        d3 = Matrix(qfield, [[3, 0], [0, Fraction(1, 3)]])
+        terms = [(1, d2), (2, d3), (-1, d2), (1, d2)]
+        got = symmetric_power(terms, 3)
+        assert got.scale == 36
+        assert got.rows == weighted_sum(terms, 3)
+        assert [row[i].as_rational() for i, row in enumerate(got.rows)] == [
+            Fraction(1, 4) + Fraction(2, 9), 1 + 2, 4 + 18]
+
+    @pytest.mark.parametrize('n', [1, 3])
+    def test_every_matrix_is_checked(self, ufield, n):
+        eye = Matrix.identity(ufield, 2)
+        bad = Matrix(ufield, [[2, 0], [0, 1]])
+        # even where the weights cancel
+        for terms in ([(1, eye), (1, bad)], [(1, bad), (-1, bad)]):
+            with pytest.raises(ValueError, match='expects determinant 1'):
+                symmetric_power(terms, n)
+
+    def test_short_shift_is_caught(self, qfield, ufield, monkeypatch):
+        """A shift too short for the summed coefficients leaves digits
+        over: ArithmeticError from the one decode per cell."""
+        shear = Matrix(qfield, [[1, 3], [0, 1]])
+        eye = Matrix.identity(qfield, 2)
+        u = ufield.generator
+        lower = Matrix(ufield, [[ufield.one, ufield.zero], [3 * u, ufield.one]])
+        cases = [[(2, shear), (-1, eye)],
+                 [(3, lower), (2, Matrix.identity(ufield, 2))]]
+        for terms in cases:
+            assert symmetric_power(terms, 3).rows == weighted_sum(terms, 3)
+        monkeypatch.setattr(rep, '_digit_shift', lambda bound: 2)
+        for terms in cases:
+            with pytest.raises(ArithmeticError, match='coefficient bound'):
+                symmetric_power(terms, 3)
 
 
 class TestRepresentationValidation:
