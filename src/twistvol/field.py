@@ -4,24 +4,21 @@ Elements are vectors of rationals reduced modulo a monic integer
 polynomial m, which is screened for visible reducibility at
 construction.  The determinant kernel (_det) runs on the integral
 elements, Z[x]/(m), with Python int coordinates: its callers hold ints
-over one scale from phi to the printed invariant.  It takes one of two
-exact paths by the size of the matrix.  A small matrix is packed by
-Kronecker substitution x = 2^B into one int matrix, whose integer
-Bareiss determinant is decoded into the coefficients of det A in Z[x]
-and folded by m (_det_packed); B comes from a rigorous coefficient
-bound, and digits left over raise ArithmeticError.  That decode and
-fold (_decode) also serves rep's packed symmetric power and laurent's
-pack-once determinant, which packs a matrix of polynomials in t once
-and runs _bareiss at each evaluation point.  A large
-matrix runs Bareiss on the coordinates (_det_coords).  Its elimination
-step and the inverse are both built on the int matrix of multiplication
-by an integral element (_mul_matrix): each entry update is one int dot
-product per coordinate, and _inv_integral is one _bareiss pass on that
-matrix augmented by e_0 plus back substitution, giving w and D with
-b * w = D on ints; _inv is its Fraction wrapper.  _bareiss, the one int
-elimination besides _det_coords, also gives the squarefree screen of m
-its Sylvester resultant, and a prime not dividing that resultant lets
-the integer-root screen lift the roots of m mod p (_integer_roots).
+over one scale from phi to the printed invariant.  It is Bareiss
+elimination on the coordinates.  Its elimination step and the inverse
+are both built on the int matrix of multiplication by an integral
+element (_mul_matrix): each entry update is one int dot product per
+coordinate, and _inv_integral is one _bareiss pass on that matrix
+augmented by e_0 plus back substitution, giving w and D with b * w = D
+on ints; _inv is its Fraction wrapper.  _bareiss, the one int
+elimination besides _det, also runs laurent's pack-once determinant,
+which packs a matrix of polynomials in t once by Kronecker substitution
+x = 2^B and eliminates at each evaluation point; the one decode
+(_decode) reads its balanced base-2^B digits, and those of rep's packed
+symmetric power, folds them by m and raises ArithmeticError on digits
+left over.  _bareiss also gives the squarefree screen of m its
+Sylvester resultant, and a prime not dividing that resultant lets the
+integer-root screen lift the roots of m mod p (_integer_roots).
 _dot is the one multiply loop, a sum of products folded by m once, and
 _mul its one-term case; _fold is the one reduction by m, _horner the
 one evaluation loop and _digit_shift the one rule for a packing
@@ -49,10 +46,6 @@ class EmbeddingError(ValueError):
 # a hint whose distances to its two nearest roots differ by at most this
 # share of the larger one selects neither
 _TIE = mpmath.mpf(2) ** -20
-
-
-# _det packs a matrix when rows * bits(row-norm bound) is at most this
-_PACKED_BITS = 1200
 
 
 def _horner(coeffs, z):
@@ -207,51 +200,8 @@ class NumberField:
         """Determinant of a square matrix of integral raw elements.
 
         rows is a list of row lists whose entries have int coordinates,
-        i.e. lie in Z[x]/(m); it is eliminated in place.  Returns int
-        coordinates.  The row-norm bound N = prod_i sum_j ||a_ij||_1
-        bounds every coefficient of det A taken in Z[x], before the
-        reduction mod m: ||f g||_1 <= ||f||_1 ||g||_1, and expanding the
-        product of the row sums gives every Leibniz term and more.
-        An n-row matrix with n * bits(N) <= _PACKED_BITS, or any matrix
-        at degree 1, takes _det_packed.  Otherwise the product of the
-        row norms, taken in order, passes that limit at some row, and
-        _det_coords is taken as soon as it does.  The limit is set from
-        the packed/coordinate time ratio per determinant at the largest
-        evaluation point of the figure-eight and six Riley invariants,
-        in two runs: at most 0.72 up to 1200 (0.10-0.71 at <= 6 rows);
-        above it the ratio passes 1 between about 1300 and 2300, by
-        field, and is 16-17 at the figure-eight's n = 20 (12100).
-        """
-        if not rows:
-            return _unit(self, 1)
-        limit = _PACKED_BITS // len(rows)
-        bound = 1
-        for row in rows:
-            bound *= sum(abs(c) for a in row for c in a)
-            if self.degree > 1 and bound.bit_length() > limit:
-                return self._det_coords(rows)
-        return self._det_packed(rows, bound)
-
-    def _det_packed(self, rows, bound):
-        """_det by Kronecker substitution x = 2^B, B = bits(bound) + 1.
-
-        Each entry a = sum_r c_r x^r becomes the int a(2^B), and integer
-        Bareiss gives det A (2^B) exactly, dividing exactly at every
-        step (_bareiss).  det A in Z[x] has degree <= n(d - 1), and
-        bound > every |coefficient| puts each one in a balanced base-2^B
-        digit, so n(d - 1) + 1 digits decode it, folded by m into d
-        coordinates (_decode, which raises ArithmeticError on anything
-        left beyond them: the bound was wrong).
-        """
-        n = len(rows)
-        shift = _digit_shift(bound)
-        x = 1 << shift
-        value = _bareiss([[_horner(a, x) for a in row] for row in rows])
-        return self._decode(value, shift, n * (self.degree - 1) + 1)
-
-    def _det_coords(self, rows):
-        """_det on the d int coordinates of each entry.
-
+        i.e. lie in Z[x]/(m); it is eliminated in place, on the d int
+        coordinates of each entry, and int coordinates are returned.
         Bareiss elimination keeps every intermediate entry a minor, hence
         integral: the division by the previous pivot p multiplies by the
         int w with p * w = D (_inv_integral, once per pivot) and divides
@@ -262,6 +212,8 @@ class NumberField:
         [M(w a_kk) | -M(w a_ik)], built once per row, applied to the
         concatenated coordinates of a_ij and a_kj.
         """
+        if not rows:
+            return _unit(self, 1)
         n = len(rows)
         sign = 1
         # the previous pivot's inverse is w / denom; 1 / 1 at the first step

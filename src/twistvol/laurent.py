@@ -8,10 +8,11 @@ computed by evaluation and interpolation: each row is divided by its
 gcd with the scale and shifted to ordinary-polynomial form, the matrix
 is evaluated at one ascending run of D+2 consecutive integers, about
 zero, for a certified degree bound D, and its determinant over
-Z[x]/(m) is taken at each point on Python ints: a small matrix is
-packed once at x = 2^B, so each point is a Horner in t on those ints,
-one integer Bareiss and one decode, and a large one takes the field's
-kernel (NumberField._det) at each point (see determinant).  One
+Z[x]/(m) is taken at each point on Python ints by one of two paths,
+chosen here by size: a small matrix is packed once at x = 2^B, so each
+point is a Horner in t on those ints, one integer Bareiss and one
+decode, and a large one takes the field's coordinate Bareiss
+(NumberField._det) at each point (see determinant).  One
 forward-difference table of the int values both certifies and
 interpolates them: the (D+1)-th difference must be zero (the
 verification point), and the Newton form on the first D+1 values is
@@ -38,11 +39,12 @@ from .field import (NFElement, _bareiss, _denominator, _digit_shift,
                     _exact_quotient, _horner, _integral, _rational, _unit)
 
 # determinant packs a matrix once, for all its evaluation points, when
-# rows * bits(N*) is at most this, by field degree: degree 5 and up take
+# rows * bits(N*) is at most this, by field degree: degree 4 and up take
 # the last entry, and degree 1 packs at any size.  Each entry sits below
 # the size at which the pack-once time per determinant passed that of
-# NumberField._det at every point (BENCH_pr21.json, "crossover").
-_PACK_ONCE_BITS = {2: 2000, 3: 1400, 4: 1200, 5: 1050}
+# NumberField._det, the coordinate Bareiss, at every point
+# (BENCH_pr22.json, "crossover").
+_PACK_ONCE_BITS = {2: 2000, 3: 1400, 4: 1200}
 
 
 class LaurentPolynomial:
@@ -510,15 +512,19 @@ def determinant(matrix):
     to R in absolute value.  Every entry a = sum_k c_k t^k has
     ||a(x)||_1 <= sum_k ||c_k||_1 R^k there, so the product over rows of
     those sums, N*, bounds every coefficient in Z[x] of det A(x) at
-    every point, as in NumberField._det.  If rows * bits(N*) is within
+    every point: ||f g||_1 <= ||f||_1 ||g||_1, and expanding the product
+    of the row sums gives every Leibniz term and more.  This is the one
+    choice of determinant path.  If rows * bits(N*) is within
     _PACK_ONCE_BITS for the field's degree, or the degree is 1, each
     c_k is packed once at x = 2^B, B = bits(N*) + 1, and each point
     evaluates the packed entries in t, runs _bareiss and decodes
-    rows * (d - 1) + 1 digits; otherwise NumberField._det runs at each
-    point.  One difference table of the values checks that their
-    (D+1)-th difference is zero, the verification point, and
-    interpolates the first D+1 (_newton_interpolate).  The row scales
-    and the t-power are restored at the end.
+    rows * (d - 1) + 1 digits (_decode raises ArithmeticError on digits
+    left over: N* was wrong); otherwise NumberField._det, Bareiss on
+    the coordinates, runs at each point.  One difference table of the
+    values checks that their (D+1)-th difference is zero, the
+    verification point, and interpolates the first D+1
+    (_newton_interpolate).  The row scales and the t-power are restored
+    at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
@@ -557,7 +563,7 @@ def determinant(matrix):
                     for entry in row) for row in int_rows)
     n = len(int_rows)
     if (field.degree == 1 or n * norm.bit_length()
-            <= _PACK_ONCE_BITS[min(field.degree, 5)]):
+            <= _PACK_ONCE_BITS[min(field.degree, 4)]):
         width = _digit_shift(norm)
         base = 1 << width
         packed = [[[_horner(c, base) for c in entry] for entry in row]

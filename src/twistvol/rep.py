@@ -10,16 +10,16 @@ contragredient identification sigma_2(M) = transpose(M^-1).
 A Matrix stores int coordinates over one reduced common denominator and
 builds NFElements only at its public boundary; products (each entry one
 sum of products folded by m once, NumberField._dot), the determinant
-(the field's integral Bareiss kernel) and the symmetric power run on the
-ints, and one check, ad - bc = scale^2, decides det = 1.  The symmetric
-power is linear: it takes (weight, matrix) pairs, checks every matrix
-for det = 1 and returns the weighted sum of their sigma_n.  The entries
-of each scale * M^-1 are packed at one x = 2^B (Kronecker
-substitution), so the binomial expansions multiply plain ints and no
-field element and are added cell by cell; B comes from an l1 bound on
-the summed coefficients, and the field's _decode turns each cell, once,
-into its digits folded by m; it raises ArithmeticError on digits beyond
-the degree.
+(the field's Bareiss on the coordinates, NumberField._det) and the
+symmetric power run on the ints, and one check, ad - bc = scale^2,
+decides det = 1.  The symmetric power is linear: it takes (weight,
+matrix) pairs, checks every matrix for det = 1 and returns the weighted
+sum of their sigma_n.  The entries of each scale * M^-1 are packed at
+one x = 2^B (Kronecker substitution), so the binomial expansions
+multiply plain ints and no field element and are added cell by cell; B
+comes from an l1 bound on the summed coefficients, and the field's
+_decode turns each cell, once, into its digits folded by m; it raises
+ArithmeticError on digits beyond the degree.
 Representation.evaluate can extend the products of earlier words from a
 caller-owned prefix dict, shared across the terms of the Wada matrix.
 """
@@ -117,7 +117,8 @@ class Matrix:
         return sum((row[i] for i, row in enumerate(self.rows)), self.field.zero)
 
     def det(self):
-        """Exact determinant: the integral Bareiss kernel over scale^n."""
+        """Exact determinant: the field's coordinate Bareiss (_det) over
+        scale^n."""
         if self.nrows != self.ncols:
             raise ValueError('determinant of a non-square matrix')
         det = self.field._det([list(row) for row in self.ints])

@@ -36,6 +36,13 @@ def fig8_wirtinger(rep):
     return pres, Representation(pres, images)
 
 
+# field: and embed: lines of the K(9/7) and K(17/5) Riley jobs, of
+# degree 4 and 8
+K9_7_FIELD = ([1, 2, 7, 5, 1], ('-0.100768253590', '0.400531753519'))
+K17_5_FIELD = ([1, -4, -6, 14, 3, -22, 19, -7, 1],
+               ('1.679246255265', '0.851241638634'))
+
+
 def make_ufield():
     return NumberField([1, 1, 1], ('-0.5', '0.8660254038'))
 

@@ -743,18 +743,16 @@ class TestClosedFormDenominator:
 
 class TestDetPathSelection:
     """determinant packs a small matrix once for all its points; a large
-    one takes _det at each point, which keeps it on coordinates."""
+    one takes _det, Bareiss on the coordinates, at each point."""
 
     @staticmethod
     def count_kernel_calls(monkeypatch):
-        """{'pack-once': [], '_det': [], '_det_coords': [],
-        '_inv_integral in a kernel': []}, filled by the calls that follow:
-        rows per packed point, per _det call and per _det_coords call."""
-        calls = {'pack-once': [], '_det': [], '_det_coords': [],
-                 '_inv_integral in a kernel': []}
+        """{'pack-once': [], '_det': [], '_inv_integral in a kernel': []},
+        filled by the calls that follow: rows per packed point and per
+        _det call."""
+        calls = {'pack-once': [], '_det': [], '_inv_integral in a kernel': []}
         bareiss = laurent._bareiss
-        det, coords, inv = (NumberField._det, NumberField._det_coords,
-                            NumberField._inv_integral)
+        det, inv = NumberField._det, NumberField._inv_integral
         inside = []
 
         def tracked(key, fn):
@@ -774,8 +772,6 @@ class TestDetPathSelection:
 
         monkeypatch.setattr(laurent, '_bareiss', tracked('pack-once', bareiss))
         monkeypatch.setattr(NumberField, '_det', tracked('_det', det))
-        monkeypatch.setattr(NumberField, '_det_coords',
-                            tracked('_det_coords', coords))
         monkeypatch.setattr(NumberField, '_inv_integral', counting_inv)
         return calls
 
@@ -784,7 +780,7 @@ class TestDetPathSelection:
         calls = self.count_kernel_calls(monkeypatch)
         twisted_alexander(TwistConfig(job.presentation, job.representation, 3))
         assert calls['pack-once'] == [3] * 14   # D + 2 points, 3 rows each
-        assert calls['_det'] == calls['_det_coords'] == []
+        assert calls['_det'] == []
         assert calls['_inv_integral in a kernel'] == []
 
     def test_fig8_n12_stays_on_coordinates(self, fig8, fig8_rep,
@@ -793,7 +789,21 @@ class TestDetPathSelection:
         twisted_alexander(TwistConfig(fig8, fig8_rep, 12))
         assert calls['pack-once'] == []
         assert calls['_det'] == [12] * 26
-        assert calls['_det_coords'] == calls['_det']
+
+    # rows * bits(N*) against _PACK_ONCE_BITS at d >= 4 (1200): K(17/5)
+    # at n = 6 is 1086, K(11/5) at n = 7 1085, K(11/3) at n = 7 1449
+    @pytest.mark.parametrize('knot, n, path, points', [
+        ((17, 5), 6, 'pack-once', 26),
+        ((11, 5), 7, 'pack-once', 16),
+        ((11, 3), 7, '_det', 30),
+    ], ids=['k17_5-n6', 'k11_5-n7', 'k11_3-n7'])
+    def test_riley_path_by_size(self, knot, n, path, points, monkeypatch):
+        job = parse_job(RILEY_TEXTS[knot])
+        calls = self.count_kernel_calls(monkeypatch)
+        twisted_alexander(TwistConfig(job.presentation, job.representation, n))
+        assert calls[path] == [n] * points
+        other, = {'pack-once', '_det'} - {path}
+        assert calls[other] == []
 
 
 @pytest.fixture(scope='module')

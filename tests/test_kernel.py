@@ -1,10 +1,12 @@
 """Properties of the integral field kernel: NumberField._mul_matrix,
-_inv_integral, _inv and _det with its two paths, _det_packed (integer
-Bareiss at x = 2^B) and _det_coords (Bareiss on the coordinates).
+_inv_integral, _inv, _det (Bareiss on the coordinates) and _bareiss.
 
-Fields of degree 1, 2, 3, 4 and 8 are covered.  The degree-4 and degree-8
-minimal polynomials and embeddings are those of the Riley jobs of the
-two-bridge knots K(9/7) and K(17/5).
+_det is checked against two oracles: the Leibniz sum, and a test-local
+Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
+field), which agrees with it on large matrices too.  Fields of degree 1,
+2, 3, 4 and 8 are covered.  The degree-4 and degree-8 minimal
+polynomials and embeddings are those of the Riley jobs of the two-bridge
+knots K(9/7) and K(17/5).
 """
 
 from fractions import Fraction
@@ -14,15 +16,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from twistvol import NumberField
-from twistvol.field import _PACKED_BITS, _bareiss
+from twistvol import NumberField, laurent
+from twistvol.field import _bareiss
 
-from conftest import make_ufield
-
-# field: and embed: lines of the K(9/7) and K(17/5) Riley jobs
-K9_7_FIELD = ([1, 2, 7, 5, 1], ('-0.100768253590', '0.400531753519'))
-K17_5_FIELD = ([1, -4, -6, 14, 3, -22, 19, -7, 1],
-               ('1.679246255265', '0.851241638634'))
+from conftest import K9_7_FIELD, K17_5_FIELD, make_ufield
 
 FIELDS = {
     1: NumberField.rationals(),
@@ -72,20 +69,27 @@ def row_norm_bound(rows):
     return bound
 
 
+def kronecker_det(field, rows):
+    """Second oracle: each entry a = sum_r c_r x^r becomes the int
+    a(2^B), B = bits(row_norm_bound) + 1, whose integer Bareiss
+    determinant, decoded by the field into n(d - 1) + 1 balanced digits
+    and folded by m, is det A."""
+    shift = row_norm_bound(rows).bit_length() + 1
+    value = _bareiss([[sum(c << (shift * r) for r, c in enumerate(a))
+                       for a in row] for row in rows])
+    return field._decode(value, shift, len(rows) * (field.degree - 1) + 1)
+
+
+def field_det(field, rows):
+    """NumberField._det on a copy: it eliminates in place."""
+    return field._det([list(row) for row in rows])
+
+
 def pinned_rows(degree):
     """A fixed 4 x 4 integral matrix, diagonally weighted."""
     return [[tuple((3 * i + 5 * j + 7 * r) % 11 - 5 + (i == j) * 13
                    for r in range(degree))
              for j in range(4)] for i in range(4)]
-
-
-# each path eliminates a copy; the bound is taken before elimination
-PATHS = {
-    'packed': lambda field, rows: field._det_packed(
-        [list(row) for row in rows], row_norm_bound(rows)),
-    'coords': lambda field, rows: field._det_coords([list(row) for row in rows]),
-    'selected': lambda field, rows: field._det([list(row) for row in rows]),
-}
 
 
 @st.composite
@@ -175,45 +179,48 @@ class TestDet:
     def test_matches_leibniz(self, case):
         field, rows = case
         expected = leibniz_det(field, rows)
-        for path, det in PATHS.items():
-            got = det(field, rows)
-            assert got == expected, path
-            assert all(type(c) is int for c in got), path
+        got = field_det(field, rows)
+        assert got == expected
+        assert all(type(c) is int for c in got)
+        assert kronecker_det(field, rows) == expected
 
     @pytest.mark.parametrize('side', ['packed', 'coords'])
     @settings(max_examples=25, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_paths_agree_on_both_sides_of_the_rule(self, side, data):
-        """6..9 rows at degrees 2, 3 and 8: small coordinates fall on
-        the packed side of the rule, 40-bit ones on the coordinate side."""
-        field = FIELDS[data.draw(st.sampled_from([2, 3, 8]))]
-        n = data.draw(st.integers(6, 9))
-        zero = (0,) * field.degree
+        """_det equals the Kronecker oracle on 6..9 rows at degrees 2, 3
+        and 8, on both sides of laurent's pack-once rule, read for a
+        matrix constant in t: small coordinates fall on the packed side,
+        40-bit ones on the coordinate side."""
+        degree = data.draw(st.sampled_from([2, 3, 8]))
+        field = FIELDS[degree]
+        zero = (0,) * degree
         if side == 'packed':
+            n = data.draw(st.integers(6, 9))
             entry = st.one_of(st.just(zero), st.tuples(
-                *[st.integers(-3, 3)] * field.degree))
+                *[st.integers(-3, 3)] * degree))
         else:
-            # |coordinate| >= 2^39: bits(bound) > 39 n, n * bits(bound) > 1400
+            # |coordinate| >= 2^39: bits(bound) > n (39 + log2(n d)),
+            # past 1400 from 6 rows at d >= 3, past 2000 from 7 at d = 2
+            n = data.draw(st.integers(7 if degree == 2 else 6, 9))
             big = st.integers(2 ** 39, 2 ** 40) | st.integers(-2 ** 40,
                                                              -2 ** 39)
-            entry = st.tuples(*[big] * field.degree)
+            entry = st.tuples(*[big] * degree)
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         if data.draw(st.booleans()):
             rows[0][0] = zero  # zero pivot at the first step
-        bound = row_norm_bound(rows)
-        assert (n * bound.bit_length() <= _PACKED_BITS) == (side == 'packed')
-        packed = PATHS['packed'](field, rows)
-        assert packed == PATHS['coords'](field, rows)
-        assert packed == PATHS['selected'](field, rows)
+        limit = laurent._PACK_ONCE_BITS[min(degree, 4)]
+        assert ((n * row_norm_bound(rows).bit_length() <= limit)
+                == (side == 'packed'))
+        assert field_det(field, rows) == kronecker_det(field, rows)
 
     @pytest.mark.parametrize('degree', [1, 2, 3, 8])
     def test_wrong_pivot_inverse_is_caught(self, degree, monkeypatch):
         """A perturbed p^-1 makes a step inexact: ArithmeticError, no value."""
         field = FIELDS[degree]
         rows = pinned_rows(degree)
-        assert field._det_coords([list(row) for row in rows]) \
-            == leibniz_det(field, rows)
+        assert field_det(field, rows) == leibniz_det(field, rows)
         exact_inv = field._inv_integral
 
         def perturbed(b):
@@ -224,24 +231,13 @@ class TestDet:
 
         monkeypatch.setattr(field, '_inv_integral', perturbed)
         with pytest.raises(ArithmeticError, match='non-integral'):
-            field._det_coords([list(row) for row in rows])
+            field_det(field, rows)
 
     def test_inexact_packed_step_is_caught(self):
         """A non-integral entry makes an integer Bareiss division inexact."""
         assert _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, 2]]) == 1
         with pytest.raises(ArithmeticError, match='non-integral'):
             _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, Fraction(3, 4)]])
-
-    @pytest.mark.parametrize('degree', sorted(FIELDS))
-    def test_too_small_bound_is_caught(self, degree):
-        """Digits left beyond degree n(d - 1): ArithmeticError, no value."""
-        field = FIELDS[degree]
-        rows = pinned_rows(degree)
-        bound = row_norm_bound(rows)
-        assert field._det_packed([list(row) for row in rows], bound) \
-            == leibniz_det(field, rows)
-        with pytest.raises(ArithmeticError, match='coefficient bound'):
-            field._det_packed([list(row) for row in rows], 1)
 
 
 class TestDetCost:
@@ -262,9 +258,8 @@ class TestDetCost:
             calls.append(None)
             return new(cls, *args, **kwargs)
 
-        for path, det in PATHS.items():
-            monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
-            got = det(field, rows)
-            monkeypatch.undo()
-            assert got == expected, path
-            assert len(calls) == 0, path
+        monkeypatch.setattr(Fraction, '__new__', staticmethod(counting))
+        got = field_det(field, rows)
+        monkeypatch.undo()
+        assert got == expected
+        assert len(calls) == 0

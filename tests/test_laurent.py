@@ -11,6 +11,8 @@ from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
                       parse_polynomial, reduce, symmetric_power)
 from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
 
+from conftest import K9_7_FIELD, K17_5_FIELD
+
 
 def cofactor_determinant(m):
     """Independent oracle: first-row cofactor expansion.
@@ -275,7 +277,7 @@ class TestDeterminant:
         want = determinant(m)
         counts = []
         for attr, limit in (('_decode', None),
-                            ('_det', dict.fromkeys(range(2, 6), -1))):
+                            ('_det', dict.fromkeys(range(2, 5), -1))):
             if limit is not None:
                 monkeypatch.setattr(laurent, '_PACK_ONCE_BITS', limit)
             kernel = getattr(NumberField, attr)
@@ -304,14 +306,21 @@ class TestDeterminant:
         # both paths ran, each once per point of the same run
         assert counts[0] == counts[1] > 2
 
-    def test_short_shift_is_caught(self, qfield, ufield, monkeypatch):
+    def test_short_shift_is_caught(self, qfield, ufield, cubic, monkeypatch):
         """A pack-once shift too short for the determinant's coefficients
-        leaves digits over: ArithmeticError from the decode."""
+        leaves digits over: ArithmeticError from the decode, at degrees
+        1, 2, 3, 4 and 8."""
         t = LaurentPolynomial.t(qfield)
-        u = LaurentPolynomial.constant(ufield, ufield.generator)
-        s = LaurentPolynomial.t(ufield)
-        cases = [PolyMatrix(qfield, [[3 * t + 5, t], [2, 7 * t - 1]]),
-                 PolyMatrix(ufield, [[3 * u * s + 5, s], [2 * u, 7 * s - u]])]
+        cases = [PolyMatrix(qfield, [[3 * t + 5, t], [2, 7 * t - 1]])]
+        for field in (ufield, cubic, NumberField(*K9_7_FIELD),
+                      NumberField(*K17_5_FIELD)):
+            # every coordinate nonzero: a 2-bit shift overflows the
+            # decode's n(d - 1) + 1 digits at every degree
+            u = LaurentPolynomial.constant(
+                field, field.element(range(1, field.degree + 1)))
+            s = LaurentPolynomial.t(field)
+            cases.append(PolyMatrix(field, [[3 * u * s + 5, s],
+                                            [2 * u, 7 * s - u]]))
         for m in cases:
             assert determinant(m) == cofactor_determinant(m)
         monkeypatch.setattr(laurent, '_digit_shift', lambda bound: 2)
