@@ -3,10 +3,10 @@ _inv_integral, _inv, _det (Bareiss on the coordinates) and _bareiss.
 
 _det is checked against two oracles: the Leibniz sum, and a test-local
 Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
-field), which agrees with it on large matrices too.  Fields of degree 1,
-2, 3, 4 and 8 are covered.  The degree-4 and degree-8 minimal
-polynomials and embeddings are those of the Riley jobs of the two-bridge
-knots K(9/7) and K(17/5).
+field), which agrees with it on large matrices too; the oracle given
+too small a bound leaves digits over, which the field's decode rejects.  Fields of degree 1, 2, 3, 4 and 8 are covered.  The degree-4
+and degree-8 minimal polynomials and embeddings are those of the Riley
+jobs of the two-bridge knots K(9/7) and K(17/5).
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from twistvol import NumberField, laurent
-from twistvol.field import _bareiss
+from twistvol.field import _bareiss, _digit_shift
 
 from conftest import K9_7_FIELD, K17_5_FIELD, make_ufield
 
@@ -69,12 +69,14 @@ def row_norm_bound(rows):
     return bound
 
 
-def kronecker_det(field, rows):
+def kronecker_det(field, rows, bound=None):
     """Second oracle: each entry a = sum_r c_r x^r becomes the int
-    a(2^B), B = bits(row_norm_bound) + 1, whose integer Bareiss
-    determinant, decoded by the field into n(d - 1) + 1 balanced digits
-    and folded by m, is det A."""
-    shift = row_norm_bound(rows).bit_length() + 1
+    a(2^B), B = _digit_shift(bound) with bound = row_norm_bound by
+    default, whose integer Bareiss determinant, decoded by the field into
+    n(d - 1) + 1 balanced digits and folded by m, is det A."""
+    if bound is None:
+        bound = row_norm_bound(rows)
+    shift = _digit_shift(bound)
     value = _bareiss([[sum(c << (shift * r) for r, c in enumerate(a))
                        for a in row] for row in rows])
     return field._decode(value, shift, len(rows) * (field.degree - 1) + 1)
@@ -238,6 +240,15 @@ class TestDet:
         assert _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, 2]]) == 1
         with pytest.raises(ArithmeticError, match='non-integral'):
             _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, Fraction(3, 4)]])
+
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
+    def test_too_small_bound_is_caught(self, degree):
+        """Digits left beyond degree n(d - 1): ArithmeticError, no value."""
+        field = FIELDS[degree]
+        rows = pinned_rows(degree)
+        assert kronecker_det(field, rows) == leibniz_det(field, rows)
+        with pytest.raises(ArithmeticError, match='coefficient bound'):
+            kronecker_det(field, rows, 1)
 
 
 class TestDetCost:
