@@ -7,18 +7,25 @@ elements, Z[x]/(m), with Python int coordinates: its callers hold ints
 over one scale from phi to the printed invariant.  It is Bareiss
 elimination on the coordinates.  Its elimination step and the inverse
 are both built on the int matrix of multiplication by an integral
-element (_mul_matrix): each entry update is one int dot product per
-coordinate, and _inv_integral is one _bareiss pass on that matrix
-augmented by e_0 plus back substitution, giving w and D with b * w = D
-on ints; _inv is its Fraction wrapper.  _bareiss, the one int
-elimination besides _det, also runs laurent's pack-once determinant,
-which packs a matrix of polynomials in t once by Kronecker substitution
-x = 2^B and eliminates at each evaluation point; the one decode
-(_decode) reads its balanced base-2^B digits, and those of rep's packed
-symmetric power, folds them by m and raises ArithmeticError on digits
-left over.  _bareiss also gives the squarefree screen of m its
-Sylvester resultant, and a prime not dividing that resultant lets the
-integer-root screen lift the roots of m mod p (_integer_roots).
+element (_mul_matrix).  The step matrix of a row is applied to every
+entry of that row by one row update per field degree (_row_step): its
+source is written out from the int degree d alone, with the 2d^2 step
+coefficients as locals and each new coordinate one sum of 2d products
+and one exact divmod, compiled at the first _det of that degree and
+cached, because the generic per-entry loop spent most of _det's time in
+the interpreter.  _inv_integral is one _bareiss pass on the
+multiplication matrix augmented by e_0 plus back substitution, giving w
+and D with b * w = D on ints; _inv is its Fraction wrapper.  _bareiss,
+the one int elimination besides _det, also runs laurent's pack-once
+determinant, which packs a matrix of polynomials in t once by Kronecker
+substitution x = 2^B and eliminates at each evaluation point; the one
+decode (_decode) reads its balanced base-2^B digits, and those of rep's
+packed symmetric power, folds them by m and raises ArithmeticError on
+digits left over.  That check catches only some wrong bounds: the
+bound behind B is what proves B wide enough (see _decode).  _bareiss
+also gives the squarefree screen of m its Sylvester resultant, and a
+prime not dividing that resultant lets the integer-root screen lift
+the roots of m mod p (_integer_roots).
 _dot is the one multiply loop, a sum of products folded by m once, and
 _mul its one-term case; _fold is the one reduction by m, _horner the
 one evaluation loop and _digit_shift the one rule for a packing
@@ -140,7 +147,13 @@ class NumberField:
         """The size balanced base-2^shift digits of the int value, lowest
         first, each in [-2^(shift-1), 2^(shift-1)), folded by m (size >= d);
         ArithmeticError when value needs more digits: the coefficient
-        bound behind shift was wrong."""
+        bound behind shift was wrong.
+
+        The caller's bound is what proves shift wide enough; this check
+        catches only some wrong bounds.  At degree d >= 3 a short shift
+        can leave in-range digits that fold to a wrong element, and then
+        a later check fails instead (for laurent.determinant, the
+        verification point)."""
         half = 1 << (shift - 1)
         mask = (1 << shift) - 1
         digits = []
@@ -209,13 +222,18 @@ class NumberField:
         (q p) w = q D, so an unreduced D divides exactly too.
         A nonzero remainder raises ArithmeticError.  The step
         a_ij <- (a_kk a_ij - a_ik a_kj) w / D is one int matrix
-        [M(w a_kk) | -M(w a_ik)], built once per row, applied to the
-        concatenated coordinates of a_ij and a_kj.
+        [M(w a_kk) | -M(w a_ik)], built once per row and applied to the
+        coordinates of a_ij and a_kj, for every j of the row, by one
+        function generated from the int degree d alone (_row_step): the
+        update written out over the d coordinates, compiled at the first
+        _det of the degree, since per-entry interpreter work, not int
+        arithmetic, dominated the generic loop.
         """
         if not rows:
             return _unit(self, 1)
         n = len(rows)
         sign = 1
+        update = _row_step(self.degree)
         # the previous pivot's inverse is w / denom; 1 / 1 at the first step
         w, denom = _unit(self, 1), 1
         for k in range(n - 1):
@@ -235,13 +253,8 @@ class NumberField:
                 row_i = rows[i]
                 m_ik = self._mul_matrix(
                     self._dot((w,), (self._neg(row_i[k]),)))
-                step = [p + q for p, q in zip(m_kk, m_ik)]
-                for j in range(k + 1, n):
-                    xy = row_i[j] + row_k[j]
-                    num = tuple([sum(map(mul, c, xy)) for c in step])
-                    if denom != 1:
-                        num = _exact_quotient(num, denom)
-                    row_i[j] = num
+                update([p + q for p, q in zip(m_kk, m_ik)], row_i, row_k,
+                       k + 1, denom)
         result = rows[n - 1][n - 1]
         return result if sign == 1 else self._neg(result)
 
@@ -492,16 +505,65 @@ def _bareiss(rows):
     return sign * rows[n - 1][n - 1]
 
 
+_INEXACT = ('Bareiss step left a non-integral entry; '
+            'the matrix is not over Z[x]/(m)')
+
+
 def _exact_quotient(a, denom):
     """The raw element a / denom; ArithmeticError unless it is integral."""
     out = []
     for c in a:
         q, r = divmod(c, denom)
         if r:
-            raise ArithmeticError('Bareiss step left a non-integral entry; '
-                                  'the matrix is not over Z[x]/(m)')
+            raise ArithmeticError(_INEXACT)
         out.append(q)
     return tuple(out)
+
+
+# _det's row update at one degree d, for _row_step to fill in: the step
+# coefficients s<r>_<c> are locals, a_ij = (x0, ...), a_kj = (y0, ...),
+# and coordinate r of the new a_ij is q<r> with remainder r<r>
+_ROW_STEP = """\
+def row_step(step, row_i, row_k, start, denom):
+    [{coefficients}] = step
+    for j in range(start, len(row_i)):
+        {xs}, = row_i[j]
+        {ys}, = row_k[j]
+{quotients}
+        if {remainders}:
+            raise ArithmeticError(_INEXACT)
+        row_i[j] = {qs},
+"""
+
+# degree -> its row update, built at the first _det of that degree
+_ROW_STEPS = {}
+
+
+def _row_step(d):
+    """_det's row update at degree d, row_step(step, row_i, row_k, start,
+    denom): a_ij <- step (a_ij | a_kj) / denom for every j >= start, on
+    the coordinates, where step is d rows of 2d ints; a nonzero
+    remainder raises ArithmeticError.  Its source is _ROW_STEP written
+    out from the int d alone, compiled once per degree and cached.
+    """
+    if d not in _ROW_STEPS:
+        xs = ['x%d' % c for c in range(d)]
+        ys = ['y%d' % c for c in range(d)]
+        terms = [['s%d_%d * %s' % (r, c, v) for c, v in enumerate(xs + ys)]
+                 for r in range(d)]
+        source = _ROW_STEP.format(
+            coefficients=', '.join('(%s,)' % ', '.join(
+                's%d_%d' % (r, c) for c in range(2 * d)) for r in range(d)),
+            xs=', '.join(xs), ys=', '.join(ys),
+            quotients='\n'.join('        q%d, r%d = divmod(%s, denom)'
+                                 % (r, r, ' + '.join(terms[r]))
+                                 for r in range(d)),
+            remainders=' or '.join('r%d' % r for r in range(d)),
+            qs=', '.join('q%d' % r for r in range(d)))
+        namespace = {'_INEXACT': _INEXACT}
+        exec(compile(source, '<row_step %d>' % d, 'exec'), namespace)
+        _ROW_STEPS[d] = namespace['row_step']
+    return _ROW_STEPS[d]
 
 
 class NFElement:

@@ -42,8 +42,8 @@ from .field import (NFElement, _bareiss, _denominator, _digit_shift,
 # rows * bits(N*) is at most this, by field degree: degree 4 and up take
 # the last entry, and degree 1 packs at any size.  Each entry sits below
 # the size at which the pack-once time per determinant passed that of
-# NumberField._det, the coordinate Bareiss, at every point
-# (BENCH_pr22.json, "crossover").
+# NumberField._det, the coordinate Bareiss, at every point, measured at
+# degrees 2 to 9 (BENCH_pr23.json, "crossover").
 _PACK_ONCE_BITS = {2: 2000, 3: 1400, 4: 1200}
 
 
@@ -518,13 +518,15 @@ def determinant(matrix):
     _PACK_ONCE_BITS for the field's degree, or the degree is 1, each
     c_k is packed once at x = 2^B, B = bits(N*) + 1, and each point
     evaluates the packed entries in t, runs _bareiss and decodes
-    rows * (d - 1) + 1 digits (_decode raises ArithmeticError on digits
-    left over: N* was wrong); otherwise NumberField._det, Bareiss on
-    the coordinates, runs at each point.  One difference table of the
-    values checks that their (D+1)-th difference is zero, the
-    verification point, and interpolates the first D+1
-    (_newton_interpolate).  The row scales and the t-power are restored
-    at the end.
+    rows * (d - 1) + 1 digits.  N* proves B wide enough.  _decode's
+    ArithmeticError on digits left over catches only some wrong bounds:
+    at degree d >= 3 a short shift can decode into in-range digits, and
+    then the verification point is what fails.  Otherwise
+    NumberField._det, Bareiss on the coordinates, runs at each point.
+    One difference table of the values checks that their (D+1)-th
+    difference is zero, the verification point, and interpolates the
+    first D+1 (_newton_interpolate).  The row scales and the t-power
+    are restored at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')

@@ -36,11 +36,19 @@ def fig8_wirtinger(rep):
     return pres, Representation(pres, images)
 
 
-# field: and embed: lines of the K(9/7) and K(17/5) Riley jobs, of
-# degree 4 and 8
+# field: and embed: lines of the Riley jobs of K(9/7), K(11/3), K(13/3),
+# K(15/7) and K(17/5), of degree 4, 5, 6, 7 and 8, and of K(19/7), of
+# degree 9, as bench/riley.py's job_text(19, 7) writes it
 K9_7_FIELD = ([1, 2, 7, 5, 1], ('-0.100768253590', '0.400531753519'))
+K11_3_FIELD = ([-1, -1, -3, 8, -5, 1], ('1.964913385287', '0.621896283522'))
+K13_3_FIELD = ([1, -5, 6, -16, 17, -7, 1],
+               ('-0.087729331545', '0.567441286801'))
+K15_7_FIELD = ([-1, 4, -6, 10, -5, 6, -1, 1],
+               ('0.023171027603', '1.829532433908'))
 K17_5_FIELD = ([1, -4, -6, 14, 3, -22, 19, -7, 1],
                ('1.679246255265', '0.851241638634'))
+K19_7_FIELD = ([-1, 1, 2, -4, 1, 9, -15, 12, -5, 1],
+               ('1.124309516921', '1.173372202681'))
 
 
 def make_ufield():

@@ -4,29 +4,40 @@ _inv_integral, _inv, _det (Bareiss on the coordinates) and _bareiss.
 _det is checked against two oracles: the Leibniz sum, and a test-local
 Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
 field), which agrees with it on large matrices too; the oracle given
-too small a bound leaves digits over, which the field's decode rejects.  Fields of degree 1, 2, 3, 4 and 8 are covered.  The degree-4
-and degree-8 minimal polynomials and embeddings are those of the Riley
-jobs of the two-bridge knots K(9/7) and K(17/5).
+too small a bound leaves digits over, which the field's decode rejects.
+Fields of degree 1 to 9 are covered, so _det's row update, generated
+once per degree, runs at each of them.  The minimal polynomials and
+embeddings of degree 4 to 9 are those of the Riley jobs of the
+two-bridge knots K(9/7), K(11/3), K(13/3), K(15/7), K(17/5) and K(19/7).
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from twistvol import NumberField, laurent
 from twistvol.field import _bareiss, _digit_shift
 
-from conftest import K9_7_FIELD, K17_5_FIELD, make_ufield
+from conftest import (K7_3_TEXT, K9_7_FIELD, K11_3_FIELD, K13_3_FIELD,
+                      K15_7_FIELD, K17_5_FIELD, K19_7_FIELD, make_ufield)
 
 FIELDS = {
     1: NumberField.rationals(),
     2: make_ufield(),
     3: NumberField([-2, 0, 0, 1], ('1.26', '0')),
     4: NumberField(*K9_7_FIELD),
+    5: NumberField(*K11_3_FIELD),
+    6: NumberField(*K13_3_FIELD),
+    7: NumberField(*K15_7_FIELD),
     8: NumberField(*K17_5_FIELD),
+    9: NumberField(*K19_7_FIELD),
 }
 
 # derandomized: the same examples on every run, no example database
@@ -174,10 +185,18 @@ class TestInverse:
             field._inv_integral((1, 0, 1, 0))
 
 
+def at_every_degree(test):
+    """test, given also the pinned 4 x 4 matrix at each degree of FIELDS."""
+    for degree in sorted(FIELDS):
+        test = example((FIELDS[degree], pinned_rows(degree)))(test)
+    return test
+
+
 class TestDet:
 
     @PROPERTY
     @given(square_int_matrices())
+    @at_every_degree
     def test_matches_leibniz(self, case):
         field, rows = case
         expected = leibniz_det(field, rows)
@@ -217,7 +236,7 @@ class TestDet:
                 == (side == 'packed'))
         assert field_det(field, rows) == kronecker_det(field, rows)
 
-    @pytest.mark.parametrize('degree', [1, 2, 3, 8])
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
     def test_wrong_pivot_inverse_is_caught(self, degree, monkeypatch):
         """A perturbed p^-1 makes a step inexact: ArithmeticError, no value."""
         field = FIELDS[degree]
@@ -241,7 +260,10 @@ class TestDet:
         with pytest.raises(ArithmeticError, match='non-integral'):
             _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, Fraction(3, 4)]])
 
-    @pytest.mark.parametrize('degree', sorted(FIELDS))
+    # at d >= 3 a short shift can decode into in-range digits, which only
+    # a verification point catches; at these degrees the pinned rows
+    # leave digits over at bound 1
+    @pytest.mark.parametrize('degree', [1, 2, 3, 4, 8])
     def test_too_small_bound_is_caught(self, degree):
         """Digits left beyond degree n(d - 1): ArithmeticError, no value."""
         field = FIELDS[degree]
@@ -254,7 +276,7 @@ class TestDet:
 class TestDetCost:
     """Fraction stays off the elimination, pivot inverses included."""
 
-    @pytest.mark.parametrize('degree', [3, 8])
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
     def test_fraction_constructions_bounded(self, degree, monkeypatch):
         field = FIELDS[degree]
         n = 6
@@ -274,3 +296,27 @@ class TestDetCost:
         monkeypatch.undo()
         assert got == expected
         assert len(calls) == 0
+
+
+def test_loading_builds_no_row_step(tmp_path):
+    """_det's row update is built at the first _det of a degree, so
+    importing twistvol and loading the bundled job and a Riley job
+    builds none: a fresh process shows the cache empty until then."""
+    riley = tmp_path / 'k7_3.job'
+    riley.write_text(K7_3_TEXT, encoding='utf-8')
+    src = str(Path(__file__).resolve().parents[1] / 'src')
+    path = os.environ.get('PYTHONPATH')
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ''))
+    code = ('import sys\n'
+            'from twistvol import bundled_job_path, load_job\n'
+            'from twistvol.field import _ROW_STEPS\n'
+            'load_job(str(bundled_job_path("figure-eight")))\n'
+            'job = load_job(sys.argv[1])\n'
+            'print(sorted(_ROW_STEPS))\n'
+            'job.representation.field._det([[(1, 0, 0)]])\n'
+            'print(sorted(_ROW_STEPS))\n')
+    proc = subprocess.run([sys.executable, '-c', code, str(riley)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == '[]\n[3]\n'

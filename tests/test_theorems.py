@@ -1,6 +1,8 @@
 """Facts about the twisted Alexander invariants A_n(t) of a two-bridge
 knot K(p/q), checked on the bundled figure-eight job and the eight Riley
-jobs at n = 2..5 (n = 2..3 for the degree-8 field of K(17/5)):
+jobs at n = 2..5 (n = 2..3 for the degree-8 field of K(17/5)), and on
+the figure-eight also at n = 11..15 and 20, where every numerator
+evaluation runs the field's coordinate determinant, NumberField._det:
 
 - reciprocity, A_n(1/t) = +/- t^k A_n(t): sigma_n of SL(2) is self-dual
   (Hillman-Silver-Williams, AGT 10, 2010);
@@ -15,14 +17,19 @@ For K(p/q), q even, p/q has a continued fraction whose entries are all
 even, of length 2g; the knot is fibered exactly when every entry is
 +/- 2 (Hartley 1979; Gabai-Kazez 1990).  K(p/q) = K(p/(q - p)), so an
 odd q is replaced by q - p.
+
+The n = 20 figure-eight invariant is also pinned by the SHA-256 of its
+printed form.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from twistvol import (LaurentPolynomial, TwistConfig, bundled_job_path,
-                      equal_up_to_unit, parse_job, twisted_alexander)
+                      equal_up_to_unit, parse_job, twisted_alexander,
+                      value_at_one)
 
 from conftest import K7_3_TEXT
 
@@ -90,6 +97,15 @@ rep b: [[[1,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0]],[[0,-1,0,0,0,0,0,0],[1,0,0,0,0,0,0
 JOBS = {(5, 3): bundled_job_path('figure-eight').read_text(encoding='utf-8'),
         (7, 3): K7_3_TEXT, **RILEY_TEXTS}
 
+# the n of each job's invariants; 2..5 where not listed
+NS = {(5, 3): [2, 3, 4, 5, 11, 12, 13, 14, 15, 20], (17, 5): [2, 3]}
+
+# SHA-256 of what `twistvol invariant --n 20` prints for the bundled
+# figure-eight, followed by 'value at t=1: ' and value_at_one, one line
+# each; the figure-eight/20 digest of bench/expected.json
+FIG8_N20_SHA256 = ('f4baf3cc5f20d8bdc3899bc25090596936150241ca4f10412025'
+                   '7070f989a698')
+
 
 def even_continued_fraction(p, q):
     """The even entries a_1, ..., a_k of p/q = a_1 + 1/(a_2 + 1/(...)).
@@ -123,12 +139,11 @@ def span(poly):
 def invariants():
     """(p, q) -> {n: TwistedAlexander} over the nine jobs."""
     out = {}
-    for (p, q), text in JOBS.items():
+    for knot, text in JOBS.items():
         job = parse_job(text)
-        top = 3 if p == 17 else 5
-        out[p, q] = {n: twisted_alexander(TwistConfig(
+        out[knot] = {n: twisted_alexander(TwistConfig(
             job.presentation, job.representation, n))
-            for n in range(2, top + 1)}
+            for n in NS.get(knot, range(2, 6))}
     return out
 
 
@@ -162,3 +177,11 @@ def test_monic_exactly_when_fibered(invariants, knot):
         num = ta.value.num
         lead = num.coeffs[num.max_exp]
         assert (lead == 1 or lead == -1) == fibered, n
+
+
+def test_figure_eight_n20_output(invariants):
+    ta = invariants[5, 3][20]
+    printed = ('n: %d\ndeleted column: %s\ninvariant: %s\nunit: %s\n'
+               'value at t=1: %s\n' % (ta.n, ta.column, ta.value,
+                                        ta.unit_str(), value_at_one(ta)))
+    assert hashlib.sha256(printed.encode()).hexdigest() == FIG8_N20_SHA256
