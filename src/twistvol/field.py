@@ -7,15 +7,16 @@ elements, Z[x]/(m), with Python int coordinates: its callers hold ints
 over one scale from phi to the printed invariant.  It is Bareiss
 elimination on the coordinates.  Its elimination step and the inverse
 are both built on the int matrix of multiplication by an integral
-element (_mul_matrix).  The step matrix of a row is applied to every
-entry of that row by one row update per field degree (_row_step): its
-source is written out from the int degree d alone, with the 2d^2 step
-coefficients as locals and each new coordinate one sum of 2d products
-and one exact divmod, compiled at the first _det of that degree and
-cached, because the generic per-entry loop spent most of _det's time in
-the interpreter.  _inv_integral is one _bareiss pass on the
-multiplication matrix augmented by e_0 plus back substitution, giving w
-and D with b * w = D on ints; _inv is its Fraction wrapper.  _bareiss,
+element (_mul_matrix).  Each pivot step of _det is one function per
+field degree (_row_step), written out from the int degree d alone:
+w * a_kk once per pivot and -(w * a_ik) once per row are straight-line
+products folded by m, whose multiplication matrices take _mul_matrix's
+shift-and-fold, and each new coordinate is one sum of 2d products and
+one exact divmod.  It is compiled at the first _det of that degree and
+cached: the generic loops spent most of _det's time in the interpreter.
+_inv_integral is one _bareiss pass on the multiplication matrix
+augmented by e_0 plus back substitution, giving w and D with
+b * w = D on ints; _inv is its Fraction wrapper.  _bareiss,
 the one int elimination besides _det, also runs laurent's pack-once
 determinant, which packs a matrix of polynomials in t once by Kronecker
 substitution x = 2^B and eliminates at each evaluation point; the one
@@ -26,10 +27,10 @@ bound behind B is what proves B wide enough (see _decode).  _bareiss
 also gives the squarefree screen of m its Sylvester resultant, and a
 prime not dividing that resultant lets the integer-root screen lift
 the roots of m mod p (_integer_roots).
-_dot is the one multiply loop, a sum of products folded by m once, and
-_mul its one-term case; _fold is the one reduction by m, _horner the
-one evaluation loop and _digit_shift the one rule for a packing
-shift.
+Outside _det's generated step, _dot is the one multiply loop, a sum
+of products folded by m once, and _mul its one-term case, and _fold
+is the one reduction by m; _horner is the one evaluation loop and
+_digit_shift the one rule for a packing shift.
 Polynomials in t live in laurent.  All ring operations are exact; the
 only inexact step is the embedding into arbitrary-precision complex
 numbers (mpmath), whose root of m is the one nearest a user-supplied
@@ -222,18 +223,19 @@ class NumberField:
         (q p) w = q D, so an unreduced D divides exactly too.
         A nonzero remainder raises ArithmeticError.  The step
         a_ij <- (a_kk a_ij - a_ik a_kj) w / D is one int matrix
-        [M(w a_kk) | -M(w a_ik)], built once per row and applied to the
-        coordinates of a_ij and a_kj, for every j of the row, by one
-        function generated from the int degree d alone (_row_step): the
-        update written out over the d coordinates, compiled at the first
-        _det of the degree, since per-entry interpreter work, not int
-        arithmetic, dominated the generic loop.
+        [M(w a_kk) | -M(w a_ik)] per row, applied to the coordinates of
+        a_ij and a_kj for every j of the row.  Each pivot step, those
+        matrices and their updates, is one function generated from the
+        int degree d alone (_row_step): the products, folds by m and
+        updates written out over the d coordinates, compiled at the first
+        _det of the degree, since per-call and per-entry interpreter
+        work, not int arithmetic, dominated the generic loops.
         """
         if not rows:
             return _unit(self, 1)
         n = len(rows)
         sign = 1
-        update = _row_step(self.degree)
+        step = _row_step(self.degree)
         # the previous pivot's inverse is w / denom; 1 / 1 at the first step
         w, denom = _unit(self, 1), 1
         for k in range(n - 1):
@@ -246,15 +248,7 @@ class NumberField:
                 sign = -sign
             if k:
                 w, denom = self._inv_integral(rows[k - 1][k - 1])
-            row_k = rows[k]
-            # _dot, not _mul: no wrapper call on this path
-            m_kk = self._mul_matrix(self._dot((w,), (row_k[k],)))
-            for i in range(k + 1, n):
-                row_i = rows[i]
-                m_ik = self._mul_matrix(
-                    self._dot((w,), (self._neg(row_i[k]),)))
-                update([p + q for p, q in zip(m_kk, m_ik)], row_i, row_k,
-                       k + 1, denom)
+            step(rows, k, w, denom, self.min_poly)
         result = rows[n - 1][n - 1]
         return result if sign == 1 else self._neg(result)
 
@@ -520,49 +514,79 @@ def _exact_quotient(a, denom):
     return tuple(out)
 
 
-# _det's row update at one degree d, for _row_step to fill in: the step
-# coefficients s<r>_<c> are locals, a_ij = (x0, ...), a_kj = (y0, ...),
-# and coordinate r of the new a_ij is q<r> with remainder r<r>
-_ROW_STEP = """\
-def row_step(step, row_i, row_k, start, denom):
-    [{coefficients}] = step
-    for j in range(start, len(row_i)):
-        {xs}, = row_i[j]
-        {ys}, = row_k[j]
-{quotients}
-        if {remainders}:
-            raise ArithmeticError(_INEXACT)
-        row_i[j] = {qs},
+# _det's pivot step at degree d, for _row_step to fill in: {kk} sets the
+# step coefficients s<r>_<c> of M(w a_kk), {ik} those of M(v a_ik), v = -w;
+# a_ij = (x0, ...), a_kj = (y0, ...), new coordinate r q<r>, remainder r<r>
+_PIVOT_STEP = """\
+def pivot_step(rows, k, w, denom, m):
+    {ms}, _ = m
+    {ws}, = w
+    {vs}, = -{negated},
+    row_k = rows[k]
+    {as_}, = row_k[k]
+    {kk}
+    start = k + 1
+    for i in range(start, len(rows)):
+        row_i = rows[i]
+        {as_}, = row_i[k]
+        {ik}
+        for j in range(start, len(row_i)):
+            {xs}, = row_i[j]
+            {ys}, = row_k[j]
+            {quotients}
+            if {remainders}:
+                raise ArithmeticError(_INEXACT)
+            row_i[j] = {qs},
 """
 
-# degree -> its row update, built at the first _det of that degree
+# degree -> its pivot step, built at the first _det of that degree
 _ROW_STEPS = {}
 
 
 def _row_step(d):
-    """_det's row update at degree d, row_step(step, row_i, row_k, start,
-    denom): a_ij <- step (a_ij | a_kj) / denom for every j >= start, on
-    the coordinates, where step is d rows of 2d ints; a nonzero
-    remainder raises ArithmeticError.  Its source is _ROW_STEP written
-    out from the int d alone, compiled once per degree and cached.
+    """_det's pivot step at degree d, pivot_step(rows, k, w, denom, m):
+    for every row i > k and column j > k, a_ij <- (w a_kk a_ij -
+    w a_ik a_kj) / denom on the coordinates, w / denom the inverse of
+    the previous pivot and m the coefficients of the minimal polynomial;
+    a nonzero remainder raises ArithmeticError.  In each row's step
+    matrix [M(w a_kk) | -M(w a_ik)], written out as straight-line code,
+    column 0 is the product summed unreduced and folded by m from the
+    top, and each further column the previous one shifted up and folded,
+    as in _mul_matrix.  Its source is _PIVOT_STEP written out from the
+    int d alone, compiled once per degree and cached.
     """
     if d not in _ROW_STEPS:
-        xs = ['x%d' % c for c in range(d)]
-        ys = ['y%d' % c for c in range(d)]
-        terms = [['s%d_%d * %s' % (r, c, v) for c, v in enumerate(xs + ys)]
-                 for r in range(d)]
-        source = _ROW_STEP.format(
-            coefficients=', '.join('(%s,)' % ', '.join(
-                's%d_%d' % (r, c) for c in range(2 * d)) for r in range(d)),
-            xs=', '.join(xs), ys=', '.join(ys),
-            quotients='\n'.join('        q%d, r%d = divmod(%s, denom)'
-                                 % (r, r, ' + '.join(terms[r]))
-                                 for r in range(d)),
-            remainders=' or '.join('r%d' % r for r in range(d)),
-            qs=', '.join('q%d' % r for r in range(d)))
+        def names(prefix, sep=', '):
+            return sep.join('%s%d' % (prefix, i) for i in range(d))
+
+        def matrix(w, offset):
+            # coordinate t < d of the product lands in s<t>_<offset>
+            def p(t):
+                return 's%d_%d' % (t, offset) if t < d else 'p%d' % t
+            lines = ['%s = %s' % (p(t), ' + '.join(
+                '%s%d * a%d' % (w, i, t - i)
+                for i in range(max(0, t - d + 1), min(t, d - 1) + 1)))
+                for t in range(2 * d - 1)]
+            lines += ['%s -= %s * m%d' % (p(t - d + i), p(t), i)
+                      for t in range(2 * d - 2, d - 1, -1) for i in range(d)]
+            for c in range(offset + 1, offset + d):
+                lines += ['s%d_%d = %ss%d_%d * m%d' % (
+                    r, c, 's%d_%d - ' % (r - 1, c - 1) if r else '-',
+                    d - 1, c - 1, r) for r in range(d)]
+            return lines
+        source = _PIVOT_STEP.format(
+            ms=names('m'), ws=names('w'), vs=names('v'),
+            negated=names('w', ', -'), as_=names('a'), xs=names('x'),
+            ys=names('y'), kk='\n    '.join(matrix('w', 0)),
+            ik='\n        '.join(matrix('v', d)),
+            quotients='\n            '.join(
+                'q%d, r%d = divmod(%s, denom)' % (r, r, ' + '.join(
+                    's%d_%d * %s%d' % (r, c, 'xy'[c // d], c % d)
+                    for c in range(2 * d))) for r in range(d)),
+            remainders=names('r', ' or '), qs=names('q'))
         namespace = {'_INEXACT': _INEXACT}
-        exec(compile(source, '<row_step %d>' % d, 'exec'), namespace)
-        _ROW_STEPS[d] = namespace['row_step']
+        exec(compile(source, '<pivot_step %d>' % d, 'exec'), namespace)
+        _ROW_STEPS[d] = namespace['pivot_step']
     return _ROW_STEPS[d]
 
 

@@ -20,7 +20,8 @@ expanded with the one common denominator D!, divided out exactly; the
 row scales and the factored-out power of t are restored at the end.
 Every evaluation, at those points and in LaurentPolynomial.evaluate
 (rational points only), is the field's Horner loop: on the packed ints,
-or on each coordinate (_dense_eval).  A LaurentPolynomial holds int
+or on each coordinate list, zipped once per determinant (and by
+_dense_eval for evaluate).  A LaurentPolynomial holds int
 coordinates over one scale too, so the data are ints over one scale
 from phi to the printed invariant, and Fractions appear only in the
 NFElements a polynomial hands out.  Ordinary polynomials in t, dense
@@ -43,8 +44,9 @@ from .field import (NFElement, _bareiss, _denominator, _digit_shift,
 # the last entry, and degree 1 packs at any size.  Each entry sits below
 # the size at which the pack-once time per determinant passed that of
 # NumberField._det, the coordinate Bareiss, at every point, measured at
-# degrees 2 to 9 (BENCH_pr23.json, "crossover").
-_PACK_ONCE_BITS = {2: 2000, 3: 1400, 4: 1200}
+# degrees 2 to 9 against the generated pivot step (BENCH_pr24.json,
+# "crossover").
+_PACK_ONCE_BITS = {2: 1100, 3: 1000, 4: 1000}
 
 
 class LaurentPolynomial:
@@ -576,7 +578,10 @@ def determinant(matrix):
                                           for row in packed]), width, digits)
                   for x in points]
     else:
-        values = [field._det([[_dense_eval(field, entry, x) for entry in row]
-                              for row in int_rows]) for x in points]
+        # each entry's coordinate lists, zipped once for all the points
+        coords = [[list(zip(*entry)) for entry in row] for row in int_rows]
+        values = [field._det([[tuple(_horner(c, x) for c in entry)
+                               for entry in row] for row in coords])
+                  for x in points]
     poly = _newton_interpolate(field, start, values)
     return LaurentPolynomial._of(field, dict(enumerate(poly, shift)), scale)

@@ -790,13 +790,15 @@ class TestDetPathSelection:
         assert calls['pack-once'] == []
         assert calls['_det'] == [12] * 26
 
-    # rows * bits(N*) against _PACK_ONCE_BITS at d >= 4 (1200): K(17/5)
-    # at n = 6 is 1086, K(11/5) at n = 7 1085, K(11/3) at n = 7 1449
+    # rows * bits(N*) against _PACK_ONCE_BITS at d >= 4 (1000): K(11/3)
+    # at n = 6 is 960, K(17/5) at n = 6 1086, K(11/5) at n = 7 1085,
+    # K(11/3) at n = 7 1449
     @pytest.mark.parametrize('knot, n, path, points', [
-        ((17, 5), 6, 'pack-once', 26),
-        ((11, 5), 7, 'pack-once', 16),
+        ((11, 3), 6, 'pack-once', 26),
+        ((17, 5), 6, '_det', 26),
+        ((11, 5), 7, '_det', 16),
         ((11, 3), 7, '_det', 30),
-    ], ids=['k17_5-n6', 'k11_5-n7', 'k11_3-n7'])
+    ], ids=['k11_3-n6', 'k17_5-n6', 'k11_5-n7', 'k11_3-n7'])
     def test_riley_path_by_size(self, knot, n, path, points, monkeypatch):
         job = parse_job(RILEY_TEXTS[knot])
         calls = self.count_kernel_calls(monkeypatch)

@@ -5,10 +5,12 @@ _det is checked against two oracles: the Leibniz sum, and a test-local
 Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
 field), which agrees with it on large matrices too; the oracle given
 too small a bound leaves digits over, which the field's decode rejects.
-Fields of degree 1 to 9 are covered, so _det's row update, generated
-once per degree, runs at each of them.  The minimal polynomials and
-embeddings of degree 4 to 9 are those of the Riley jobs of the
-two-bridge knots K(9/7), K(11/3), K(13/3), K(15/7), K(17/5) and K(19/7).
+Fields of degree 1 to 9 are covered, so _det's pivot step, generated
+once per degree with its products and folds by m, runs at each of them.
+The minimal polynomials and embeddings of degree 4 to 9 are those of the
+Riley jobs of the two-bridge knots K(9/7), K(11/3), K(13/3), K(15/7),
+K(17/5) and K(19/7).  At degree 3, x^3 - 2 has m_1 = m_2 = 0, so the
+cubic of K(7/3), with every m_i nonzero, is checked beside it.
 """
 
 import os
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from twistvol import NumberField, laurent
+from twistvol import NumberField, laurent, parse_job
 from twistvol.field import _bareiss, _digit_shift
 
 from conftest import (K7_3_TEXT, K9_7_FIELD, K11_3_FIELD, K13_3_FIELD,
@@ -39,6 +41,9 @@ FIELDS = {
     8: NumberField(*K17_5_FIELD),
     9: NumberField(*K19_7_FIELD),
 }
+# every m_i of x^3 - x^2 + 2x - 1 is nonzero, so no fold term of the
+# generated step is multiplied away, as m_1 and m_2 are in FIELDS[3]
+K7_3 = parse_job(K7_3_TEXT).representation.field
 
 # derandomized: the same examples on every run, no example database
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -186,9 +191,10 @@ class TestInverse:
 
 
 def at_every_degree(test):
-    """test, given also the pinned 4 x 4 matrix at each degree of FIELDS."""
-    for degree in sorted(FIELDS):
-        test = example((FIELDS[degree], pinned_rows(degree)))(test)
+    """test, given also the pinned 4 x 4 matrix at each degree of FIELDS
+    and over K7_3."""
+    for field in [*FIELDS.values(), K7_3]:
+        test = example((field, pinned_rows(field.degree)))(test)
     return test
 
 
@@ -223,7 +229,7 @@ class TestDet:
                 *[st.integers(-3, 3)] * degree))
         else:
             # |coordinate| >= 2^39: bits(bound) > n (39 + log2(n d)),
-            # past 1400 from 6 rows at d >= 3, past 2000 from 7 at d = 2
+            # past 1000 from 6 rows at d >= 3, past 1100 from 7 at d = 2
             n = data.draw(st.integers(7 if degree == 2 else 6, 9))
             big = st.integers(2 ** 39, 2 ** 40) | st.integers(-2 ** 40,
                                                              -2 ** 39)
@@ -236,11 +242,11 @@ class TestDet:
                 == (side == 'packed'))
         assert field_det(field, rows) == kronecker_det(field, rows)
 
-    @pytest.mark.parametrize('degree', sorted(FIELDS))
-    def test_wrong_pivot_inverse_is_caught(self, degree, monkeypatch):
+    @pytest.mark.parametrize('key', [*FIELDS, 'k7_3'])
+    def test_wrong_pivot_inverse_is_caught(self, key, monkeypatch):
         """A perturbed p^-1 makes a step inexact: ArithmeticError, no value."""
-        field = FIELDS[degree]
-        rows = pinned_rows(degree)
+        field = K7_3 if key == 'k7_3' else FIELDS[key]
+        rows = pinned_rows(field.degree)
         assert field_det(field, rows) == leibniz_det(field, rows)
         exact_inv = field._inv_integral
 

@@ -11,9 +11,7 @@ from twistvol import (Matrix, NumberField, Representation, parse_presentation,
 from twistvol.field import _horner
 from twistvol.rep import _is_sl2
 
-# the degree-8 field of K(17/5), from bench/jobs/k17_5.job
-K17_5_FIELD = ((1, -4, -6, 14, 3, -22, 19, -7, 1),
-               ('1.679246255265', '0.851241638634'))
+from conftest import K17_5_FIELD
 
 
 @pytest.fixture(scope='module')
