@@ -20,9 +20,10 @@ b * w = D on ints; _inv is its Fraction wrapper.  _bareiss,
 the one int elimination besides _det, also runs laurent's pack-once
 determinant, which packs a matrix of polynomials in t once by Kronecker
 substitution x = 2^B and eliminates at each evaluation point; the one
-decode (_decode) reads its balanced base-2^B digits, and those of rep's
-packed symmetric power, folds them by m and raises ArithmeticError on
-digits left over.  That check catches only some wrong bounds: the
+decode (_decode) reads the balanced base-2^B digits of each t-coefficient
+interpolated from those packed values, and those of rep's packed
+symmetric power, folds them by m and raises ArithmeticError on digits
+left over.  That check catches only some wrong bounds: the
 bound behind B is what proves B wide enough (see _decode).  _bareiss
 also gives the squarefree screen of m its Sylvester resultant, and a
 prime not dividing that resultant lets the integer-root screen lift
@@ -153,8 +154,12 @@ class NumberField:
         The caller's bound is what proves shift wide enough; this check
         catches only some wrong bounds.  At degree d >= 3 a short shift
         can leave in-range digits that fold to a wrong element, and then
-        a later check fails instead (for laurent.determinant, the
-        verification point)."""
+        a later check fails instead.  For laurent.determinant, which
+        decodes each t-coefficient of the interpolated packed ints, that
+        is its verification point, t = -2 packed at a wider shift: the
+        wrong digits' errors survive there unless they cancel in the sum
+        weighted by (-2)^k, which a check at t = -1 or at the same shift
+        would let pass far more often."""
         half = 1 << (shift - 1)
         mask = (1 << shift) - 1
         digits = []

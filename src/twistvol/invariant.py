@@ -74,7 +74,8 @@ def phi(element, cfg, prefixes=None):
             (coeff, cfg.rep.evaluate(word, prefixes)))
     sums = {e: symmetric_power(terms, n) for e, terms in groups.items()}
     scale = lcm(*(mat.scale for mat in sums.values()))
-    cells = tuple(tuple({} for _ in range(n)) for _ in range(n))
+    # tuples of lists, not of generators, as in rep.Matrix._of
+    cells = tuple([tuple([{} for _ in range(n)]) for _ in range(n)])
     for e, mat in sums.items():
         k = scale // mat.scale
         for row_cells, row in zip(cells, mat.ints):
@@ -109,7 +110,7 @@ def wada_matrix(cfg, deleted=None):
                for j in range(g)] for r in pres.relators()]
     scale = lcm(*(block.scale for row in blocks for block in row
                   if block is not None))
-    zero = tuple(tuple({} for _ in range(cfg.n)) for _ in range(cfg.n))
+    zero = tuple([tuple([{} for _ in range(cfg.n)]) for _ in range(cfg.n)])
     cells = []
     for row in blocks:
         parts = [(zero, 1) if block is None

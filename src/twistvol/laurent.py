@@ -5,23 +5,24 @@ scale, from phi to the kernel.  A determinant of a triangular matrix,
 upper or lower, is the product of its diagonal, taken on those ints,
 and never reaches the kernel; a zero row gives 0.  Any other matrix is
 computed by evaluation and interpolation: each row is divided by its
-gcd with the scale and shifted to ordinary-polynomial form, the matrix
-is evaluated at one ascending run of D+2 consecutive integers, about
-zero, for a certified degree bound D, and its determinant over
-Z[x]/(m) is taken at each point on Python ints by one of two paths,
-chosen here by size: a small matrix is packed once at x = 2^B, so each
-point is a Horner in t on those ints, one integer Bareiss and one
-decode, and a large one takes the field's coordinate Bareiss
-(NumberField._det) at each point (see determinant).  One
-forward-difference table of the int values both certifies and
-interpolates them: the (D+1)-th difference must be zero (the
-verification point), and the Newton form on the first D+1 values is
-expanded with the one common denominator D!, divided out exactly; the
-row scales and the factored-out power of t are restored at the end.
-Every evaluation, at those points and in LaurentPolynomial.evaluate
-(rational points only), is the field's Horner loop: on the packed ints,
-or on each coordinate list, zipped once per determinant (and by
-_dense_eval for evaluate).  A LaurentPolynomial holds int
+gcd with the scale, shifted to ordinary-polynomial form and held as
+flat planes of coordinates, one per power of t, so evaluating a row at
+a point is one Horner pass (_at).  For a certified degree bound D, one
+of two paths, chosen here by size, takes the determinant over Z[x]/(m)
+on Python ints.  A small matrix is packed once at x = 2^B; packing and
+evaluation are both ring maps, so the integer Bareiss values at the
+nodes 0..D interpolate to the packed determinant's D + 1 int
+coefficients, each decoded once, and a further point, t = -2 packed
+wider, is the verification point.  A large one takes the field's
+coordinate Bareiss (NumberField._det) at D + 2 consecutive integers
+about zero, whose (D+1)-th forward difference must be zero (the
+verification point).  _newton_interpolate takes the values as int
+tuples: one forward-difference table checks the values past the first
+D + 1 and expands the Newton form with the one common denominator D!,
+divided out exactly; the row scales and the factored-out power of t
+are restored at the end.  LaurentPolynomial.evaluate (rational points
+only) runs the field's Horner loop on each coordinate list (_dense_eval),
+on ints at an integral point.  A LaurentPolynomial holds int
 coordinates over one scale too, so the data are ints over one scale
 from phi to the printed invariant, and Fractions appear only in the
 NFElements a polynomial hands out.  Ordinary polynomials in t, dense
@@ -34,19 +35,20 @@ there, with no division.
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm, prod
 
 from .field import (NFElement, _bareiss, _denominator, _digit_shift,
                     _exact_quotient, _horner, _integral, _rational, _unit)
 
 # determinant packs a matrix once, for all its evaluation points, when
-# rows * bits(N*) is at most this, by field degree: degree 4 and up take
+# rows * bits(N1) is at most this, by field degree: degree 4 and up take
 # the last entry, and degree 1 packs at any size.  Each entry sits below
 # the size at which the pack-once time per determinant passed that of
 # NumberField._det, the coordinate Bareiss, at every point, measured at
-# degrees 2 to 9 against the generated pivot step (BENCH_pr24.json,
-# "crossover").
-_PACK_ONCE_BITS = {2: 1100, 3: 1000, 4: 1000}
+# degrees 2 to 9 on the numerators of the figure-eight and nine Riley
+# jobs (BENCH_pr25.json, "crossover").
+_PACK_ONCE_BITS = {2: 1100, 3: 1000, 4: 990}
 
 
 class LaurentPolynomial:
@@ -188,7 +190,8 @@ class LaurentPolynomial:
                         self.scale)
 
     def evaluate(self, at):
-        """Exact value at a nonzero rational point, coordinate-wise.
+        """Exact value at a nonzero rational point, coordinate-wise; at an
+        integral point the Horner loop runs on ints.
 
         An irrational field element raises ValueError.
         """
@@ -197,8 +200,13 @@ class LaurentPolynomial:
         if not x:
             raise ZeroDivisionError('Laurent polynomials are evaluated at '
                                     'nonzero points only')
+        if x.denominator == 1:
+            x = x.numerator
         dense, lo = self._dense()
-        return self._element(f._scale(_dense_eval(f, dense, x), x ** lo))
+        value = _dense_eval(f, dense, x)
+        if lo < 0:
+            return NFElement(f, _rational(value, self.scale * x ** -lo))
+        return self._element(f._scale(value, x ** lo))
 
     def _dense(self):
         """(ascending int coordinates, lowest exponent); zero -> ([], 0)."""
@@ -454,49 +462,77 @@ class PolyMatrix:
 
     def drop_columns(self, start, width):
         """Remove `width` consecutive columns beginning at `start`."""
-        cells = tuple(row[:start] + row[start + width:] for row in self.cells)
+        # a tuple of a list, not of a generator, as in rep.Matrix._of
+        cells = tuple([row[:start] + row[start + width:]
+                       for row in self.cells])
         return PolyMatrix._of(self.field, cells, self.scale)
 
     def __repr__(self):
         return '<PolyMatrix %dx%d>' % (self.nrows, self.ncols)
 
 
-def _newton_interpolate(field, start, values):
-    """Dense ascending int coefficients of the interpolant of int values.
+def _newton_interpolate(start, values, degree):
+    """Dense ascending int tuples of the interpolant, of degree <= degree,
+    of the int tuples values at start, start + 1, ...; each coordinate
+    runs on its own list of ints.
 
-    values holds n + 1 values at the consecutive integers start, start + 1,
-    ..., start + n; the interpolant has degree < n.  The Newton
-    coefficients are the forward differences of the values over k!, and n
-    points fix it, so its degree is < n exactly when the n-th difference is
-    zero: that one further value is the verification point, and a nonzero
-    top difference raises ArithmeticError.  The Newton form on the first n
-    points is expanded on ints with the one common denominator (n-1)! and
-    divided by it exactly at the end.  The interpolant of an integral
-    determinant is integral: a remainder raises ArithmeticError.
+    The Newton coefficients are the forward differences of the values
+    over k!, and degree + 1 points fix the interpolant, so the values
+    past those lie on it exactly when every difference of higher order is
+    zero: each such value is a verification point, and a nonzero
+    difference raises ArithmeticError.  The Newton form on the first
+    degree + 1 points is expanded on ints with the one common denominator
+    degree! and divided by it exactly at the end.  The interpolant of an
+    integral determinant is integral: a remainder raises ArithmeticError.
     """
-    diffs = list(values)
-    n = len(diffs) - 1
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            diffs[i] = field._sub(diffs[i], diffs[i - 1])
-    if any(diffs[n]):
-        raise ArithmeticError('determinant interpolation failed its '
-                              'verification point; degree bound bug')
-    # poly <- poly * (t - x_k) + diffs[k] * (n-1)!/k!, for k = n-2 .. 0
-    poly = [diffs[n - 1]]
-    weight = 1
-    for k in range(n - 2, -1, -1):
-        x = start + k
-        weight *= k + 1
-        poly = ([tuple(weight * u - x * v for u, v in zip(diffs[k], poly[0]))]
-                + [tuple(u - x * v for u, v in zip(lower, higher))
-                   for lower, higher in zip(poly, poly[1:])]
-                + [poly[-1]])
+    columns = []
+    for diffs in map(list, zip(*values)):
+        n = len(diffs) - 1
+        for k in range(1, n + 1):
+            for i in range(n, k - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        if any(diffs[degree + 1:]):
+            raise ArithmeticError(_VERIFY)
+        # poly <- poly * (t - x_k) + diffs[k] * degree!/k!, k = degree-1 .. 0
+        poly = [diffs[degree]]
+        weight = 1
+        for k in range(degree - 1, -1, -1):
+            x = start + k
+            weight *= k + 1
+            poly = ([weight * diffs[k] - x * poly[0]]
+                    + [u - x * v for u, v in zip(poly, poly[1:])]
+                    + [poly[-1]])
+        columns.append(poly)
     try:
-        return _dense_trim([_exact_quotient(c, weight) for c in poly])
+        return _dense_trim([_exact_quotient(c, weight)
+                            for c in zip(*columns)])
     except ArithmeticError:
         raise ArithmeticError('determinant interpolant is not integral; '
                               'an evaluation is wrong') from None
+
+
+_VERIFY = ('determinant interpolation failed its verification point; '
+           'the degree bound or the packing width is wrong')
+
+
+def _at(planes, x):
+    """The flat row sum_k planes[k] x^k, as a new list: the callers
+    eliminate it in place, and a row constant in t has one plane."""
+    row = list(planes[-1])
+    for plane in planes[-2::-1]:
+        row = [a * x + c for a, c in zip(row, plane)]
+    return row
+
+
+def _split(flat, d):
+    """The flat int list as consecutive d-tuples."""
+    return list(zip(*[iter(flat)] * d))
+
+
+def _pack(flat, d, width):
+    """Each d-tuple of the flat int list as one int, at x = 2^width."""
+    base = 1 << width
+    return [_horner(c, base) for c in zip(*[iter(flat)] * d)]
 
 
 def determinant(matrix):
@@ -508,27 +544,47 @@ def determinant(matrix):
     is 0, and one without is interpolated.  Each row is divided by its gcd
     with the scale, which leaves it over the least common denominator of
     its coefficients, and its lowest t-power is factored out, so every
-    entry becomes an ordinary polynomial over Z[x]/(m).  The degree
-    bound D sums, over rows, the largest entry degree.  The matrix is
-    evaluated at the D+2 consecutive integers from -floor((D+1)/2), up
-    to R in absolute value.  Every entry a = sum_k c_k t^k has
-    ||a(x)||_1 <= sum_k ||c_k||_1 R^k there, so the product over rows of
-    those sums, N*, bounds every coefficient in Z[x] of det A(x) at
-    every point: ||f g||_1 <= ||f||_1 ||g||_1, and expanding the product
-    of the row sums gives every Leibniz term and more.  This is the one
-    choice of determinant path.  If rows * bits(N*) is within
-    _PACK_ONCE_BITS for the field's degree, or the degree is 1, each
-    c_k is packed once at x = 2^B, B = bits(N*) + 1, and each point
-    evaluates the packed entries in t, runs _bareiss and decodes
-    rows * (d - 1) + 1 digits.  N* proves B wide enough.  _decode's
-    ArithmeticError on digits left over catches only some wrong bounds:
-    at degree d >= 3 a short shift can decode into in-range digits, and
-    then the verification point is what fails.  Otherwise
-    NumberField._det, Bareiss on the coordinates, runs at each point.
-    One difference table of the values checks that their (D+1)-th
+    entry becomes an ordinary polynomial over Z[x]/(m).  Each row is held
+    as its planes, plane k listing the d coordinates of every entry's
+    t^k coefficient, and evaluated at a point by one Horner pass over
+    them (_at).  The degree bound D sums, over rows, the largest entry
+    degree.
+
+    N1 = prod over rows of sum over entries of sum_k ||c_k||_1, the l1
+    norm over x and t, bounds every coefficient of the determinant F
+    taken unreduced in Z[x][t] (||f g||_1 <= ||f||_1 ||g||_1, and
+    expanding the product of the row sums gives every Leibniz term and
+    more), and so every coefficient in Z[x] of F(x, s) at a point
+    |s| <= 1, a sum of coefficients of F times powers of s.  rows *
+    bits(N1) against _PACK_ONCE_BITS for the field's degree is the one
+    choice of determinant path; degree 1 always takes the first.
+
+    Pack-once: each c_k is packed once at x = 2^B, B = bits(N1) + 1.
+    Packing (x -> 2^B) and evaluation (t -> s) are both ring maps, so
+    _bareiss on the packed rows at a node s gives G(s) exactly, where
+    G(t) = F(2^B, t) in Z[t] has degree <= D.  The D + 1 nodes 0..D
+    therefore fix G's int coefficients G_k = F_k(2^B), which
+    _newton_interpolate recovers exactly, and each G_k is decoded once
+    into rows * (d - 1) + 1 digits and folded by m; N1 proves B wide
+    enough for every F_k.  The verification point is t = -2, outside
+    the nodes: F(x, -2) has coefficients at most 2^D N1, so A(-2) is
+    packed at B + D + 1, one bit wider than that needs so that no node
+    shares its width even at D = 0, and its decoded determinant must
+    equal the decoded interpolant at -2.  That checks D, as a further
+    node would, and B: a B too short for some F_k that leaves no digit
+    over decodes G_k into digits off by (x - 2^B) h_k(x), and the check
+    fails unless sum_k h_k (-2)^k vanishes mod m.  At t = -1, which N1
+    alone bounds, the carries of neighbouring coefficients cancel in
+    that sum too often to trust, and at width B both sides would be
+    digits of the one int G(-1).  _decode's ArithmeticError on digits
+    left over catches other short widths.
+
+    Coordinates: NumberField._det, Bareiss on the coordinates, runs at
+    the D + 2 consecutive integers from -floor((D+1)/2), and one
+    difference table of the values checks that their (D+1)-th
     difference is zero, the verification point, and interpolates the
-    first D+1 (_newton_interpolate).  The row scales and the t-power
-    are restored at the end.
+    first D + 1.  On either path the row scales and the t-power are
+    restored at the end.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError('determinant of a non-square matrix')
@@ -537,51 +593,46 @@ def determinant(matrix):
             or not any(any(row[i + 1:]) for i, row in enumerate(cells))):
         return prod((matrix[i, i] for i in range(len(cells))),
                     start=LaurentPolynomial.one(field))
-    izero = _unit(field, 0)
+    d = field.degree
     shift = 0
     scale = 1
-    int_rows = []
-    bound = 0
+    rows = []
     for row in cells:
         if not any(row):
             return LaurentPolynomial.zero(field)
-        lo = min(e for cell in row for e in cell)
+        exponents = [e for cell in row for e in cell]
+        lo = min(exponents)
         shift += lo
         row_gcd = gcd(matrix.scale,
                       *(x for cell in row for c in cell.values() for x in c))
         scale *= matrix.scale // row_gcd
-        int_row = []
-        for cell in row:
-            dense = [izero] * (max(cell, default=lo) - lo + 1)
+        planes = [[0] * (len(row) * d)
+                  for _ in range(max(exponents) - lo + 1)]
+        for j, cell in enumerate(row):
             for e, c in cell.items():
-                dense[e - lo] = _exact_quotient(c, row_gcd)
-            int_row.append(dense)
-        int_rows.append(int_row)
-        bound += max(len(entry) for entry in int_row) - 1
-    start = -((bound + 1) // 2)
-    points = range(start, start + bound + 2)
-    # ||a(x)||_1 <= sum_k ||c_k||_1 |x|^k <= sum_k ||c_k||_1 R^k at every
-    # point, R = max |x|: one row-norm bound N* for all of them
-    far = max(-start, points[-1])
-    norm = prod(sum(_horner([sum(map(abs, c)) for c in entry], far)
-                    for entry in row) for row in int_rows)
-    n = len(int_rows)
-    if (field.degree == 1 or n * norm.bit_length()
-            <= _PACK_ONCE_BITS[min(field.degree, 4)]):
+                planes[e - lo][j * d:(j + 1) * d] = (
+                    c if row_gcd == 1 else _exact_quotient(c, row_gcd))
+        rows.append(planes)
+    bound = sum(len(planes) - 1 for planes in rows)
+    norm = prod(sum(map(abs, chain.from_iterable(planes))) for planes in rows)
+    n = len(rows)
+    if d == 1 or n * norm.bit_length() <= _PACK_ONCE_BITS[min(d, 4)]:
         width = _digit_shift(norm)
-        base = 1 << width
-        packed = [[[_horner(c, base) for c in entry] for entry in row]
-                  for row in int_rows]
-        digits = n * (field.degree - 1) + 1
-        values = [field._decode(_bareiss([[_horner(entry, x)
-                                           for entry in row]
-                                          for row in packed]), width, digits)
-                  for x in points]
+        digits = n * (d - 1) + 1
+        packed = [[_pack(plane, d, width) for plane in planes]
+                  for planes in rows]
+        values = [(_bareiss([_at(planes, x) for planes in packed]),)
+                  for x in range(bound + 1)]
+        poly = [field._decode(value, width, digits) for value, in
+                _newton_interpolate(0, values, bound)]
+        # the verification point t = -2, at a width no node shares
+        wide = width + bound + 1
+        check = _bareiss([_pack(_at(planes, -2), d, wide) for planes in rows])
+        if field._decode(check, wide, digits) != _dense_eval(field, poly, -2):
+            raise ArithmeticError(_VERIFY)
     else:
-        # each entry's coordinate lists, zipped once for all the points
-        coords = [[list(zip(*entry)) for entry in row] for row in int_rows]
-        values = [field._det([[tuple(_horner(c, x) for c in entry)
-                               for entry in row] for row in coords])
-                  for x in points]
-    poly = _newton_interpolate(field, start, values)
+        start = -((bound + 1) // 2)
+        values = [field._det([_split(_at(planes, x), d) for planes in rows])
+                  for x in range(start, start + bound + 2)]
+        poly = _newton_interpolate(start, values, bound)
     return LaurentPolynomial._of(field, dict(enumerate(poly, shift)), scale)

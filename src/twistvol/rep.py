@@ -56,8 +56,11 @@ class Matrix:
             if scale != 1 else 1
         m = cls.__new__(cls)
         m.field, m.scale = field, scale // g
-        m.ints = ints if g == 1 else tuple(
-            tuple(tuple(x // g for x in e) for e in row) for row in ints)
+        # rows and matrices are tuples of lists, not of generators: CPython
+        # builds those at a guessed length and resizes them, and a resized
+        # tuple, once freed, waits on a free list until a full collection
+        m.ints = ints if g == 1 else tuple([
+            tuple([tuple(x // g for x in e) for e in row]) for row in ints])
         return m
 
     @classmethod
@@ -89,8 +92,8 @@ class Matrix:
             raise ValueError('matrix shape mismatch')
         f = self.field
         cols = list(zip(*other.ints))
-        return Matrix._of(f, tuple(tuple(f._dot(r, c) for c in cols)
-                                   for r in self.ints),
+        return Matrix._of(f, tuple([tuple([f._dot(r, c) for c in cols])
+                                   for r in self.ints]),
                           self.scale * other.scale)
 
     def __sub__(self, other):
@@ -222,8 +225,9 @@ def symmetric_power(terms, n):
                     grid[i1 + i2][j] += u * v
     # (n-1)(d-1) + 1 digits; at n = 1 the one digit is padded to d
     count = max(deg * (f.degree - 1) + 1, f.degree)
-    return Matrix._of(f, tuple(tuple(f._decode(v, shift, count) for v in row)
-                               for row in grid), common)
+    return Matrix._of(f, tuple([tuple([f._decode(v, shift, count)
+                                       for v in row]) for row in grid]),
+                      common)
 
 
 class Representation:

@@ -779,7 +779,8 @@ class TestDetPathSelection:
         job = parse_job(RILEY_TEXTS[(17, 5)])
         calls = self.count_kernel_calls(monkeypatch)
         twisted_alexander(TwistConfig(job.presentation, job.representation, 3))
-        assert calls['pack-once'] == [3] * 14   # D + 2 points, 3 rows each
+        # D + 1 nodes and the check at t = -2, 3 rows each
+        assert calls['pack-once'] == [3] * 14
         assert calls['_det'] == []
         assert calls['_inv_integral in a kernel'] == []
 
@@ -790,19 +791,36 @@ class TestDetPathSelection:
         assert calls['pack-once'] == []
         assert calls['_det'] == [12] * 26
 
-    # rows * bits(N*) against _PACK_ONCE_BITS at d >= 4 (1000): K(11/3)
-    # at n = 6 is 960, K(17/5) at n = 6 1086, K(11/5) at n = 7 1085,
-    # K(11/3) at n = 7 1449
+    # rows * bits(N1) against _PACK_ONCE_BITS at d >= 4 (990): K(11/3)
+    # at n = 6 is 510, K(17/5) at n = 6 636, K(11/5) at n = 7 833, K(11/3)
+    # at n = 7 791, K(17/5) at n = 7 980, K(15/7) at n = 7 994 and K(11/3)
+    # at n = 8 1168; at d = 2 (1100) the figure-eight at n = 9 is 927 and
+    # at n = 10 1240; at d = 3 (1000) K(7/3) at n = 8 is 896 and at n = 9
+    # 1269.  Either path takes D + 2 kernel calls.
     @pytest.mark.parametrize('knot, n, path, points', [
         ((11, 3), 6, 'pack-once', 26),
-        ((17, 5), 6, '_det', 26),
-        ((11, 5), 7, '_det', 16),
-        ((11, 3), 7, '_det', 30),
-    ], ids=['k11_3-n6', 'k17_5-n6', 'k11_5-n7', 'k11_3-n7'])
-    def test_riley_path_by_size(self, knot, n, path, points, monkeypatch):
-        job = parse_job(RILEY_TEXTS[knot])
+        ((17, 5), 6, 'pack-once', 26),
+        ((11, 5), 7, 'pack-once', 16),
+        ((11, 3), 7, 'pack-once', 30),
+        ((17, 5), 7, 'pack-once', 30),
+        ((15, 7), 7, '_det', 16),
+        ((11, 3), 8, '_det', 34),
+        ('fig8', 9, 'pack-once', 20),
+        ('fig8', 10, '_det', 22),
+        ('k7_3', 8, 'pack-once', 18),
+        ('k7_3', 9, '_det', 20),
+    ], ids=['k11_3-n6', 'k17_5-n6', 'k11_5-n7', 'k11_3-n7', 'k17_5-n7',
+            'k15_7-n7', 'k11_3-n8', 'fig8-n9', 'fig8-n10', 'k7_3-n8',
+            'k7_3-n9'])
+    def test_riley_path_by_size(self, knots, knot, n, path, points,
+                                monkeypatch):
+        if knot in knots:
+            pres, rep = knots[knot]
+        else:
+            job = parse_job(RILEY_TEXTS[knot])
+            pres, rep = job.presentation, job.representation
         calls = self.count_kernel_calls(monkeypatch)
-        twisted_alexander(TwistConfig(job.presentation, job.representation, n))
+        twisted_alexander(TwistConfig(pres, rep, n))
         assert calls[path] == [n] * points
         other, = {'pack-once', '_det'} - {path}
         assert calls[other] == []

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,12 @@ from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
                       parse_polynomial, reduce, symmetric_power)
 from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
 
-from conftest import K9_7_FIELD, K17_5_FIELD
+from conftest import K9_7_FIELD, K17_5_FIELD, make_ufield
+
+# one field per degree for the forced-path property
+PATH_FIELDS = {1: NumberField.rationals(), 2: make_ufield(),
+               3: NumberField([-2, 0, 0, 1], ('1.26', '0')),
+               4: NumberField(*K9_7_FIELD), 8: NumberField(*K17_5_FIELD)}
 
 
 def cofactor_determinant(m):
@@ -215,6 +221,42 @@ class TestDeterminant:
             m = sparse_matrix(field, rng, pattern, max_den)
             assert determinant(m) == cofactor_determinant(m), pattern
 
+    # degree 1 packs once at any size, so it has no coordinate side
+    @pytest.mark.parametrize('path, degree', [
+        ('pack-once', 1), ('pack-once', 2), ('pack-once', 3),
+        ('pack-once', 4), ('pack-once', 8),
+        ('_det', 2), ('_det', 3), ('_det', 4), ('_det', 8)])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_forced_path_against_cofactor_oracle(self, path, degree, data):
+        """Either path, forced by _PACK_ONCE_BITS, equals the cofactor
+        oracle on 2..4 rows with exponents -2..2, t-degree >= 2 and one
+        row constant in t (a single plane, which _at must copy, since
+        both kernels eliminate in place)."""
+        field = PATH_FIELDS[degree]
+        n = data.draw(st.integers(2, 4))
+        flat = data.draw(st.integers(0, n - 1))
+        coordinate = st.one_of(st.integers(-5, 5), st.fractions(
+            min_value=-5, max_value=5, max_denominator=4))
+
+        def entry(exponents):
+            return LaurentPolynomial(field, {e: field.element(data.draw(
+                st.lists(coordinate, min_size=degree, max_size=degree)))
+                for e in exponents})
+
+        rows = [[entry([0] if i == flat else data.draw(st.sets(
+            st.integers(-2, 2), max_size=3))) for _ in range(n)]
+            for i in range(n)]
+        # t^-2 + t in one entry of another row: t-degree at least 3
+        i = (flat + 1) % n
+        rows[i][0] = rows[i][0] + LaurentPolynomial.t(field, -2) + (
+            LaurentPolynomial.t(field))
+        m = PolyMatrix(field, rows)
+        limit = 10 ** 9 if path == 'pack-once' else -1
+        with mock.patch.object(laurent, '_PACK_ONCE_BITS',
+                               dict.fromkeys(range(2, 5), limit)):
+            assert determinant(m) == cofactor_determinant(m)
+
     @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
     @pytest.mark.parametrize('side', ['upper', 'lower'])
     def test_triangular_is_diagonal_product(self, request, field_name, side,
@@ -269,25 +311,26 @@ class TestDeterminant:
     def test_wrong_value_fails_verification_point(self, ufield,
                                                   monkeypatch):
         """A wrong kernel value at the extra point: ArithmeticError, on the
-        pack-once path (the decode at each point) and on the per-point
-        path (_det at each point)."""
+        pack-once path (_bareiss at each point, t = -1 the last) and on the
+        coordinate path (_det at each point)."""
         rng = random.Random(316)
         m = PolyMatrix(ufield, [[random_poly(ufield, rng) for _ in range(3)]
                                 for _ in range(3)])
         want = determinant(m)
         counts = []
-        for attr, limit in (('_decode', None),
-                            ('_det', dict.fromkeys(range(2, 5), -1))):
+        for owner, attr, limit in (
+                (laurent, '_bareiss', None),
+                (NumberField, '_det', dict.fromkeys(range(2, 5), -1))):
             if limit is not None:
                 monkeypatch.setattr(laurent, '_PACK_ONCE_BITS', limit)
-            kernel = getattr(NumberField, attr)
+            kernel = getattr(owner, attr)
             calls = []
 
             def counting(*args):
                 calls.append(None)
                 return kernel(*args)
 
-            monkeypatch.setattr(NumberField, attr, counting)
+            monkeypatch.setattr(owner, attr, counting)
             assert determinant(m) == want
             points = len(calls)
             counts.append(points)
@@ -296,10 +339,12 @@ class TestDeterminant:
                 calls.append(None)
                 value = kernel(*args)
                 if len(calls) % points == 0:
-                    value = (value[0] + 1,) + value[1:]
+                    # a packed int, or the coordinates of a field element
+                    value = (value + 1 if isinstance(value, int)
+                             else (value[0] + 1,) + value[1:])
                 return value
 
-            monkeypatch.setattr(NumberField, attr, wrong_last)
+            monkeypatch.setattr(owner, attr, wrong_last)
             with pytest.raises(ArithmeticError, match='verification point'):
                 determinant(m)
             monkeypatch.undo()
@@ -308,25 +353,54 @@ class TestDeterminant:
 
     def test_short_shift_is_caught(self, qfield, ufield, cubic, monkeypatch):
         """A pack-once shift too short for the determinant's coefficients
-        leaves digits over: ArithmeticError from the decode, at degrees
-        1, 2, 3, 4 and 8."""
+        raises ArithmeticError and returns no value, at degrees 1, 2, 3, 4
+        and 8.  With u = (1, 2, ..., d) a 2-bit shift leaves digits over;
+        with u the generator, or at 3 and 4 bits, the digits can fit, and
+        then the verification point raises."""
         t = LaurentPolynomial.t(qfield)
-        cases = [PolyMatrix(qfield, [[3 * t + 5, t], [2, 7 * t - 1]])]
+        spread = [PolyMatrix(qfield, [[3 * t + 5, t], [2, 7 * t - 1]])]
+        generated = []
         for field in (ufield, cubic, NumberField(*K9_7_FIELD),
                       NumberField(*K17_5_FIELD)):
-            # every coordinate nonzero: a 2-bit shift overflows the
-            # decode's n(d - 1) + 1 digits at every degree
-            u = LaurentPolynomial.constant(
-                field, field.element(range(1, field.degree + 1)))
+            # every coordinate of the first u nonzero: a 2-bit shift
+            # overflows the decode's n(d - 1) + 1 digits at every degree
             s = LaurentPolynomial.t(field)
-            cases.append(PolyMatrix(field, [[3 * u * s + 5, s],
-                                            [2 * u, 7 * s - u]]))
-        for m in cases:
+            for u, cases in ((field.element(range(1, field.degree + 1)),
+                              spread), (field.generator, generated)):
+                u = LaurentPolynomial.constant(field, u)
+                cases.append(PolyMatrix(field, [[3 * u * s + 5, s],
+                                                [2 * u, 7 * s - u]]))
+        for m in spread + generated:
             assert determinant(m) == cofactor_determinant(m)
         monkeypatch.setattr(laurent, '_digit_shift', lambda bound: 2)
-        for m in cases:
+        for m in spread:
             with pytest.raises(ArithmeticError, match='coefficient bound'):
                 determinant(m)
+        for shift in (2, 3, 4):
+            monkeypatch.setattr(laurent, '_digit_shift',
+                                lambda bound, shift=shift: shift)
+            for m in spread + generated:
+                with pytest.raises(ArithmeticError):
+                    determinant(m)
+
+    def test_carries_cancelling_at_minus_one_are_caught(self, monkeypatch):
+        """At a 6-bit shift this matrix's t-coefficients decode into
+        in-range wrong digits whose errors cancel in the alternating sum,
+        so a verification point at t = -1 would pass a wrong determinant;
+        the one at t = -2 raises."""
+        field = NumberField(*K17_5_FIELD)
+        rows = [['[-1,-2,1,1,-2,1,-3,0]*t^0 + [-3,-2,3,2,-2,1,-1,1]*t^-1',
+                 '[-3,-3,2,0,3,3,2,3]*t^1 + [-2,-3,0,3,2,-3,0,1]*t^-1'],
+                ['[3,0,2,1,-1,0,-1,2]*t^1 + [2,1,2,-2,-2,3,1,-1]*t^0 + '
+                 '[-3,3,1,-1,1,1,2,-2]*t^-1',
+                 '[2,1,-1,3,0,-1,-2,-1]*t^1 + [-3,3,-2,3,1,-1,-3,3]*t^0 + '
+                 '[1,1,-2,0,2,-2,0,-2]*t^-1']]
+        m = PolyMatrix(field, [[parse_polynomial(field, text) for text in row]
+                               for row in rows])
+        assert determinant(m) == cofactor_determinant(m)
+        monkeypatch.setattr(laurent, '_digit_shift', lambda bound: 6)
+        with pytest.raises(ArithmeticError, match='verification point'):
+            determinant(m)
 
     def test_zero_row_short_circuits(self, qfield, monkeypatch):
         """A zero row in a matrix that is not triangular: 0, no kernel."""
@@ -523,6 +597,30 @@ class TestEvaluate:
         with pytest.raises(ValueError, match='element is not rational'):
             (t + 1).evaluate(ufield.generator)
 
+    @pytest.mark.parametrize('field_name', ['qfield', 'cubic'])
+    def test_matches_termwise_sum(self, request, field_name, monkeypatch):
+        """The value is sum_e c_e x^e; an integral point, given as an int
+        or a Fraction, reaches the Horner loop as an int."""
+        field = request.getfixturevalue(field_name)
+        rng = random.Random(701)
+        seen = []
+        horner = laurent._dense_eval
+
+        def recording(f, a, x):
+            seen.append(type(x))
+            return horner(f, a, x)
+
+        monkeypatch.setattr(laurent, '_dense_eval', recording)
+        points = (1, -1, 3, Fraction(1), Fraction(-2), Fraction(1, 2),
+                  Fraction(-3, 4))
+        for at in points:
+            for _ in range(6):
+                p = random_poly(field, rng, max_den=6)
+                want = sum((c * Fraction(at) ** e
+                            for e, c in p.coeffs.items()), field.zero)
+                assert p.evaluate(at) == want
+        assert seen == [int] * 30 + [Fraction] * 12
+
 
 class TestPrintParse:
 
@@ -570,7 +668,7 @@ class TestNormalizeUnit:
 
 
 class TestInterpolation:
-    """laurent._newton_interpolate: int values, one exact division."""
+    """laurent._newton_interpolate: int tuples, one exact division."""
 
     @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'cubic'])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -582,22 +680,32 @@ class TestInterpolation:
                                   max_size=12))
         spare = data.draw(st.integers(0, 3))
         start = data.draw(st.integers(-20, 20))
-        # one value past those the degree needs: the verification point
-        points = range(start, start + max(1, len(poly)) + spare + 1)
+        # the values past those the degree needs are verification points;
+        # with spare = 0 there are none
+        degree = max(1, len(poly)) - 1
+        points = range(start, start + degree + spare + 1)
         values = [_dense_eval(field, poly, x) for x in points]
-        got = _newton_interpolate(field, start, values)
+        got = _newton_interpolate(start, values, degree)
         assert got == _dense_trim(list(poly))
         assert all(type(c) is int for coeff in got for c in coeff)
 
-    def test_non_integral_interpolant_rejected(self, qfield):
+    def test_non_integral_interpolant_rejected(self):
         # t (t - 1) / 2 takes the values 1, 0, 0, 1 at -1, 0, 1, 2
         with pytest.raises(ArithmeticError, match='not integral'):
-            _newton_interpolate(qfield, -1, [(1,), (0,), (0,), (1,)])
+            _newton_interpolate(-1, [(1,), (0,), (0,), (1,)], 2)
 
-    def test_nonzero_top_difference_fails_verification_point(self, qfield):
+    def test_nonzero_top_difference_fails_verification_point(self):
         # 0, 1, 4, 10 at 0..3: the third difference is 1, not 0
         with pytest.raises(ArithmeticError, match='verification point'):
-            _newton_interpolate(qfield, 0, [(0,), (1,), (4,), (10,)])
+            _newton_interpolate(0, [(0,), (1,), (4,), (10,)], 2)
+
+    def test_every_spare_value_is_checked(self):
+        # t^3 at 0..4 against degree 2: the fourth difference is 0, the
+        # third is 6
+        with pytest.raises(ArithmeticError, match='verification point'):
+            _newton_interpolate(0, [(0,), (1,), (8,), (27,), (64,)], 2)
+        assert _newton_interpolate(0, [(0,), (1,), (4,), (9,), (16,)],
+                                   2) == [(0,), (0,), (1,)]
 
     def test_empty_polynomial_evaluates_to_int_zero(self, cubic):
         zero = _dense_eval(cubic, [], 3)
