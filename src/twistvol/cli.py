@@ -59,8 +59,48 @@ def bundled_job_path(name='figure-eight'):
     return resources.files(__package__).joinpath('data').joinpath(name + '.job')
 
 
+# a number of a matrix literal, as fractions.Fraction reads it: sign,
+# integer part, then a denominator or a decimal part and exponent; re
+# compiles it at its first use, which few jobs reach, not at import
+_NUMBER = (r'[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)'
+           r'(?:/(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?'
+           r'(?:[eE]([-+]?\d+(?:_\d+)*))?)\Z')
+
+# the most digits the numerator or the denominator of a matrix literal's
+# number may take, as Fraction builds them (1e4000 takes 4001)
+MAX_DIGITS = 1000
+
+
+def _number(tok):
+    """tok as a Fraction; ValueError, before any int is built, when the
+    numerator or denominator Fraction would build from it, exponent
+    included, needs more than MAX_DIGITS digits.  Without an exponent
+    neither has more digits than tok has characters, so only a long
+    token or one with an exponent is measured."""
+    match = ((len(tok) > MAX_DIGITS or 'e' in tok or 'E' in tok)
+             and re.match(_NUMBER, tok))
+    if match:
+        num, denom, decimal, exp = (part.replace('_', '') if part else ''
+                                    for part in match.groups())
+        # five leading digits of |exponent| decide whether it passes
+        # MAX_DIGITS, so no long exponent is converted either
+        e = int(exp.lstrip('+-').lstrip('0')[:5] or 0)
+        e = -e if exp.startswith('-') else e
+        size = max(len(num) + len(decimal) + max(e, 0),
+                   len(denom) or len(decimal) - min(e, 0) + 1)
+        if size > MAX_DIGITS:
+            shown = tok if len(tok) <= 24 else tok[:20] + '...'
+            raise ValueError('number %r needs more than %d digits'
+                             % (shown, MAX_DIGITS))
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError('zero denominator in %r' % (tok,)) from None
+
+
 def _parse_nested(text):
-    """Parse nested bracket lists of rationals, e.g. [[[1,0],[1,0]],...]."""
+    """Parse nested bracket lists of rationals, e.g. [[[1,0],[1,0]],...];
+    no numerator or denominator may exceed MAX_DIGITS digits."""
     tokens = re.findall(r'\[|\]|,|[^\[\],\s]+', text)
     pos = 0
 
@@ -83,10 +123,7 @@ def _parse_nested(text):
             pos += 1
             return items
         pos += 1
-        try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError('zero denominator in %r' % (tok,)) from None
+        return _number(tok)
 
     value = parse(0)
     if pos != len(tokens):
@@ -224,8 +261,12 @@ def _rep_checks(rep, pres):
     failures = rep.check_relations(pres)
     if failures:
         k, diff = failures[0]
+        try:
+            shown = repr(diff)
+        except ValueError:    # past Python's int-to-str digit limit
+            shown = 'too long to print'
         relations = ('relation %d fails under the representation; '
-                     'difference %r' % (k + 1, diff))
+                     'difference %s' % (k + 1, shown))
     else:
         relations = '%d relation(s) hold exactly' % len(pres.relations)
     return [('determinant check', not bad,

@@ -23,14 +23,19 @@ substitution x = 2^B and eliminates at each evaluation point; the one
 decode (_decode) reads the balanced base-2^B digits of each t-coefficient
 interpolated from those packed values, and those of rep's packed
 symmetric power, folds them by m and raises ArithmeticError on digits
-left over.  That check catches only some wrong bounds: the
+left over.  It too is one function per field degree (_decoder): a bias
+turns the balanced digits into plain ones, read without a branch, and
+they are folded by m in one Horner pass with the coefficients of m
+written out; it is compiled at the first decode of that degree and
+cached, so loading a job compiles no decode and no pivot step.  The
+check for digits left over catches only some wrong bounds: the
 bound behind B is what proves B wide enough (see _decode).  _bareiss
 also gives the squarefree screen of m its Sylvester resultant, and a
 prime not dividing that resultant lets the integer-root screen lift
 the roots of m mod p (_integer_roots).
-Outside _det's generated step, _dot is the one multiply loop, a sum
-of products folded by m once, and _mul its one-term case, and _fold
-is the one reduction by m; _horner is the one evaluation loop and
+Outside the generated step and decode, _dot is the one multiply loop,
+a sum of products folded by m once, and _mul its one-term case, and
+_fold is the one reduction by m; _horner is the one evaluation loop and
 _digit_shift the one rule for a packing shift.
 Polynomials in t live in laurent.  All ring operations are exact; the
 only inexact step is the embedding into arbitrary-precision complex
@@ -149,7 +154,8 @@ class NumberField:
         """The size balanced base-2^shift digits of the int value, lowest
         first, each in [-2^(shift-1), 2^(shift-1)), folded by m (size >= d);
         ArithmeticError when value needs more digits: the coefficient
-        bound behind shift was wrong.
+        bound behind shift was wrong.  It runs _decoder(d), generated
+        once per field degree.
 
         The caller's bound is what proves shift wide enough; this check
         catches only some wrong bounds.  At degree d >= 3 a short shift
@@ -160,19 +166,7 @@ class NumberField:
         wrong digits' errors survive there unless they cancel in the sum
         weighted by (-2)^k, which a check at t = -1 or at the same shift
         would let pass far more often."""
-        half = 1 << (shift - 1)
-        mask = (1 << shift) - 1
-        digits = []
-        for _ in range(size):
-            digit = value & mask
-            if digit >= half:
-                digit -= mask + 1
-            digits.append(digit)
-            value = (value - digit) >> shift
-        if value:
-            raise ArithmeticError('packed value has digits beyond degree %d; '
-                                  'the coefficient bound is wrong' % (size - 1))
-        return self._fold(digits)
+        return _decoder(self.degree)(value, shift, size, self.min_poly)
 
     def _inv(self, a):
         scale = _denominator([a])
@@ -593,6 +587,62 @@ def _row_step(d):
         exec(compile(source, '<pivot_step %d>' % d, 'exec'), namespace)
         _ROW_STEPS[d] = namespace['pivot_step']
     return _ROW_STEPS[d]
+
+
+_BEYOND = ('packed value has digits beyond degree %d; '
+           'the coefficient bound is wrong')
+
+# NumberField._decode at degree d, for _decoder to fill in: the biased
+# value's top d digits start r0..r<d-1>, and each lower digit is one
+# Horner step, r <- x r + digit folded by m; c is the coordinate carried
+# out at x^d
+_DECODE = """\
+def decode(value, shift, size, m):
+    {ms}, _ = m
+    mask = (1 << shift) - 1
+    half = 1 << (shift - 1)
+    top = shift * size
+    value += ((1 << top) - 1) // mask << (shift - 1)
+    if value < 0 or value >> top:
+        raise ArithmeticError(_BEYOND % (size - 1))
+    k = top - {d} * shift
+    {init}
+    for k in range(k - shift, -1, -shift):
+        c = r{last}
+        {steps}
+        r0 = (value >> k & mask) - half - c * m0
+    return {rs},
+"""
+
+# degree -> its decode, built at the first decode of that degree
+_DECODERS = {}
+
+
+def _decoder(d):
+    """NumberField._decode at degree d, decode(value, shift, size, m) for
+    m the coefficients of the minimal polynomial.  Adding the bias
+    sum_k 2^(shift-1) 2^(shift k), k < size, maps the values with size
+    balanced digits onto 0 <= v < 2^(shift size), exactly, so the range
+    check is the test for digits left over, and each digit is then the
+    plain base-2^shift digit of v less 2^(shift-1), read without a
+    branch.  The digits are folded by m from the top, one Horner step
+    each, with the d coefficients of m written out.  Its source is
+    _DECODE written out from the int d alone, compiled once per degree
+    and cached, as _row_step is.
+    """
+    if d not in _DECODERS:
+        source = _DECODE.format(
+            d=d, last=d - 1,
+            ms=', '.join('m%d' % i for i in range(d)),
+            init='\n    '.join('r%d = (value >> k + %d * shift & mask) - half'
+                               % (i, i) for i in range(d)),
+            steps='\n        '.join('r%d = r%d - c * m%d' % (i, i - 1, i)
+                                    for i in range(d - 1, 0, -1)),
+            rs=', '.join('r%d' % i for i in range(d)))
+        namespace = {'_BEYOND': _BEYOND}
+        exec(compile(source, '<decode %d>' % d, 'exec'), namespace)
+        _DECODERS[d] = namespace['decode']
+    return _DECODERS[d]
 
 
 class NFElement:

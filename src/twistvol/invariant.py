@@ -19,7 +19,7 @@ from math import lcm, prod
 
 from .group import GroupRingElement, Word, fox_derivative
 from .field import _unit
-from .rep import _is_sl2, symmetric_power
+from .rep import symmetric_power
 from .laurent import (LaurentPolynomial, PolyMatrix, RationalFunction,
                       determinant, equal_up_to_unit, normalize_unit,
                       order_at_one, reduce)
@@ -63,7 +63,10 @@ def phi(element, cfg, prefixes=None):
     are brought to the lcm of the groups' scales.  Phi is linear and
     sends the identity word to the identity matrix.  prefixes, a dict of
     prefix products owned by the caller, is passed on to
-    Representation.evaluate.
+    Representation.evaluate.  No rho value is checked for det = 1 here:
+    the generator images must be in SL(2), as a Representation checks
+    them at construction and twisted_alexander before assembly (a
+    Representation built with require_sl2=False is not checked).
     """
     if isinstance(element, Word):
         element = GroupRingElement(element)
@@ -72,7 +75,8 @@ def phi(element, cfg, prefixes=None):
     for word, coeff in element.terms.items():
         groups.setdefault(cfg.presentation.abelianize(word), []).append(
             (coeff, cfg.rep.evaluate(word, prefixes)))
-    sums = {e: symmetric_power(terms, n) for e, terms in groups.items()}
+    sums = {e: symmetric_power(terms, n, check=False)
+            for e, terms in groups.items()}
     scale = lcm(*(mat.scale for mat in sums.values()))
     # tuples of lists, not of generators, as in rep.Matrix._of
     cells = tuple([tuple([{} for _ in range(n)]) for _ in range(n)])
@@ -125,6 +129,7 @@ def wada_matrix(cfg, deleted=None):
 def _denominator(cfg, j):
     """det Phi(x_j - 1) = det(t^a sigma_n(A) - I), A = rho(x_j), a = alpha_j.
 
+    A must be in SL(2); twisted_alexander checks it beforehand.
     sigma_n(A) has the eigenvalues lambda^(n-1-2k), so for det A = 1 and
     V_0 = 2, V_1 = tr A, V_(k+1) = tr A V_k - V_(k-1) it is the product of
     (t^a - 1) for odd n and t^(2a) - V_k t^a + 1, k = n-1, n-3, ... > 0.
@@ -135,8 +140,6 @@ def _denominator(cfg, j):
     one the traced benchmark counts as laurent.det_den.
     """
     image, n, a = cfg.rep.images[j], cfg.n, cfg.presentation.alpha[j]
-    if not _is_sl2(image):
-        raise ValueError('symmetric power expects determinant 1')
     f, s = image.field, image.scale
     tau = f._add(image.ints[0][0], image.ints[1][1])
     v = [_unit(f, 2), tau]
@@ -192,7 +195,12 @@ def twisted_alexander(cfg):
 
     Independent, up to a unit, of which admissible generator column is
     deleted; errors when no generator gives a nonzero denominator, which
-    is known before the Wada matrix is assembled.  The Wada matrix is
+    is known before the Wada matrix is assembled.  First each generator
+    image is checked for det = 1, once: rho of every word is a product
+    of them and their inverses, and products and inverses of SL(2)
+    matrices are in SL(2), so that covers every sigma_n and denominator;
+    a failure is ValueError('symmetric power expects determinant 1').
+    The Wada matrix is
     then built without block column j, so neither phi nor any sigma_n
     needed only there runs, and drop_columns slices off its zero cells:
     the numerator is the matrix drop_columns returns.
@@ -204,6 +212,8 @@ def twisted_alexander(cfg):
     else:
         candidates = [pres.generator_index(cfg.column)]
     n = cfg.n
+    if cfg.rep.sl2_failures():
+        raise ValueError('symmetric power expects determinant 1')
     for j in candidates:
         den = _denominator(cfg, j)
         if not den.is_zero():

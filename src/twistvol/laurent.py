@@ -42,13 +42,12 @@ from .field import (NFElement, _bareiss, _denominator, _digit_shift,
                     _exact_quotient, _horner, _integral, _rational, _unit)
 
 # determinant packs a matrix once, for all its evaluation points, when
-# rows * bits(N1) is at most this, by field degree: degree 4 and up take
-# the last entry, and degree 1 packs at any size.  Each entry sits below
-# the size at which the pack-once time per determinant passed that of
-# NumberField._det, the coordinate Bareiss, at every point, measured at
-# degrees 2 to 9 on the numerators of the figure-eight and nine Riley
-# jobs (BENCH_pr25.json, "crossover").
-_PACK_ONCE_BITS = {2: 1100, 3: 1000, 4: 990}
+# rows * bits(N1) is at most this; degree 1 packs at any size.  It sits
+# below the size at which the pack-once time per determinant passed that
+# of NumberField._det, the coordinate Bareiss, at every point, measured
+# at degrees 2 to 9 on the numerators of the figure-eight and nine Riley
+# jobs (BENCH_pr25.json, "crossover"), where no size lay in 995..1151.
+_PACK_ONCE_BITS = 990
 
 
 class LaurentPolynomial:
@@ -556,8 +555,8 @@ def determinant(matrix):
     expanding the product of the row sums gives every Leibniz term and
     more), and so every coefficient in Z[x] of F(x, s) at a point
     |s| <= 1, a sum of coefficients of F times powers of s.  rows *
-    bits(N1) against _PACK_ONCE_BITS for the field's degree is the one
-    choice of determinant path; degree 1 always takes the first.
+    bits(N1) against _PACK_ONCE_BITS is the one choice of determinant
+    path; degree 1 always takes the first.
 
     Pack-once: each c_k is packed once at x = 2^B, B = bits(N1) + 1.
     Packing (x -> 2^B) and evaluation (t -> s) are both ring maps, so
@@ -616,7 +615,7 @@ def determinant(matrix):
     bound = sum(len(planes) - 1 for planes in rows)
     norm = prod(sum(map(abs, chain.from_iterable(planes))) for planes in rows)
     n = len(rows)
-    if d == 1 or n * norm.bit_length() <= _PACK_ONCE_BITS[min(d, 4)]:
+    if d == 1 or n * norm.bit_length() <= _PACK_ONCE_BITS:
         width = _digit_shift(norm)
         digits = n * (d - 1) + 1
         packed = [[_pack(plane, d, width) for plane in planes]

@@ -12,13 +12,16 @@ builds NFElements only at its public boundary; products (each entry one
 sum of products folded by m once, NumberField._dot), the determinant
 (the field's Bareiss on the coordinates, NumberField._det) and the
 symmetric power run on the ints, and one check, ad - bc = scale^2,
-decides det = 1.  The symmetric power is linear: it takes (weight,
-matrix) pairs, checks every matrix for det = 1 and returns the weighted
-sum of their sigma_n.  The entries of each scale * M^-1 are packed at
-one x = 2^B (Kronecker substitution), so the binomial expansions
-multiply plain ints and no field element and are added cell by cell; B
-comes from an l1 bound on the summed coefficients, and the field's
-_decode turns each cell, once, into its digits folded by m; it raises
+decides det = 1.  A Representation runs it on its generator images
+only: products and inverses of SL(2) matrices are in SL(2).  The
+symmetric power is linear: it takes (weight, matrix) pairs, checks every
+matrix for det = 1 unless its caller vouches for that (check=False), and
+returns the weighted sum of their sigma_n.  The entries of each
+scale * M^-1 are packed at one x = 2^B (Kronecker substitution), so the
+binomial expansions multiply plain ints and no field element and are
+added cell by cell; B comes from an l1 bound on the summed
+coefficients, and the field's _decode, one function generated per field
+degree, turns each cell, once, into its digits folded by m; it raises
 ArithmeticError on digits beyond the degree.
 Representation.evaluate can extend the products of earlier words from a
 caller-owned prefix dict, shared across the terms of the Wada matrix.
@@ -139,12 +142,15 @@ def _is_sl2(m):
     return f._sub(f._mul(a, d), f._mul(b, c)) == _unit(f, m.scale ** 2)
 
 
-def symmetric_power(terms, n):
+def symmetric_power(terms, n, check=True):
     """sum_k w_k sigma_n(M_k): the n-th symmetric power, made linear.
 
     terms is a list of (int weight, SL(2) Matrix) pairs; one Matrix M
-    stands for [(1, M)].  Every matrix is checked for det = 1, and equal
-    matrices are merged by summing their weights.
+    stands for [(1, M)].  Every matrix is checked for det = 1, unless
+    check is False: a caller that passes it vouches for that itself, as
+    invariant.phi does for products of generator images that
+    twisted_alexander has checked.  Equal matrices are merged by summing
+    their weights.
 
     Column j (0-indexed) of sigma_n(M) holds the coordinates of the
     image of the basis monomial x^(n-1-j) y^j, which under
@@ -164,9 +170,9 @@ def symmetric_power(terms, n):
     <= norm^(n-1), norm = max(1, |a| + |b|, |c| + |d|), so the one
     shift B = bits(1 + sum_k |w_k| (L / s_k^(n-1)) norm_k^(n-1)) + 1
     puts every coefficient of the sum in a balanced base-2^B digit.
-    Each cell is decoded once and folded by m (NumberField._decode,
-    which raises ArithmeticError on digits beyond the degree: a wrong
-    bound).
+    Each cell is decoded once and folded by m (NumberField._decode, one
+    generated function per field degree, which raises ArithmeticError on
+    digits beyond the degree: a wrong bound).
 
     >>> from .field import NumberField
     >>> Q = NumberField.rationals()
@@ -188,7 +194,7 @@ def symmetric_power(terms, n):
             raise ValueError('symmetric power expects a 2x2 matrix')
         key = (matrix.scale, matrix.ints)
         if key not in merged:
-            if not _is_sl2(matrix):
+            if check and not _is_sl2(matrix):
                 raise ValueError('symmetric power expects determinant 1')
             merged[key] = [0, matrix]
         merged[key][0] += weight

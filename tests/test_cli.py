@@ -406,6 +406,18 @@ class TestCompute:
         FIG8_REP_B, ''),
                  ('representation validation',
                   'job file declares no representation'), id='no-rep'),
+    # a number of a rep literal may need at most MAX_DIGITS (1000) digits
+    # in its numerator and denominator, checked before any int is built
+    *(pytest.param(argv, FIG8_TEXT.replace(FIG8_REP_B, 'rep b: '
+                   '[[[1,0],[0,0]],[[0,%s],[1,0]]]' % literal),
+                   "line 13: number '%s' needs more than 1000 digits" % shown,
+                   id='rep-%s-%s' % (name, argv[0]))
+      for argv in (['check'], ['invariant', '--n', '3'])
+      for name, literal, shown in (
+          ('1e4000', '1e4000', '1e4000'),
+          ('5000-digits', '7' * 5000, '7' * 20 + '...'),
+          ('1e999999999', '1e999999999', '1e999999999'),
+          ('1e-1000', '1e-1000', '1e-1000'))),
     # --n ranges
     pytest.param(['compute', '--n', '4-6'], None, "bad --n range '4-6'",
                  id='range-4-6'),
@@ -583,6 +595,32 @@ class TestCheckCommand:
         code, out, err = run(capsys, 'invariant', str(path), '--n', '3')
         assert (code, out, err) == (
             1, '', 'error [determinant check]: det != 1 for b\n')
+
+    def test_relation_difference_too_long_to_print(self, capsys, tmp_path):
+        # 1e999 is within the literal's digit cap, but the difference of
+        # the relation's two sides has entries past Python's int-to-str
+        # limit: the relation check says so instead of a traceback
+        path = tmp_path / 'huge.job'
+        path.write_text('gens: a b\nrel: aBAba = baBAb\n'
+                        'rep a: [[1,1e999],[0,1]]\nrep b: [[2,0],[1e999,1]]\n')
+        code, out, _ = run(capsys, 'check', str(path))
+        rejected = 'ValueError: symmetric power expects determinant 1'
+        assert code == 1
+        assert out == (
+            'FAIL  determinant check: det != 1 for b\n'
+            'FAIL  relation check: relation 1 fails under the '
+            'representation; difference too long to print\n'
+            'PASS  fox fundamental identity: fundamental identity holds on '
+            'all relators\n'
+            'FAIL  column independence (n=2): %s\n'
+            'FAIL  column independence (n=3): %s\n'
+            'FAIL  parity of zero at t=1 (n=2): %s\n'
+            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+        path.write_text('gens: a b\nrel: aBAba = baBAb\n'
+                        'rep a: [[1,1e999],[0,1]]\nrep b: [[1,0],[1e999,1]]\n')
+        assert run(capsys, 'invariant', str(path), '--n', '3') == (
+            1, '', 'error [relation check]: relation 1 fails under the '
+            'representation; difference too long to print\n')
 
     def test_no_admissible_column_fails(self, capsys, tmp_path):
         # alpha = 0 makes every denominator det(sigma_n(A) - I) vanish

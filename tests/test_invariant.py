@@ -15,6 +15,8 @@ from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       symmetric_power, twisted_alexander, value_at_one,
                       wada_matrix)
 
+from twistvol import rep as rep_module
+
 from conftest import fig8_wirtinger
 from test_laurent import reference_reduce
 from test_theorems import RILEY_TEXTS
@@ -366,6 +368,19 @@ class TestTwistedAlexander:
                 twisted_alexander(cfg)
             assert str(info.value) == 'symmetric power expects determinant 1'
 
+    @pytest.mark.parametrize('column', ['auto', 'a', 'b'])
+    def test_non_sl2_image_in_no_kept_fox_term_rejected(self, column):
+        """The relator of ab = ab is trivial, so no Fox term needs
+        rho(b), and column a's denominator is admissible: det rho(b) = 2
+        is still rejected, up front, with the one error text."""
+        job = parse_job('gens: a b\nrel: ab = ab\n'
+                        'rep a: [[1,1],[0,1]]\nrep b: [[2,0],[0,1]]\n')
+        for n in range(1, 4):
+            cfg = TwistConfig(job.presentation, job.representation, n, column)
+            with pytest.raises(ValueError) as info:
+                twisted_alexander(cfg)
+            assert str(info.value) == 'symmetric power expects determinant 1'
+
     def test_invalid_n_rejected(self, fig8, fig8_rep):
         with pytest.raises(ValueError):
             TwistConfig(fig8, fig8_rep, 0)
@@ -493,6 +508,31 @@ class TestAssemblyCost:
         assert all(vars(rep)[key] is value for key, value in state.items())
 
 
+class TestDeterminantCheckCost:
+    """det = 1 is checked once per generator image and invariant: rho of
+    every word is a product of those images and their inverses."""
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3', 'wirtinger'])
+    def test_one_check_per_generator(self, knots, knot, monkeypatch):
+        if knot == 'wirtinger':
+            pres, rep = fig8_wirtinger(knots['fig8'][1])
+        else:
+            pres, rep = knots[knot]
+        calls = []
+        is_sl2 = rep_module._is_sl2
+
+        def counting(m):
+            calls.append(m)
+            return is_sl2(m)
+
+        monkeypatch.setattr(rep_module, '_is_sl2', counting)
+        for n in range(1, 7):
+            for column in ('auto', *pres.generator_names):
+                twisted_alexander(TwistConfig(pres, rep, n, column))
+                assert calls == list(rep.images), (n, column)
+                calls.clear()
+
+
 def fox_groups(cfg, deleted):
     """The Fox-derivative terms of the block columns other than deleted,
     grouped by (relator, block column, t-exponent): one sorted list of
@@ -525,9 +565,11 @@ class TestSymmetricPowerCost:
         expand = invariant.symmetric_power
         calls = []
 
-        def counting(terms, n):
+        # phi vouches for det = 1 itself (check=False), so the hook
+        # passes the keyword on
+        def counting(terms, n, **kwargs):
             calls.append(sorted((w, m.scale, m.ints) for w, m in terms))
-            return expand(terms, n)
+            return expand(terms, n, **kwargs)
 
         monkeypatch.setattr(invariant, 'symmetric_power', counting)
         for n in range(2, 5):
@@ -791,12 +833,12 @@ class TestDetPathSelection:
         assert calls['pack-once'] == []
         assert calls['_det'] == [12] * 26
 
-    # rows * bits(N1) against _PACK_ONCE_BITS at d >= 4 (990): K(11/3)
-    # at n = 6 is 510, K(17/5) at n = 6 636, K(11/5) at n = 7 833, K(11/3)
-    # at n = 7 791, K(17/5) at n = 7 980, K(15/7) at n = 7 994 and K(11/3)
-    # at n = 8 1168; at d = 2 (1100) the figure-eight at n = 9 is 927 and
-    # at n = 10 1240; at d = 3 (1000) K(7/3) at n = 8 is 896 and at n = 9
-    # 1269.  Either path takes D + 2 kernel calls.
+    # rows * bits(N1) against _PACK_ONCE_BITS (990): K(11/3) at n = 6 is
+    # 510, K(17/5) at n = 6 636, K(11/5) at n = 7 833, K(11/3) at n = 7
+    # 791, K(17/5) at n = 7 980, K(15/7) at n = 7 994 and K(11/3) at n = 8
+    # 1168; the figure-eight at n = 9 is 927 and at n = 10 1240; K(7/3) at
+    # n = 8 is 896 and at n = 9 1269.  Either path takes D + 2 kernel
+    # calls.
     @pytest.mark.parametrize('knot, n, path, points', [
         ((11, 3), 6, 'pack-once', 26),
         ((17, 5), 6, 'pack-once', 26),

@@ -14,6 +14,7 @@ cubic of K(7/3), with every m_i nonzero, is checked beside it.
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,7 +25,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from twistvol import NumberField, laurent, parse_job
+from twistvol import (NumberField, bundled_job_path, laurent, load_job,
+                      parse_job)
+from twistvol import field as field_module
 from twistvol.field import _bareiss, _digit_shift
 
 from conftest import (K7_3_TEXT, K9_7_FIELD, K11_3_FIELD, K13_3_FIELD,
@@ -229,7 +232,8 @@ class TestDet:
                 *[st.integers(-3, 3)] * degree))
         else:
             # |coordinate| >= 2^39: bits(bound) > n (39 + log2(n d)),
-            # past 1000 from 6 rows at d >= 3, past 1100 from 7 at d = 2
+            # past the limit, 990, from 6 rows (d = 2 draws from 7, as
+            # when its limit was 1100)
             n = data.draw(st.integers(7 if degree == 2 else 6, 9))
             big = st.integers(2 ** 39, 2 ** 40) | st.integers(-2 ** 40,
                                                              -2 ** 39)
@@ -237,8 +241,8 @@ class TestDet:
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         if data.draw(st.booleans()):
             rows[0][0] = zero  # zero pivot at the first step
-        limit = laurent._PACK_ONCE_BITS[min(degree, 4)]
-        assert ((n * row_norm_bound(rows).bit_length() <= limit)
+        assert ((n * row_norm_bound(rows).bit_length()
+                 <= laurent._PACK_ONCE_BITS)
                 == (side == 'packed'))
         assert field_det(field, rows) == kronecker_det(field, rows)
 
@@ -302,6 +306,68 @@ class TestDetCost:
         monkeypatch.undo()
         assert got == expected
         assert len(calls) == 0
+
+
+def reference_decode(field, value, shift, size):
+    """The digit-by-digit decode: balanced digits lowest first, digits
+    left over an error, then the remainder of their polynomial by m."""
+    half = 1 << (shift - 1)
+    digits = []
+    for _ in range(size):
+        digit = (value + half) % (1 << shift) - half
+        digits.append(digit)
+        value = (value - digit) >> shift
+    if value:
+        raise ArithmeticError('packed value has digits beyond degree %d; '
+                              'the coefficient bound is wrong' % (size - 1))
+    m, d = field.min_poly, field.degree
+    while len(digits) > d:
+        top = digits.pop()
+        for i in range(d):
+            digits[len(digits) - d + i] -= top * m[i]
+    return tuple(digits)
+
+
+class TestDecode:
+    """The decode generated per field degree against the digit loop."""
+
+    @pytest.mark.parametrize('key', [*FIELDS, 'k7_3'])
+    def test_matches_reference_decode(self, key):
+        field = K7_3 if key == 'k7_3' else FIELDS[key]
+        rng = random.Random(key if key == 'k7_3' else 40 + key)
+        for size in range(field.degree, 41):
+            for shift in (1, 2, 5, 31, 64, 97):
+                half = 1 << (shift - 1)
+                # the extreme digits, and a random one
+                digits = [rng.choice((-half, half - 1,
+                                      rng.randrange(-half, half)))
+                          for _ in range(size)]
+                value = sum(c << (shift * k) for k, c in enumerate(digits))
+                want = reference_decode(field, value, shift, size)
+                assert field._decode(value, shift, size) == want
+                # one past either end of the range needs another digit
+                ones = ((1 << (shift * size)) - 1) // ((1 << shift) - 1)
+                for past in (-half * ones - 1, (half - 1) * ones + 1):
+                    with pytest.raises(ArithmeticError) as expected:
+                        reference_decode(field, past, shift, size)
+                    with pytest.raises(ArithmeticError) as got:
+                        field._decode(past, shift, size)
+                    assert str(got.value) == str(expected.value)
+
+
+def test_loading_generates_no_kernel(monkeypatch, tmp_path):
+    """load_job builds neither _det's pivot step nor a decode, in this
+    process, with both caches emptied first; the first decode of a
+    degree builds its own."""
+    monkeypatch.setattr(field_module, '_ROW_STEPS', {})
+    monkeypatch.setattr(field_module, '_DECODERS', {})
+    riley = tmp_path / 'k7_3.job'
+    riley.write_text(K7_3_TEXT, encoding='utf-8')
+    load_job(str(bundled_job_path('figure-eight')))
+    job = load_job(str(riley))
+    assert field_module._ROW_STEPS == {} and field_module._DECODERS == {}
+    job.representation.field._decode(5, 4, 3)
+    assert sorted(field_module._DECODERS) == [3]
 
 
 def test_loading_builds_no_row_step(tmp_path):
