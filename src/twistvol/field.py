@@ -33,10 +33,12 @@ bound behind B is what proves B wide enough (see _decode).  _bareiss
 also gives the squarefree screen of m its Sylvester resultant, and a
 prime not dividing that resultant lets the integer-root screen lift
 the roots of m mod p (_integer_roots).
-Outside the generated step and decode, _dot is the one multiply loop,
-a sum of products folded by m once, and _mul its one-term case, and
-_fold is the one reduction by m; _horner is the one evaluation loop and
-_digit_shift the one rule for a packing shift.
+Outside the generated step and decode, _mul is the one element product,
+folded by m once, and multiplying by a fixed b is planned once: _plan
+lists the nonzero entries of _mul_matrix(b), which _add_planned applies
+with no fold (rep's word products, laurent's division).  _fold is the
+one reduction by m; _horner is the one evaluation loop and _digit_shift
+the one rule for a packing shift.
 Polynomials in t live in laurent.  All ring operations are exact; the
 only inexact step is the embedding into arbitrary-precision complex
 numbers (mpmath), whose root of m is the one nearest a user-supplied
@@ -120,22 +122,15 @@ class NumberField:
         return tuple(x * r for x in a)
 
     def _mul(self, a, b):
-        return self._dot((a,), (b,))
-
-    def _dot(self, xs, ys):
-        """sum_k xs[k] * ys[k] over nonempty sequences of raw elements,
-        summed unreduced and folded by m once."""
-        d = self.degree
-        # a zero of the coordinates' own type: int rows stay int, and
-        # Fraction rows pay for one Fraction(0), not one per accumulator
-        zero = xs[0][0] * 0
-        prod = [zero] * (2 * d - 1)
-        for a, b in zip(xs, ys):
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        if y:
-                            prod[i + j] += x * y
+        """a * b on raw elements, summed unreduced and folded by m once."""
+        # a zero of the coordinates' own type: int elements stay int, and
+        # Fraction ones pay for one Fraction(0), not one per accumulator
+        prod = [a[0] * 0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
         return self._fold(prod)
 
     def _fold(self, coeffs):
@@ -198,7 +193,7 @@ class NumberField:
         return tuple(w), denom
 
     def _mul_matrix(self, a):
-        """Rows of the int matrix of multiplication by the integral a.
+        """Rows of the matrix of multiplication by a, int for an integral a.
 
         Column i holds the coordinates of a * x^i, each column the
         previous one shifted up a degree and folded by m, so coordinate
@@ -208,6 +203,12 @@ class NumberField:
         for _ in range(self.degree - 1):
             cols.append(self._fold([0, *cols[-1]]))
         return list(zip(*cols))
+
+    def _plan(self, b):
+        """The nonzero entries (r, s, k) of _mul_matrix(b): coordinate r of
+        a * b is the sum of their k * a[s] (_add_planned), with no fold."""
+        return [(r, s, k) for r, row in enumerate(self._mul_matrix(b))
+                for s, k in enumerate(row) if k]
 
     def _det(self, rows):
         """Determinant of a square matrix of integral raw elements.
@@ -496,6 +497,15 @@ def _bareiss(rows):
             row_i[k + 1:] = num if prev == 1 else _exact_quotient(num, prev)
         prev = akk
     return sign * rows[n - 1][n - 1]
+
+
+def _add_planned(out, plans, xs):
+    """The coordinate list out plus sum_l xs[l] * b_l, added in place and
+    returned as a tuple, for plans[l] the plan of b_l (NumberField._plan)."""
+    for a, plan in zip(xs, plans):
+        for r, s, k in plan:
+            out[r] += k * a[s]
+    return tuple(out)
 
 
 _INEXACT = ('Bareiss step left a non-integral entry; '

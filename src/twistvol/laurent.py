@@ -38,8 +38,9 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm, prod
 
-from .field import (NFElement, _bareiss, _denominator, _digit_shift,
-                    _exact_quotient, _horner, _integral, _rational, _unit)
+from .field import (NFElement, _add_planned, _bareiss, _denominator,
+                    _digit_shift, _exact_quotient, _horner, _integral,
+                    _rational, _unit)
 
 # determinant packs a matrix once, for all its evaluation points, when
 # rows * bits(N1) is at most this; degree 1 packs at any size.  It sits
@@ -257,24 +258,29 @@ def _dense_trim(a):
 
 
 def _dense_divmod(field, a, b):
-    """Division with remainder in F[t] on dense ascending lists."""
-    a = _dense_trim(list(a))
+    """Division with remainder in F[t] on dense ascending lists, each
+    coefficient of b planned once per call (NumberField._plan)."""
+    a = [list(c) for c in _dense_trim(list(a))]
     b = _dense_trim(list(b))
     if not b:
         raise ZeroDivisionError('polynomial division by zero')
     # a monic divisor (an integral knot denominator, a monic gcd) needs no
     # leading multiply, so int lists give an int quotient and remainder
-    inv = None if b[-1] == _unit(field, 1) else field._inv(b[-1])
+    inv = (None if b[-1] == _unit(field, 1)
+           else [field._plan(field._inv(b[-1]))])
+    plans = [[field._plan(y)] for y in b[:-1]]
     q = [_unit(field, 0)] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
-        c = a[-1] if inv is None else field._mul(a[-1], inv)
-        k = len(a) - len(b)
+        c = a.pop()    # the top term cancels exactly
+        c = tuple(c) if inv is None else _add_planned([0] * field.degree,
+                                                      inv, [c])
+        k = len(a) - len(b) + 1
         q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = field._sub(a[k + i], field._mul(c, y))
-        a.pop()
+        neg = [[-x for x in c]]
+        for i, plan in enumerate(plans, k):
+            _add_planned(a[i], plan, neg)
         _dense_trim(a)
-    return q, a
+    return q, [tuple(c) for c in a]
 
 
 def _dense_gcd(field, a, b):

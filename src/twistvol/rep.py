@@ -8,12 +8,13 @@ written as columns; this is the order that reproduces the standard
 contragredient identification sigma_2(M) = transpose(M^-1).
 
 A Matrix stores int coordinates over one reduced common denominator and
-builds NFElements only at its public boundary; products (each entry one
-sum of products folded by m once, NumberField._dot), the determinant
-(the field's Bareiss on the coordinates, NumberField._det) and the
-symmetric power run on the ints, and one check, ad - bc = scale^2,
-decides det = 1.  A Representation runs it on its generator images
-only: products and inverses of SL(2) matrices are in SL(2).  The
+builds NFElements only at its public boundary; products (the plans of
+the right factor's entries, NumberField._plan, applied to the left
+factor's coordinates, with no fold), the determinant (the field's
+Bareiss on the coordinates, NumberField._det) and the symmetric power
+run on the ints, and one check, ad - bc = scale^2, decides det = 1.  A
+Representation runs it on its generator images only: products and
+inverses of SL(2) matrices are in SL(2).  The
 symmetric power is linear: it takes (weight, matrix) pairs, checks every
 matrix for det = 1 unless its caller vouches for that (check=False), and
 returns the weighted sum of their sigma_n.  The entries of each
@@ -24,15 +25,17 @@ coefficients, and the field's _decode, one function generated per field
 degree, turns each cell, once, into its digits folded by m; it raises
 ArithmeticError on digits beyond the degree.
 Representation.evaluate can extend the products of earlier words from a
-caller-owned prefix dict, shared across the terms of the Wada matrix.
+caller-owned prefix dict, shared across the terms of the Wada matrix;
+its right factors, the generator images and their inverses, are planned
+once, when the Representation is built.
 """
 
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import mul
 
-from .field import (NFElement, NumberField, _denominator, _digit_shift,
-                    _horner, _integral, _rational, _unit)
+from .field import (NFElement, NumberField, _add_planned, _denominator,
+                    _digit_shift, _horner, _integral, _rational, _unit)
 
 
 class Matrix:
@@ -93,11 +96,21 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError('matrix shape mismatch')
-        f = self.field
-        cols = list(zip(*other.ints))
-        return Matrix._of(f, tuple([tuple([f._dot(r, c) for c in cols])
-                                   for r in self.ints]),
-                          self.scale * other.scale)
+        return self._times(other._plans())
+
+    def _plans(self):
+        """This matrix as a right factor: its scale and its columns, each
+        distinct entry planned once (NumberField._plan)."""
+        plans = {e: self.field._plan(e) for row in self.ints for e in row}
+        return self.scale, [[plans[e] for e in col] for col in zip(*self.ints)]
+
+    def _times(self, right):
+        """The product by a right factor from _plans: entry (i, j) is the
+        plans of column j applied to row i, sum_l A_il B_lj, on ints."""
+        (scale, cols), d = right, self.field.degree
+        return Matrix._of(self.field, tuple([tuple([
+            _add_planned([0] * d, col, row) for col in cols])
+            for row in self.ints]), self.scale * scale)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -268,7 +281,10 @@ class Representation:
         bad = self.sl2_failures() if require_sl2 else []
         if bad:
             raise ValueError('determinant of rho(%s) is not 1' % (bad[0],))
-        self._inverses = tuple(_sl2_inverse(m) for m in mats)
+        # evaluate's right factors, each image and inverse planned once
+        self._factors = tuple((m, m._plans()) for m in mats)
+        self._inverse_factors = tuple((m, m._plans())
+                                      for m in map(_sl2_inverse, mats))
 
     @classmethod
     def trivial(cls, presentation, field=None):
@@ -305,8 +321,9 @@ class Representation:
             if idx >= len(self.images):
                 raise ValueError('word uses generator index %d outside the '
                                  'representation' % (idx + 1,))
-            image = self.images[idx] if x > 0 else self._inverses[idx]
-            acc = image if acc is None else acc * image
+            image, plans = (self._factors if x > 0
+                            else self._inverse_factors)[idx]
+            acc = image if acc is None else acc._times(plans)
             prefixes[letters[:k + 1]] = acc
         return Matrix.identity(self.field, 2) if acc is None else acc
 

@@ -7,6 +7,7 @@ import pytest
 
 from twistvol import (ParseError, bundled_job_path, load_job, parse_job,
                       parse_presentation)
+from twistvol import cli
 from twistvol.cli import JobError, main
 
 FIG8_JOB = str(bundled_job_path('figure-eight'))
@@ -575,12 +576,11 @@ class TestCheckCommand:
             'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
 
     def test_non_sl2_image_with_relator_fails(self, capsys, tmp_path):
-        # column a's Wada blocks expand sigma_n of words through b, and
-        # column b's denominator is sigma_n(rho(b)): one error text
+        # the relation fails too, so no invariant line runs
         path = tmp_path / 'non_sl2.job'
         path.write_text(NON_SL2_JOB)
         code, out, _ = run(capsys, 'check', str(path))
-        rejected = 'ValueError: symmetric power expects determinant 1'
+        skipped = 'not run: relation 1 fails'
         assert code == 1
         assert out == (
             'FAIL  determinant check: det != 1 for b\n'
@@ -591,7 +591,7 @@ class TestCheckCommand:
             'FAIL  column independence (n=2): %s\n'
             'FAIL  column independence (n=3): %s\n'
             'FAIL  parity of zero at t=1 (n=2): %s\n'
-            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((skipped,) * 4))
         code, out, err = run(capsys, 'invariant', str(path), '--n', '3')
         assert (code, out, err) == (
             1, '', 'error [determinant check]: det != 1 for b\n')
@@ -604,7 +604,7 @@ class TestCheckCommand:
         path.write_text('gens: a b\nrel: aBAba = baBAb\n'
                         'rep a: [[1,1e999],[0,1]]\nrep b: [[2,0],[1e999,1]]\n')
         code, out, _ = run(capsys, 'check', str(path))
-        rejected = 'ValueError: symmetric power expects determinant 1'
+        skipped = 'not run: relation 1 fails'
         assert code == 1
         assert out == (
             'FAIL  determinant check: det != 1 for b\n'
@@ -615,12 +615,37 @@ class TestCheckCommand:
             'FAIL  column independence (n=2): %s\n'
             'FAIL  column independence (n=3): %s\n'
             'FAIL  parity of zero at t=1 (n=2): %s\n'
-            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((rejected,) * 4))
+            'FAIL  parity of zero at t=1 (n=3): %s\n' % ((skipped,) * 4))
         path.write_text('gens: a b\nrel: aBAba = baBAb\n'
                         'rep a: [[1,1e999],[0,1]]\nrep b: [[1,0],[1e999,1]]\n')
         assert run(capsys, 'invariant', str(path), '--n', '3') == (
             1, '', 'error [relation check]: relation 1 fails under the '
             'representation; difference too long to print\n')
+
+    def test_failed_relation_computes_no_invariant(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # SL(2) images with 1000-digit entries on K(7/3)'s relation: the
+        # invariant lines would run determinants of that size
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            raise AssertionError('an invariant was computed')
+
+        monkeypatch.setattr(cli, 'twisted_alexander', counting)
+        path = tmp_path / 'huge_sl2.job'
+        path.write_text('gens: a b\nrel: abABaba = babABab\n'
+                        'rep a: [[1,1e999],[0,1]]\n'
+                        'rep b: [[1,0],[1e999,1]]\n')
+        code, out, _ = run(capsys, 'check', str(path))
+        assert (code, calls) == (1, [])
+        assert out.splitlines()[0] == 'PASS  determinant check: all det = 1'
+        assert out.splitlines()[3:] == [
+            'FAIL  %s: not run: relation 1 fails' % name
+            for name in ('column independence (n=2)',
+                         'column independence (n=3)',
+                         'parity of zero at t=1 (n=2)',
+                         'parity of zero at t=1 (n=3)')]
 
     def test_no_admissible_column_fails(self, capsys, tmp_path):
         # alpha = 0 makes every denominator det(sigma_n(A) - I) vanish

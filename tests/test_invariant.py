@@ -486,13 +486,13 @@ class TestAssemblyCost:
                                                       monkeypatch):
         pres, rep = knots[knot]
         calls = []
-        multiply = Matrix.__mul__
+        multiply = Matrix._times   # the planned product evaluate runs
 
-        def counting(self, other):
+        def counting(self, right):
             calls.append(None)
-            return multiply(self, other)
+            return multiply(self, right)
 
-        monkeypatch.setattr(Matrix, '__mul__', counting)
+        monkeypatch.setattr(Matrix, '_times', counting)
         state = dict(vars(rep))
         cfg = TwistConfig(pres, rep, 3)
         first = twisted_alexander(cfg)
@@ -506,6 +506,30 @@ class TestAssemblyCost:
             (first.value.num, first.value.den, first.unit_str())
         assert vars(rep).keys() == state.keys()
         assert all(vars(rep)[key] is value for key, value in state.items())
+
+
+    @pytest.mark.parametrize('knot', ['fig8', 'k7_3'])
+    def test_word_products_build_no_plans(self, knots, knot, monkeypatch):
+        """The right factors of evaluate, the generator images and their
+        inverses, were planned when the Representation was built."""
+        pres, rep = knots[knot]
+        planned, products = [], []
+        plans, times = Matrix._plans, Matrix._times
+
+        def counting_plans(self):
+            planned.append(None)
+            return plans(self)
+
+        def counting_times(self, right):
+            products.append(None)
+            return times(self, right)
+
+        monkeypatch.setattr(Matrix, '_plans', counting_plans)
+        monkeypatch.setattr(Matrix, '_times', counting_times)
+        cfg = TwistConfig(pres, rep, 3)
+        twisted_alexander(cfg)
+        twisted_alexander(cfg)
+        assert products and planned == []
 
 
 class TestDeterminantCheckCost:

@@ -1,5 +1,6 @@
 """Properties of the integral field kernel: NumberField._mul_matrix,
-_inv_integral, _inv, _det (Bareiss on the coordinates) and _bareiss.
+_plan (and the rep.Matrix products on it), _inv_integral, _inv, _det
+(Bareiss on the coordinates) and _bareiss.
 
 _det is checked against two oracles: the Leibniz sum, and a test-local
 Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
@@ -29,6 +30,7 @@ from twistvol import (NumberField, bundled_job_path, laurent, load_job,
                       parse_job)
 from twistvol import field as field_module
 from twistvol.field import _bareiss, _digit_shift
+from twistvol.rep import Matrix
 
 from conftest import (K7_3_TEXT, K9_7_FIELD, K11_3_FIELD, K13_3_FIELD,
                       K15_7_FIELD, K17_5_FIELD, K19_7_FIELD, make_ufield)
@@ -143,6 +145,80 @@ class TestMulMatrix:
         assert len(m) == field.degree
         assert tuple(sum(x * y for x, y in zip(row, b)) for row in m) \
             == field._mul(a, b)
+
+
+class TestPlan:
+    """NumberField._plan applied by _add_planned, and the rep.Matrix
+    products built on it, against products of NFElements (_mul)."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_applied_to_a_is_product(self, data):
+        field = data.draw(fields)
+        d = field.degree
+        a = data.draw(st.one_of(int_elements(field), fraction_elements(field)))
+        zero = (0,) * d
+        rational = st.builds(lambda c: (c,) + zero[1:], coordinates)
+        sparse = st.builds(lambda r, c: zero[:r] + (c,) + zero[r + 1:],
+                           st.integers(0, d - 1), coordinates)
+        b = data.draw(st.one_of(st.just(zero), rational, sparse,
+                                int_elements(field),
+                                fraction_elements(field)))
+        plan = field._plan(b)
+        assert all(k for _, _, k in plan) and len(plan) <= d * d
+        if not any(b[1:]):
+            # a rational b is planned as d diagonal entries, or none
+            assert plan == [(r, r, b[0]) for r in range(d) if b[0]]
+        out = [0] * d
+        assert field_module._add_planned(out, [plan], [a]) \
+            == tuple(out) == field._mul(a, b)
+        # it adds in place, summing the products of several pairs
+        assert field_module._add_planned(out, [plan, plan], [a, a]) \
+            == field._scale(field._mul(a, b), 3)
+
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
+    def test_matrix_products_match_elements(self, degree):
+        field = FIELDS[degree]
+        d = field.degree
+        rng = random.Random(2700 + degree)
+
+        def entry():
+            kind = rng.choice(['zero', 'sparse', 'dense'])
+            den = rng.choice([1, 1, 2, 3, 12])
+            coords = [Fraction(0)] * d
+            if kind == 'sparse':
+                coords[rng.randrange(d)] = Fraction(rng.choice([-7, 1, 5]),
+                                                    den)
+            elif kind == 'dense':
+                coords = [Fraction(rng.randint(-2 ** 40, 2 ** 40), den)
+                          for _ in range(d)]
+            return coords
+
+        def matrix(rows, cols):
+            return Matrix(field, [[entry() for _ in range(cols)]
+                                  for _ in range(rows)])
+
+        zero = Matrix(field, [[0, 0], [0, 0]])
+        cases = [(matrix(2, 2), matrix(2, 2)) for _ in range(6)]
+        cases += [(matrix(1, 3), matrix(3, 2)), (matrix(3, 1), matrix(1, 3)),
+                  (zero, matrix(2, 2)), (matrix(2, 2), zero)]
+        for n in (1, 2, 3, 4):
+            m, eye = matrix(n, n), Matrix.identity(field, n)
+            cases += [(eye, m), (m, eye), (eye, eye)]
+        for a, b in cases:
+            want = [[sum((a[i, k] * b[k, j] for k in range(a.ncols)),
+                         field.zero) for j in range(b.ncols)]
+                    for i in range(a.nrows)]
+            got = a * b
+            assert got.rows == tuple(map(tuple, want))
+            assert got == Matrix(field, want)    # reduced, as constructed
+            assert a._times(b._plans()) == got
+        assert any(a.scale > 1 for pair in cases for a in pair)
+
+    def test_shape_mismatch_rejected(self):
+        field = FIELDS[3]
+        with pytest.raises(ValueError, match='shape'):
+            Matrix.identity(field, 2) * Matrix.identity(field, 3)
 
 
 class TestInverse:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
                       equal_up_to_unit, laurent, normalize_unit, order_at_one,
                       parse_polynomial, reduce, symmetric_power)
-from twistvol.laurent import _dense_eval, _dense_trim, _newton_interpolate
+from twistvol.laurent import (_dense_divmod, _dense_eval, _dense_gcd,
+                              _dense_trim, _newton_interpolate)
 
 from conftest import K9_7_FIELD, K17_5_FIELD, make_ufield
 
@@ -505,6 +506,69 @@ class TestReduce:
         rf = reduce(t + 1, (2 * (t - 1)).shifted(3))
         assert rf.den == t - 1
         assert rf.den.coefficient(rf.den.max_exp) == qfield.one
+
+
+def dense_product_sum(field, q, b, r):
+    """q b + r on dense ascending lists, in NFElement arithmetic."""
+    out = [field.zero] * max(len(q) + len(b) - 1, len(r), 1)
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            out[i + j] += field.element(x) * field.element(y)
+    for i, x in enumerate(r):
+        out[i] += field.element(x)
+    return _dense_trim([e.coeffs for e in out])
+
+
+class TestDenseDivmod:
+    """_dense_divmod, planned once per divisor coefficient, against
+    q b + r = a with deg r < deg b."""
+
+    @pytest.mark.parametrize('degree', sorted(PATH_FIELDS))
+    @pytest.mark.parametrize('divisor', ['rational', 'irrational'])
+    def test_monic_divisor(self, degree, divisor):
+        field = PATH_FIELDS[degree]
+        d = field.degree
+        rng = random.Random(27)
+        for trial in range(12):
+            lower = [tuple(rng.randint(-9, 9) if divisor == 'irrational'
+                           or r == 0 else 0 for r in range(d))
+                     for _ in range(rng.randint(0, 3))]
+            b = lower + [(1,) + (0,) * (d - 1)]
+            a = [tuple(rng.randint(-50, 50) for _ in range(d))
+                 for _ in range(rng.randint(0, 7))]
+            if trial % 3 == 0:
+                a = [tuple(Fraction(c, 6) for c in x) for x in a]
+            q, r = _dense_divmod(field, a, b)
+            assert len(r) < len(b) and not (r and not any(r[-1]))
+            assert dense_product_sum(field, q, b, r) == _dense_trim(list(a))
+            if trial % 3:
+                # an integral monic divisor keeps int coordinates
+                assert all(type(c) is int for x in q + r for c in x)
+
+    def test_non_monic_divisor_through_gcd(self, cubic):
+        rng = random.Random(28)
+
+        def poly(size, den):
+            return [tuple(Fraction(rng.randint(-9, 9), den)
+                          for _ in range(3)) for _ in range(size)] + [
+                        (Fraction(rng.randint(1, 9), den), Fraction(2), 0)]
+
+        for _ in range(5):
+            c, u, v = poly(2, 5), poly(2, 1), poly(1, 3)
+            a = dense_product_sum(cubic, u, c, [])
+            b = dense_product_sum(cubic, v, c, [])
+            q, r = _dense_divmod(cubic, a, b)
+            assert len(r) < len(b)
+            assert dense_product_sum(cubic, q, b, r) == a
+            g = _dense_gcd(cubic, a, b)
+            # c divides the gcd, and the gcd divides a and b
+            assert len(g) >= len(c) and not _dense_divmod(cubic, g, c)[1]
+            assert not _dense_divmod(cubic, a, g)[1]
+            assert not _dense_divmod(cubic, b, g)[1]
+
+    def test_zero_divisor_rejected(self, qfield):
+        with pytest.raises(ZeroDivisionError):
+            _dense_divmod(qfield, [(1,)], [(0,)])
 
 
 class TestOrderAtOne:
