@@ -70,6 +70,10 @@ _NUMBER = (r'[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)'
 # number may take, as Fraction builds them (1e4000 takes 4001)
 MAX_DIGITS = 1000
 
+# the figure-eight at n = 40 takes about 10 s, growing as n^6
+MAX_N = 50
+MAX_PRECISION = 65536
+
 
 def _number(tok):
     """tok as a Fraction; ValueError, before any int is built, when the
@@ -142,13 +146,19 @@ def _check_reference(text, where):
                        % (where, text))
 
 
-def _parse_int(text, where):
-    """text as an int; a parse error naming where if it is not one."""
+def _parse_int(text, where, cap=None):
+    """text as an int; a parse error naming where if it is not one, or
+    if it is more than cap, as a digit string too long for int() is."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise JobError('parse', '%s %r is not an integer'
-                       % (where, text)) from None
+        if cap is None or not text.strip().isdecimal():
+            raise JobError('parse', '%s %r is not an integer'
+                           % (where, text)) from None
+        value = cap + 1
+    if cap is not None and value > cap:
+        raise JobError('parse', '%s must be at most %d' % (where, cap))
+    return value
 
 
 def parse_job(text):
@@ -296,8 +306,8 @@ def _parse_range(spec):
     m = re.match(r'^(\d+)(?:\.\.(\d+))?$', spec)
     if m is None:
         raise JobError('parse', 'bad --n range %r (use e.g. 4..15)' % spec)
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    lo = _parse_int(m.group(1), '--n', MAX_N)
+    hi = _parse_int(m.group(2), '--n', MAX_N) if m.group(2) else lo
     if hi < lo:
         raise JobError('parse', 'empty --n range %r' % spec)
     return lo, hi
@@ -313,7 +323,7 @@ def cmd_compute(args):
     if args.extrapolate and n_max - max(4, n_min) < 1:
         raise JobError('parse', '--extrapolate needs at least two volume '
                        'rows (n >= 4), e.g. --n 4..15; got %r' % args.n)
-    precision = _parse_int(args.precision, '--precision')
+    precision = _parse_int(args.precision, '--precision', MAX_PRECISION)
     if precision < 64:
         raise JobError('parse', '--precision must be at least 64 bits')
     if args.reference is not None:
@@ -345,7 +355,7 @@ def cmd_invariant(args):
     job = load_job(args.job)
     rep = _require_rep(job, args.trivial_rep)
     _check_column(job, args.column)
-    n = None if args.n is None else _parse_int(args.n, '--n')
+    n = None if args.n is None else _parse_int(args.n, '--n', MAX_N)
     if args.trivial_rep and n not in (None, 1):
         raise JobError('parse', '--trivial-rep computes the n = 1 invariant; '
                        'it conflicts with --n %d' % n)
@@ -443,9 +453,10 @@ def build_parser():
     p = sub.add_parser('compute', help='volume-estimate table over a range of n')
     common(p)
     p.add_argument('--n', default='4..15', metavar='<min>..<max>',
-                   help='dimension range (default 4..15)')
+                   help='dimension range (default 4..15, at most %d)' % MAX_N)
     p.add_argument('--precision', default='256', metavar='<bits>',
-                   help='embedding precision in bits (default 256)')
+                   help='embedding precision in bits (default 256, 64 to '
+                        '%d)' % MAX_PRECISION)
     p.add_argument('--format', choices=('table', 'csv'), default='table')
     p.add_argument('--reference', default=None, metavar='<decimal>',
                    help='reference volume used for the gap column')
@@ -455,7 +466,8 @@ def build_parser():
     p = sub.add_parser('invariant', help='print one normalized invariant')
     common(p)
     p.add_argument('--n', default=None,
-                   help='dimension (default 2; --trivial-rep takes only 1)')
+                   help='dimension (default 2, at most %d; --trivial-rep '
+                        'takes only 1)' % MAX_N)
     p.add_argument('--trivial-rep', action='store_true',
                    help='use the trivial representation at n=1 '
                         '(classical Alexander invariant)')

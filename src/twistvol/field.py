@@ -5,34 +5,34 @@ polynomial m, which is screened for visible reducibility at
 construction.  The determinant kernel (_det) runs on the integral
 elements, Z[x]/(m), with Python int coordinates: its callers hold ints
 over one scale from phi to the printed invariant.  It is Bareiss
-elimination on the coordinates.  Its elimination step and the inverse
-are both built on the int matrix of multiplication by an integral
-element (_mul_matrix).  Each pivot step of _det is one function per
-field degree (_row_step), written out from the int degree d alone:
-w * a_kk once per pivot and -(w * a_ik) once per row are straight-line
-products folded by m, whose multiplication matrices take _mul_matrix's
-shift-and-fold, and each new coordinate is one sum of 2d products and
-one exact divmod.  It is compiled at the first _det of that degree and
-cached: the generic loops spent most of _det's time in the interpreter.
-_inv_integral is one _bareiss pass on the multiplication matrix
-augmented by e_0 plus back substitution, giving w and D with
-b * w = D on ints; _inv is its Fraction wrapper.  _bareiss,
-the one int elimination besides _det, also runs laurent's pack-once
-determinant, which packs a matrix of polynomials in t once by Kronecker
-substitution x = 2^B and eliminates at each evaluation point; the one
-decode (_decode) reads the balanced base-2^B digits of each t-coefficient
-interpolated from those packed values, and those of rep's packed
-symmetric power, folds them by m and raises ArithmeticError on digits
-left over.  It too is one function per field degree (_decoder): a bias
-turns the balanced digits into plain ones, read without a branch, and
-they are folded by m in one Horner pass with the coefficients of m
+elimination on the coordinates, built on the int matrix of
+multiplication by an integral element (_mul_matrix).  Each pivot step of
+_det is one function per field degree (_row_step), written out from the
+int degree d alone: w * a_kk once per pivot and -(w * a_ik) once per row
+are straight-line products folded by m, whose multiplication matrices
+take _mul_matrix's shift-and-fold, and each new coordinate is one sum of
+2d products and one exact divmod; it returns its own pivot's inverse for
+the next step, by Cayley-Hamilton.  It is compiled at the first _det of
+that degree and cached: the generic loops spent most of _det's time in
+the interpreter.  _inv_integral (for _inv, its Fraction wrapper, and
+rep) is one _bareiss pass on the multiplication matrix augmented by e_0
+plus back substitution, giving w and D with b * w = D on ints.
+_bareiss, the one int elimination besides _det, also runs laurent's
+pack-once determinant, which packs a matrix of polynomials in t once by
+Kronecker substitution x = 2^B and eliminates at each evaluation point;
+the one decode (_decode) reads the balanced base-2^B digits of each
+t-coefficient interpolated from those packed values, and those of rep's
+packed symmetric power, folds them by m and raises ArithmeticError on
+digits left over.  It too is one function per field degree (_decoder): a
+bias turns the balanced digits into plain ones, read without a branch,
+and they are folded by m in one Horner pass with the coefficients of m
 written out; it is compiled at the first decode of that degree and
 cached, so loading a job compiles no decode and no pivot step.  The
-check for digits left over catches only some wrong bounds: the
-bound behind B is what proves B wide enough (see _decode).  _bareiss
-also gives the squarefree screen of m its Sylvester resultant, and a
-prime not dividing that resultant lets the integer-root screen lift
-the roots of m mod p (_integer_roots).
+check for digits left over catches only some wrong bounds: the bound
+behind B is what proves B wide enough (see _decode).  _bareiss also
+gives the squarefree screen of m its Sylvester resultant, and a prime
+not dividing that resultant lets the integer-root screen lift the roots
+of m mod p (_integer_roots).
 Outside the generated step and decode, _mul is the one element product,
 folded by m once, and multiplying by a fixed b is planned once: _plan
 lists the nonzero entries of _mul_matrix(b), which _add_planned applies
@@ -96,6 +96,10 @@ class NumberField:
         self.embedding_hint = (str(re), str(im))
         self._zero = _rational(_unit(self, 0), 1)
         self._one = _rational(_unit(self, 1), 1)
+        # Tr(x^i), i < d: the x^i are the columns of _mul_matrix(1)
+        self._traces = tuple(
+            sum(row[r] for r, row in enumerate(self._mul_matrix(x)))
+            for x in zip(*self._mul_matrix(_unit(self, 1))))
         self._root_cache = {}
         self._nearest = None
         # screen the hint at load, cheaply: it must be numbers from which
@@ -182,8 +186,7 @@ class NumberField:
         d = self.degree
         rows = [[*r, int(i == 0)] for i, r in enumerate(self._mul_matrix(b))]
         if not _bareiss(rows):
-            raise ZeroDivisionError('element is a zero divisor; '
-                                    'minimal polynomial is not irreducible')
+            raise ZeroDivisionError(_ZERO_DIVISOR)
         denom = rows[d - 1][d - 1]
         w = [0] * d
         for i in range(d - 1, -1, -1):
@@ -218,10 +221,11 @@ class NumberField:
         coordinates of each entry, and int coordinates are returned.
         Bareiss elimination keeps every intermediate entry a minor, hence
         integral: the division by the previous pivot p multiplies by the
-        int w with p * w = D (_inv_integral, once per pivot) and divides
+        int w with p * w = D that p's own step returned, and divides
         each coordinate by D exactly; for the true quotient q,
-        (q p) w = q D, so an unreduced D divides exactly too.
-        A nonzero remainder raises ArithmeticError.  The step
+        (q p) w = q D, so an unreduced D divides exactly too.  A nonzero
+        remainder raises ArithmeticError, and D = 0, a zero divisor p,
+        ZeroDivisionError once a step needs w / D.  The step
         a_ij <- (a_kk a_ij - a_ik a_kj) w / D is one int matrix
         [M(w a_kk) | -M(w a_ik)] per row, applied to the coordinates of
         a_ij and a_kj for every j of the row.  Each pivot step, those
@@ -246,9 +250,9 @@ class NumberField:
                     return _unit(self, 0)
                 rows[k], rows[pivot] = rows[pivot], rows[k]
                 sign = -sign
-            if k:
-                w, denom = self._inv_integral(rows[k - 1][k - 1])
-            step(rows, k, w, denom, self.min_poly)
+            if not denom:
+                raise ZeroDivisionError(_ZERO_DIVISOR)
+            w, denom = step(rows, k, w, denom, self.min_poly, self._traces)
         result = rows[n - 1][n - 1]
         return result if sign == 1 else self._neg(result)
 
@@ -508,6 +512,9 @@ def _add_planned(out, plans, xs):
     return tuple(out)
 
 
+_ZERO_DIVISOR = ('element is a zero divisor; '
+                 'minimal polynomial is not irreducible')
+
 _INEXACT = ('Bareiss step left a non-integral entry; '
             'the matrix is not over Z[x]/(m)')
 
@@ -525,9 +532,10 @@ def _exact_quotient(a, denom):
 
 # _det's pivot step at degree d, for _row_step to fill in: {kk} sets the
 # step coefficients s<r>_<c> of M(w a_kk), {ik} those of M(v a_ik), v = -w;
-# a_ij = (x0, ...), a_kj = (y0, ...), new coordinate r q<r>, remainder r<r>
+# a_ij = (x0, ...), a_kj = (y0, ...), new coordinate r q<r>, remainder r<r>;
+# the pivot b = (b0, ...) has powers b<j>_<t>, traces z<j>, c<k> below
 _PIVOT_STEP = """\
-def pivot_step(rows, k, w, denom, m):
+def pivot_step(rows, k, w, denom, m, traces):
     {ms}, _ = m
     {ws}, = w
     {vs}, = -{negated},
@@ -546,6 +554,13 @@ def pivot_step(rows, k, w, denom, m):
             if {remainders}:
                 raise ArithmeticError(_INEXACT)
             row_i[j] = {qs},
+    {bs}, = row_k[k]
+    {ts}, = traces
+    {powers}
+    {newton}
+    if {fs}:
+        raise ArithmeticError(_INEXACT)
+    return ({us},), -c{d}
 """
 
 # degree -> its pivot step, built at the first _det of that degree
@@ -553,36 +568,54 @@ _ROW_STEPS = {}
 
 
 def _row_step(d):
-    """_det's pivot step at degree d, pivot_step(rows, k, w, denom, m):
-    for every row i > k and column j > k, a_ij <- (w a_kk a_ij -
+    """_det's pivot step at degree d, pivot_step(rows, k, w, denom, m,
+    traces): for every row i > k and column j > k, a_ij <- (w a_kk a_ij -
     w a_ik a_kj) / denom on the coordinates, w / denom the inverse of
-    the previous pivot and m the coefficients of the minimal polynomial;
+    the previous pivot, m the coefficients of m and traces the Tr(x^i);
     a nonzero remainder raises ArithmeticError.  In each row's step
     matrix [M(w a_kk) | -M(w a_ik)], written out as straight-line code,
     column 0 is the product summed unreduced and folded by m from the
     top, and each further column the previous one shifted up and folded,
-    as in _mul_matrix.  Its source is _PIVOT_STEP written out from the
-    int d alone, compiled once per degree and cached.
+    as in _mul_matrix.  It returns (w', D'), b w' = D' for b = a_kk: the
+    traces s_j of b^j, j <= d, give det(X - M_b) = X^d + c_1 X^(d-1) +
+    ... + c_d by Newton's identities, k c_k = -(s_k + c_1 s_(k-1) + ...
+    + c_(k-1) s_1), each an exact divmod, and by Cayley-Hamilton
+    w' = b^(d-1) + c_1 b^(d-2) + ... + c_(d-1), D' = -c_d = +-det M_b.
+    Its source is _PIVOT_STEP written out from the int d alone, compiled
+    once per degree and cached.
     """
     if d not in _ROW_STEPS:
         def names(prefix, sep=', '):
             return sep.join('%s%d' % (prefix, i) for i in range(d))
 
-        def matrix(w, offset):
-            # coordinate t < d of the product lands in s<t>_<offset>
+        def product(out, u, v):
+            # coordinate t < d of u * v lands in out(t)
             def p(t):
-                return 's%d_%d' % (t, offset) if t < d else 'p%d' % t
+                return out(t) if t < d else 'p%d' % t
             lines = ['%s = %s' % (p(t), ' + '.join(
-                '%s%d * a%d' % (w, i, t - i)
+                '%s * %s' % (u(i), v(t - i))
                 for i in range(max(0, t - d + 1), min(t, d - 1) + 1)))
                 for t in range(2 * d - 1)]
-            lines += ['%s -= %s * m%d' % (p(t - d + i), p(t), i)
-                      for t in range(2 * d - 2, d - 1, -1) for i in range(d)]
+            return lines + ['%s -= %s * m%d' % (p(t - d + i), p(t), i)
+                            for t in range(2 * d - 2, d - 1, -1)
+                            for i in range(d)]
+
+        def matrix(w, offset):
+            lines = product(('s{}_%d' % offset).format, (w + '{}').format,
+                            'a{}'.format)
             for c in range(offset + 1, offset + d):
                 lines += ['s%d_%d = %ss%d_%d * m%d' % (
                     r, c, 's%d_%d - ' % (r - 1, c - 1) if r else '-',
                     d - 1, c - 1, r) for r in range(d)]
             return lines
+
+        def power(j):
+            # coordinate t of b^j
+            return ('b{}' if j == 1 else 'b%d_{}' % j).format
+
+        def times(k):
+            return 'c%d * ' % k if k else ''
+
         source = _PIVOT_STEP.format(
             ms=names('m'), ws=names('w'), vs=names('v'),
             negated=names('w', ', -'), as_=names('a'), xs=names('x'),
@@ -592,7 +625,22 @@ def _row_step(d):
                 'q%d, r%d = divmod(%s, denom)' % (r, r, ' + '.join(
                     's%d_%d * %s%d' % (r, c, 'xy'[c // d], c % d)
                     for c in range(2 * d))) for r in range(d)),
-            remainders=names('r', ' or '), qs=names('q'))
+            remainders=names('r', ' or '), qs=names('q'), bs=names('b'),
+            ts=names('t'), d=d,
+            fs=' or '.join('f%d' % k for k in range(1, d + 1)),
+            powers='\n    '.join(line for j in range(2, d + 1) for line in
+                                 product(power(j), power(j - 1), power(1))),
+            newton='\n    '.join(
+                'z%d = %s\n    c%d, f%d = divmod(%s, -%d)' % (
+                    k, ' + '.join('t%d * %s' % (t, power(k)(t))
+                                  for t in range(d)),
+                    k, k, ' + '.join(times(k - i) + 'z%d' % i
+                                     for i in range(1, k + 1)), k)
+                for k in range(1, d + 1)),
+            us=', '.join(' + '.join(
+                [times(k) + power(d - 1 - k)(t) for k in range(d - 1)]
+                + ['c%d' % (d - 1) if d > 1 else '1'] * (t == 0))
+                for t in range(d)))
         namespace = {'_INEXACT': _INEXACT}
         exec(compile(source, '<pivot_step %d>' % d, 'exec'), namespace)
         _ROW_STEPS[d] = namespace['pivot_step']
@@ -707,15 +755,15 @@ class NFElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if other.is_rational() and other:
+            r = other.coeffs[0]
+            return NFElement(self.field, tuple(c / r for c in self.coeffs))
         return NFElement(self.field,
                          self.field._mul(self.coeffs, self.field._inv(other.coeffs)))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return NFElement(self.field,
-                         self.field._mul(other.coeffs, self.field._inv(self.coeffs)))
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, k):
         base = self if k >= 0 else 1 / self

@@ -429,6 +429,17 @@ class TestCompute:
                  "--n '4-6' is not an integer", id='invariant-n-4-6'),
     pytest.param(['compute', '--precision', 'abc'], None,
                  "--precision 'abc' is not an integer", id='precision-abc'),
+    # the caps, MAX_N = 50 and MAX_PRECISION = 65536, also on digit strings
+    # too long for int()
+    *(pytest.param(argv, None, '--n must be at most 50',
+                   id='n-cap-%s-%d' % (argv[0], len(argv[-1])))
+      for big in ('51', '9' * 20, '9' * 5000)
+      for argv in (['invariant', '--n', big], ['compute', '--n', '4..' + big],
+                   ['compute', '--n', big + '..' + big])),
+    pytest.param(['compute', '--precision', '65537'], None,
+                 '--precision must be at most 65536', id='precision-cap'),
+    pytest.param(['compute', '--precision', '100000000'], None,
+                 '--precision must be at most 65536', id='precision-1e8'),
 ])
 def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
                            message):
@@ -452,6 +463,26 @@ def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
     code, _, err = run(capsys, argv[0], job, *argv[1:])
     assert code == 1
     assert err.startswith('error [%s]: ' % stage) and message in err
+
+
+@pytest.mark.parametrize('argv, reached', [
+    (['invariant', '--n', '50'], [50]),
+    (['compute', '--n', '49..50', '--precision', '65536'], [2, 3, 49, 50]),
+    (['compute', '--n', '050', '--precision', '64'], [2, 3, 50]),
+], ids=['invariant-50', 'compute-49..50', 'compute-050'])
+def test_caps_admit_their_maximum(capsys, monkeypatch, argv, reached):
+    # the largest allowed values reach the computation, which is stubbed
+    seen = []
+
+    def stop(*args):
+        seen.extend(sorted(args[2]) if len(args) > 1 else [args[0].n])
+        raise ZeroDivisionError('stub')
+
+    monkeypatch.setattr('twistvol.cli.invariant_values', stop)
+    monkeypatch.setattr('twistvol.cli.twisted_alexander', stop)
+    code, out, err = run(capsys, argv[0], FIG8_JOB, *argv[1:])
+    assert (code, out, err) == (1, '', 'error [computation]: stub\n')
+    assert seen == reached
 
 
 @pytest.mark.parametrize('job_text, message', [

@@ -43,6 +43,31 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             ufield.one / ufield.zero
 
+    @pytest.mark.parametrize('degree', sorted(FIELDS))
+    def test_division_by_a_rational_divides_coordinates(self, degree,
+                                                        monkeypatch):
+        field = FIELDS[degree]
+        a = random_element(field, random.Random(2800 + degree))
+        divisors = [Fraction(-3, 7), 5, field.from_rational(Fraction(2, 9))]
+        want = [field._mul(a.coeffs, field._inv(field.element(r).coeffs))
+                for r in divisors]
+
+        def refuse(*args):
+            raise AssertionError('a field multiply or inverse ran')
+
+        monkeypatch.setattr(NumberField, '_mul', refuse)
+        monkeypatch.setattr(NumberField, '_inv', refuse)
+        for r, coeffs in zip(divisors, want):
+            got = a / r
+            assert got.coeffs == coeffs
+            assert all(type(c) is Fraction for c in got.coeffs)
+        monkeypatch.undo()
+        for zero in (0, Fraction(0), field.zero):
+            with pytest.raises(ZeroDivisionError,
+                               match='^division by zero in the number '
+                                     'field$'):
+                a / zero
+
     def test_rational_field_degenerates_to_fractions(self, qfield):
         a = qfield.from_rational(Fraction(3, 2))
         b = qfield.from_rational(Fraction(-1, 3))

@@ -1,6 +1,7 @@
 """Properties of the integral field kernel: NumberField._mul_matrix,
 _plan (and the rep.Matrix products on it), _inv_integral, _inv, _det
-(Bareiss on the coordinates) and _bareiss.
+(Bareiss on the coordinates, whose pivot steps return their pivots'
+inverses) and _bareiss.
 
 _det is checked against two oracles: the Leibniz sum, and a test-local
 Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from twistvol import (NumberField, bundled_job_path, laurent, load_job,
                       parse_job)
 from twistvol import field as field_module
-from twistvol.field import _bareiss, _digit_shift
+from twistvol.field import _bareiss, _digit_shift, _unit
 from twistvol.rep import Matrix
 
 from conftest import (K7_3_TEXT, K9_7_FIELD, K11_3_FIELD, K13_3_FIELD,
@@ -324,19 +325,24 @@ class TestDet:
 
     @pytest.mark.parametrize('key', [*FIELDS, 'k7_3'])
     def test_wrong_pivot_inverse_is_caught(self, key, monkeypatch):
-        """A perturbed p^-1 makes a step inexact: ArithmeticError, no value."""
+        """A perturbed p^-1, as the pivot step returns it for the next
+        step, makes that step inexact: ArithmeticError, no value."""
         field = K7_3 if key == 'k7_3' else FIELDS[key]
         rows = pinned_rows(field.degree)
         assert field_det(field, rows) == leibniz_det(field, rows)
-        exact_inv = field._inv_integral
+        exact_row_step = field_module._row_step
 
-        def perturbed(b):
-            # w / D + 1/7 in coordinate 0: (7 w + D e_0) / (7 D)
-            w, denom = exact_inv(b)
-            return ((7 * w[0] + denom,) + tuple(7 * c for c in w[1:]),
-                    7 * denom)
+        def perturbed_row_step(d):
+            step = exact_row_step(d)
 
-        monkeypatch.setattr(field, '_inv_integral', perturbed)
+            def perturbed(*args):
+                # w / D + 1/7 in coordinate 0: (7 w + D e_0) / (7 D)
+                w, denom = step(*args)
+                return ((7 * w[0] + denom,) + tuple(7 * c for c in w[1:]),
+                        7 * denom)
+            return perturbed
+
+        monkeypatch.setattr(field_module, '_row_step', perturbed_row_step)
         with pytest.raises(ArithmeticError, match='non-integral'):
             field_det(field, rows)
 
@@ -357,6 +363,79 @@ class TestDet:
         assert kronecker_det(field, rows) == leibniz_det(field, rows)
         with pytest.raises(ArithmeticError, match='coefficient bound'):
             kronecker_det(field, rows, 1)
+
+
+def pivot_inverse(field, b):
+    """(w, D) for the pivot b, as _det's generated pivot step returns it
+    for the next step: a 1 x 1 matrix has no row to update."""
+    step = field_module._row_step(field.degree)
+    return step([[b]], 0, _unit(field, 1), 1, field.min_poly, field._traces)
+
+
+class TestPivotInverse:
+    """The inverse each pivot step returns, from the characteristic
+    polynomial of M_b: b * w = D = +-det M_b, the ratio w / D that
+    _inv_integral gives."""
+
+    @pytest.mark.parametrize('key', [*FIELDS, 'k7_3'])
+    def test_pivot_times_w_is_d(self, key):
+        field = K7_3 if key == 'k7_3' else FIELDS[key]
+        d = field.degree
+        rng = random.Random(key if key == 'k7_3' else 2800 + key)
+        cases = [_unit(field, 1), _unit(field, -3)]
+        if d > 1:
+            cases.append(_unit(field, 0)[:1] + (1,) + _unit(field, 0)[2:])
+        for bits in (3, 40, 200):
+            for _ in range(4):
+                b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
+                # constant coordinate 0 made _inv_integral swap rows
+                cases += [tuple(b), (0, *b[1:])] if d > 1 else [tuple(b)]
+        for b in cases:
+            if not any(b):
+                continue
+            w, denom = pivot_inverse(field, b)
+            assert all(type(c) is int for c in w + (denom,))
+            assert field._mul(b, w) == _unit(field, denom)
+            assert denom == (-1) ** (d + 1) * _bareiss(
+                [list(row) for row in field._mul_matrix(b)])
+            w_old, denom_old = field._inv_integral(b)
+            assert field._scale(w, denom_old) == field._scale(w_old, denom)
+
+
+class TestDetZeroDivisor:
+    """Over (x^2 + 1)(x^2 + 2), which passes the squarefree and
+    integer-root screens, a pivot x^2 + 1 divides zero: its step returns
+    D = 0, and _det raises only when a later step needs that inverse."""
+
+    field = NumberField([2, 0, 3, 0, 1], ('0', '1'))
+    zero_divisor = (1, 0, 1, 0)
+
+    def test_last_pivot_needs_no_inverse(self):
+        rows = [[self.zero_divisor, (2, 1, 0, -1)],
+                [(0, 3, 1, 1), (5, 0, -2, 1)]]
+        assert pivot_inverse(self.field, self.zero_divisor)[1] == 0
+        assert field_det(self.field, rows) == leibniz_det(self.field, rows)
+
+    def test_inner_pivot_raises(self):
+        rows = [[self.zero_divisor, (2, 1, 0, -1), (1, 1, 0, 0)],
+                [(0, 3, 1, 1), (5, 0, -2, 1), (0, 0, 1, 0)],
+                [(1, 0, 0, 2), (0, 1, 0, 0), (3, 0, 0, 1)]]
+        with pytest.raises(ZeroDivisionError,
+                           match='^element is a zero divisor; minimal '
+                                 'polynomial is not irreducible$'):
+            field_det(self.field, rows)
+
+    def test_vanishing_column_after_it_is_zero(self):
+        # rows 1 and 2 are multiples of row 0 in columns 0 and 1, so column
+        # 1 vanishes below the diagonal after one step: det 0, no inverse
+        a, c = (2, 1, 0, -1), (1, 1, 0, 0)
+        k, m = (0, 3, 1, 1), (1, 0, 0, 2)
+        mul = self.field._mul
+        rows = [[self.zero_divisor, a, c],
+                [mul(k, self.zero_divisor), mul(k, a), (0, 0, 1, 0)],
+                [mul(m, self.zero_divisor), mul(m, a), (3, 0, 0, 1)]]
+        assert field_det(self.field, rows) == (0,) * 4
+        assert leibniz_det(self.field, rows) == (0,) * 4
 
 
 class TestDetCost:
