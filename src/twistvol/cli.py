@@ -17,13 +17,10 @@ over the rationals, and an embed: line is an error.  Only rel: lines
 may repeat.
 """
 
-import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
 
 import mpmath
 
@@ -46,12 +43,18 @@ class JobError(Exception):
         self.stage = stage
 
 
-@dataclass
 class JobFile:
-    presentation: object
-    number_field: object
-    representation: Optional[object]
-    reference: Optional[str] = None
+    """A parsed job: its representation (None without rep lines) and
+    reference volume (None without a reference line) are optional."""
+
+    __slots__ = ('presentation', 'number_field', 'representation', 'reference')
+
+    def __init__(self, presentation, number_field, representation,
+                 reference=None):
+        self.presentation = presentation
+        self.number_field = number_field
+        self.representation = representation
+        self.reference = reference
 
 
 def bundled_job_path(name='figure-eight'):
@@ -439,6 +442,8 @@ def cmd_check(args):
 
 
 def build_parser():
+    # imported here: no library call and no job load needs argparse
+    import argparse
     parser = argparse.ArgumentParser(
         prog='twistvol',
         description='Twisted Alexander invariants of knot groups and the '

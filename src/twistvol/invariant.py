@@ -14,7 +14,6 @@ invariant itself is only defined up to a unit +/- t^k, so comparisons
 go through the unit-normalized form.
 """
 
-from dataclasses import dataclass
 from math import lcm, prod
 
 from .group import GroupRingElement, Word, fox_derivative
@@ -36,22 +35,24 @@ class SimpleZeroViolationError(ArithmeticError):
 AUTO = 'auto'
 
 
-@dataclass(frozen=True)
 class TwistConfig:
-    """Inputs of one invariant computation.
+    """Inputs of one invariant computation, read-only once built.
 
     column selects the deleted generator block ('auto' picks the first
     generator, in declaration order, whose denominator polynomial
     det Phi(x_j - 1) is not identically zero).
     """
-    presentation: object
-    rep: object
-    n: int = 2
-    column: str = AUTO
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ('presentation', 'rep', 'n', 'column')
+
+    def __init__(self, presentation, rep, n=2, column=AUTO):
+        if n < 1:
             raise ValueError('symmetric-power dimension n must be >= 1')
+        for name, value in zip(self.__slots__, (presentation, rep, n, column)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError('TwistConfig is read-only')
 
 
 def phi(element, cfg, prefixes=None):

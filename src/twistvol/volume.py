@@ -7,9 +7,6 @@ exact; only the final embedding, absolute value and logarithm run in
 arbitrary-precision floating point.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 import mpmath
 
 from .invariant import TwistConfig, twisted_alexander, value_at_one
@@ -53,13 +50,18 @@ def a_ratio(n, values):
     return values[n] / base
 
 
-@dataclass
 class VolumeRow:
-    """One convergence-table entry."""
-    n: int
-    ratio_abs: object          # mpmath.mpf, |A_n(1)|
-    estimate: object           # mpmath.mpf, 4 pi log|A_n(1)| / n^2
-    gap: Optional[object] = None
+    """One convergence-table entry: n, |A_n(1)| and the estimate
+    4 pi log|A_n(1)| / n^2 as mpmath.mpf, and the gap to a reference
+    volume, which VolumeReport fills in."""
+
+    __slots__ = ('n', 'ratio_abs', 'estimate', 'gap')
+
+    def __init__(self, n, ratio_abs, estimate, gap=None):
+        self.n = n
+        self.ratio_abs = ratio_abs
+        self.estimate = estimate
+        self.gap = gap
 
 
 def volume_estimate(n, ratio, precision=256):

@@ -9,6 +9,7 @@ as they are and not written to.
 """
 
 import os
+import subprocess
 import sys
 
 import twistvol
@@ -71,3 +72,25 @@ def test_traced_pass_on_three_relators(monkeypatch):
     assert totals['laurent.det_den']['calls'] == 2
     # n = 3: 3 relators x 3 rows
     assert totals['laurent.det_num']['rows'] == 9
+
+
+def test_loading_imports_mpmath():
+    """bench/worker.py reads sys.modules['mpmath'].__version__ after the
+    jobs are loaded, so import plus load must still bring mpmath in.
+
+    This guard moves with the benchmark change of ROADMAP item 4, which
+    takes mpmath off the load path: until bench/worker.py finds the
+    version another way, dropping mpmath from load fails every run.
+    """
+    source = ('import sys\n'
+              'sys.path.insert(0, sys.argv[1])\n'
+              'import loading\n'
+              'tv = loading.import_twistvol()\n'
+              'loading.load_jobs(tv, ["figure-eight", "k7_3"])\n'
+              'print("mpmath" in sys.modules)\n')
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE='1')
+    proc = subprocess.run([sys.executable, '-c', source, BENCH_DIR],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ['True']

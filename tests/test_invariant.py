@@ -382,8 +382,9 @@ class TestTwistedAlexander:
             assert str(info.value) == 'symmetric power expects determinant 1'
 
     def test_invalid_n_rejected(self, fig8, fig8_rep):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             TwistConfig(fig8, fig8_rep, 0)
+        assert str(info.value) == 'symmetric-power dimension n must be >= 1'
 
 
 def conjugate_relation(pres, w):
