@@ -12,12 +12,13 @@ int degree d alone: w * a_kk once per pivot and -(w * a_ik) once per row
 are straight-line products folded by m, whose multiplication matrices
 take _mul_matrix's shift-and-fold, and each new coordinate is one sum of
 2d products and one exact divmod; it returns its own pivot's inverse for
-the next step, by Cayley-Hamilton.  It is compiled at the first _det of
+the next step, by Cayley-Hamilton.  It is compiled at the first use of
 that degree and cached: the generic loops spent most of _det's time in
-the interpreter.  _inv_integral (for _inv, its Fraction wrapper, and
-rep) is one _bareiss pass on the multiplication matrix augmented by e_0
-plus back substitution, giving w and D with b * w = D on ints.
-_bareiss, the one int elimination besides _det, also runs laurent's
+the interpreter.  It is the one field inverse too: _inv_integral (for
+_inv, its Fraction wrapper, laurent's division and rep's inverse of an
+image whose determinant is not 1) runs it on the 1 x 1 matrix [[b]],
+which gives w and D with b * w = D on ints.
+_bareiss, the one int elimination besides _det, runs laurent's
 pack-once determinant, which packs a matrix of polynomials in t once by
 Kronecker substitution x = 2^B and eliminates at each evaluation point;
 the one decode (_decode) reads the balanced base-2^B digits of each
@@ -27,12 +28,12 @@ digits left over.  It too is one function per field degree (_decoder): a
 bias turns the balanced digits into plain ones, read without a branch,
 and they are folded by m in one Horner pass with the coefficients of m
 written out; it is compiled at the first decode of that degree and
-cached, so loading a job compiles no decode and no pivot step.  The
-check for digits left over catches only some wrong bounds: the bound
-behind B is what proves B wide enough (see _decode).  _bareiss also
-gives the squarefree screen of m its Sylvester resultant, and a prime
-not dividing that resultant lets the integer-root screen lift the roots
-of m mod p (_integer_roots).
+cached, so loading a job whose images have determinant 1 compiles no
+decode and no pivot step.  The check for digits left over catches only
+some wrong bounds: the bound behind B is what proves B wide enough (see
+_decode).  _bareiss also gives the squarefree screen of m its Sylvester
+resultant, and a prime not dividing that resultant lets the integer-root
+screen lift the roots of m mod p (_integer_roots).
 Outside the generated step and decode, _mul is the one element product,
 folded by m once, and multiplying by a fixed b is planned once: _plan
 lists the nonzero entries of _mul_matrix(b), which _add_planned applies
@@ -50,7 +51,6 @@ pipeline runs through the same code path.
 from fractions import Fraction
 from itertools import count
 from math import isqrt, lcm, prod
-from operator import mul
 
 import mpmath
 
@@ -175,25 +175,18 @@ class NumberField:
     def _inv_integral(self, b):
         """(w, D) with b * w = D on ints, for a nonzero integral b.
 
-        _bareiss on [M_b | e_0] leaves U upper triangular, the column y
-        and the last pivot D = +-det M_b.  w = D M_b^-1 e_0, the
-        coordinates of D / b, is +-adj(M_b) e_0, integral, so back
-        substitution w_i = (D y_i - sum_{j>i} U_ij w_j) / U_ii divides
-        exactly.  D need not be the least denominator.
+        It is the inverse _det's pivot step (_row_step) returns for the
+        1 x 1 matrix [[b]], which has no row to update: by Cayley-Hamilton,
+        D = +-det M_b, zero when b divides zero.  D need not be the least
+        denominator.
         """
         if not any(b):
             raise ZeroDivisionError('division by zero in the number field')
-        d = self.degree
-        rows = [[*r, int(i == 0)] for i, r in enumerate(self._mul_matrix(b))]
-        if not _bareiss(rows):
+        w, denom = _row_step(self.degree)([[b]], 0, _unit(self, 1), 1,
+                                          self.min_poly, self._traces)
+        if not denom:
             raise ZeroDivisionError(_ZERO_DIVISOR)
-        denom = rows[d - 1][d - 1]
-        w = [0] * d
-        for i in range(d - 1, -1, -1):
-            row = rows[i]
-            acc = denom * row[d] - sum(map(mul, row[i + 1:d], w[i + 1:]))
-            w[i], = _exact_quotient((acc,), row[i])
-        return tuple(w), denom
+        return w, denom
 
     def _mul_matrix(self, a):
         """Rows of the matrix of multiplication by a, int for an integral a.
@@ -473,13 +466,11 @@ def _unit(field, k):
 
 
 def _bareiss(rows):
-    """Determinant of a nonempty n-row int matrix, n x n or n x (n + 1).
+    """Determinant of a nonempty square int matrix.
 
     Eliminated in place by fraction-free Bareiss: every entry after step
     k is a (k+1) x (k+1) minor, so each division by the previous pivot
-    is exact (_exact_quotient); a remainder raises ArithmeticError.  A
-    nonzero result leaves the first n columns upper triangular, the last
-    pivot rows[n-1][n-1] = +-det; an augmented column rides along.
+    is exact (_exact_quotient); a remainder raises ArithmeticError.
     """
     n = len(rows)
     sign = 1

@@ -14,10 +14,11 @@ factor's coordinates, with no fold), the determinant (the field's
 Bareiss on the coordinates, NumberField._det) and the symmetric power
 run on the ints, and one check, ad - bc = scale^2, decides det = 1.  A
 Representation runs it on its generator images only: products and
-inverses of SL(2) matrices are in SL(2).  The
-symmetric power is linear: it takes (weight, matrix) pairs, checks every
-matrix for det = 1 unless its caller vouches for that (check=False), and
-returns the weighted sum of their sigma_n.  The entries of each
+inverses of SL(2) matrices are in SL(2), and the inverse of an SL(2)
+image is its adjugate, with no field inverse.  The symmetric power is
+linear: it takes (weight, matrix) pairs, checks every matrix for det = 1
+unless its caller vouches for that (check=False), and returns the
+weighted sum of their sigma_n.  The entries of each
 scale * M^-1 are packed at one x = 2^B (Kronecker substitution), so the
 binomial expansions multiply plain ints and no field element and are
 added cell by cell; B comes from an l1 bound on the summed
@@ -347,9 +348,13 @@ class Representation:
 
 
 def _sl2_inverse(m):
-    """M^-1 = adj(ints) * scale * w / D, with w / D = 1 / (ad - bc)."""
+    """M^-1 = adj(ints) / scale when det M = 1 (ad - bc = scale^2), with
+    no field inverse; otherwise adj(ints) * scale * w / D, with
+    w / D = 1 / (ad - bc), for an image loaded unaudited."""
     f = m.field
     (a, b), (c, d) = m.ints
+    if _is_sl2(m):
+        return Matrix._of(f, ((d, f._neg(b)), (f._neg(c), a)), m.scale)
     w, denom = f._inv_integral(f._sub(f._mul(a, d), f._mul(b, c)))
     w = f._scale(w, m.scale if denom > 0 else -m.scale)
     return Matrix._of(f, ((f._mul(d, w), f._neg(f._mul(b, w))),

@@ -38,6 +38,31 @@ rep a: [[1,1],[0,1]]
 rep b: [[1,0],[-1,1]]
 """
 
+# over (x^2 + 1)(x^2 + 2), which passes the load-time screens, det rho(a)
+# = x^2 + 1 divides zero, so rho(a) has no inverse
+ZERO_DIVISOR_JOB = """\
+gens: a b
+rel: aBAba = baBAb
+field: 2 0 3 0 1
+embed: 0 1
+rep a: [[[1,0,1,0],[1]],[[0],[1]]]
+rep b: [[[1],[0]],[[0,-1],[1]]]
+"""
+
+# The torus knot T(2, 5) = K(5/1), a non-hyperbolic control, as
+# bench/riley.py's job_text(5, 1) writes it
+K5_1_JOB = """\
+# Two-bridge knot K(5/1): Riley parabolic representation over a
+# degree-2 field; written by bench/riley.py.  The embedding is the
+# root with the largest imaginary part, not a certified holonomy root.
+gens: a b
+rel: ababa = babab
+field: 1 -3 1
+embed: 2.618033988750 0.000000000000
+rep a: [[[1,0],[1,0]],[[0,0],[1,0]]]
+rep b: [[[1,0],[0,0]],[[0,-1],[1,0]]]
+"""
+
 KNOWN_TABLE = {6: '1.35850', 7: '1.58331', 8: '1.66441'}
 
 
@@ -277,6 +302,16 @@ class TestCompute:
         path.write_text('gens: a\nrep a: [[[0],[0]],[[0],[0]]]\n')
         code, _, err = run(capsys, 'compute', str(path), '--n', '2..2')
         assert code == 1 and 'error [representation validation]' in err
+
+    @pytest.mark.parametrize('argv', [['check'], ['invariant', '--n', '2']],
+                             ids=['check', 'invariant'])
+    def test_zero_divisor_image_stage(self, capsys, tmp_path, argv):
+        path = tmp_path / 'zero_divisor.job'
+        path.write_text(ZERO_DIVISOR_JOB)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (
+            1, '', 'error [representation validation]: element is a zero '
+            'divisor; minimal polynomial is not irreducible\n')
 
     @pytest.mark.parametrize('n', [['--n', '4..4'], []],
                              ids=['4..4', 'default'])
@@ -703,6 +738,46 @@ class TestCheckCommand:
             main(['check', FIG8_JOB, '--column', 'b'])
         assert info.value.code == 2
         assert 'unrecognized arguments: --column b' in capsys.readouterr().err
+
+
+class TestTorusKnotControl:
+    """K(5/1) = T(2, 5) has volume 0 and passes every check line, yet
+    its zero at t = 1 for odd n is not always simple: order 3 at n = 7."""
+
+    @pytest.fixture
+    def job(self, tmp_path):
+        path = tmp_path / 'k5_1.job'
+        path.write_text(K5_1_JOB)
+        return str(path)
+
+    def test_check_passes(self, capsys, job):
+        code, out, _ = run(capsys, 'check', job)
+        assert code == 0
+        assert out == (
+            'PASS  determinant check: all det = 1\n'
+            'PASS  relation check: 1 relation(s) hold exactly\n'
+            'PASS  fox fundamental identity: fundamental identity holds on '
+            'all relators\n'
+            'PASS  column independence (n=2): 2 admissible column(s) agree '
+            'up to unit\n'
+            'PASS  column independence (n=3): 2 admissible column(s) agree '
+            'up to unit\n'
+            'PASS  parity of zero at t=1 (n=2): order at t=1 is 0\n'
+            'PASS  parity of zero at t=1 (n=3): order at t=1 is 1\n')
+
+    def test_compute_rows(self, capsys, job):
+        code, out, _ = run(capsys, 'compute', job, '--n', '4..6')
+        assert code == 0
+        assert out == ('n  |A_n(1)|  v_n       gap\n'
+                       '4  5.23607   1.30028   -\n'
+                       '5  2.89443   0.534215  -\n'
+                       '6  2.61803   0.335949  -\n')
+
+    def test_triple_zero_at_n7(self, capsys, job):
+        code, out, err = run(capsys, 'compute', job, '--n', '4..9')
+        assert (code, out, err) == (
+            1, '', 'error [simple-zero violation]: expected a simple zero '
+            'at t = 1 for odd n=7, found order 3\n')
 
 
 class TestConsoleEntry:

@@ -1,7 +1,7 @@
 """Properties of the integral field kernel: NumberField._mul_matrix,
 _plan (and the rep.Matrix products on it), _inv_integral, _inv, _det
 (Bareiss on the coordinates, whose pivot steps return their pivots'
-inverses) and _bareiss.
+inverses, _inv_integral's too) and _bareiss.
 
 _det is checked against two oracles: the Leibniz sum, and a test-local
 Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
@@ -21,6 +21,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,28 @@ def kronecker_det(field, rows, bound=None):
     value = _bareiss([[sum(c << (shift * r) for r, c in enumerate(a))
                        for a in row] for row in rows])
     return field._decode(value, shift, len(rows) * (field.degree - 1) + 1)
+
+
+def reference_inverse(field, b):
+    """Independent oracle for an inverse: (w, D) with b * w = D on ints.
+
+    _bareiss on [M_b | e_0], whose elimination carries the extra column
+    along, leaves U upper triangular, the column y and the last pivot
+    D = +-det M_b.  w = D M_b^-1 e_0, the coordinates of D / b, is
+    +-adj(M_b) e_0, integral, so back substitution
+    w_i = (D y_i - sum_{j>i} U_ij w_j) / U_ii divides exactly.
+    """
+    d = field.degree
+    rows = [[*r, int(i == 0)] for i, r in enumerate(field._mul_matrix(b))]
+    assert _bareiss(rows)
+    denom = rows[d - 1][d - 1]
+    w = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        acc = denom * row[d] - sum(map(mul, row[i + 1:d], w[i + 1:]))
+        w[i], remainder = divmod(acc, row[i])
+        assert not remainder
+    return tuple(w), denom
 
 
 def field_det(field, rows):
@@ -374,8 +397,8 @@ def pivot_inverse(field, b):
 
 class TestPivotInverse:
     """The inverse each pivot step returns, from the characteristic
-    polynomial of M_b: b * w = D = +-det M_b, the ratio w / D that
-    _inv_integral gives."""
+    polynomial of M_b: b * w = D = +-det M_b, the ratio w / D that the
+    augmented-Bareiss oracle (reference_inverse) gives."""
 
     @pytest.mark.parametrize('key', [*FIELDS, 'k7_3'])
     def test_pivot_times_w_is_d(self, key):
@@ -388,7 +411,7 @@ class TestPivotInverse:
         for bits in (3, 40, 200):
             for _ in range(4):
                 b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
-                # constant coordinate 0 made _inv_integral swap rows
+                # constant coordinate 0 makes reference_inverse swap rows
                 cases += [tuple(b), (0, *b[1:])] if d > 1 else [tuple(b)]
         for b in cases:
             if not any(b):
@@ -398,8 +421,8 @@ class TestPivotInverse:
             assert field._mul(b, w) == _unit(field, denom)
             assert denom == (-1) ** (d + 1) * _bareiss(
                 [list(row) for row in field._mul_matrix(b)])
-            w_old, denom_old = field._inv_integral(b)
-            assert field._scale(w, denom_old) == field._scale(w_old, denom)
+            w_ref, denom_ref = reference_inverse(field, b)
+            assert field._scale(w, denom_ref) == field._scale(w_ref, denom)
 
 
 class TestDetZeroDivisor:
@@ -547,3 +570,25 @@ def test_loading_builds_no_row_step(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == '[]\n[3]\n'
+
+
+def test_loading_inverts_sl2_images_by_adjugate(monkeypatch):
+    """load_job inverts the generator images of the figure-eight and of
+    every bench job, all in SL(2), by their adjugates: no field inverse
+    runs, and each stored inverse factor times its image is the
+    identity, in both orders."""
+    calls = []
+    for name in ('_inv', '_inv_integral'):
+        def counting(self, a, exact=getattr(NumberField, name), name=name):
+            calls.append(name)
+            return exact(self, a)
+        monkeypatch.setattr(NumberField, name, counting)
+    bench_jobs = sorted((Path(__file__).resolve().parents[1] / 'bench'
+                         / 'jobs').glob('*.job'))
+    assert bench_jobs
+    for path in [bundled_job_path('figure-eight'), *bench_jobs]:
+        rep = load_job(str(path)).representation
+        assert calls == [], path.name
+        eye = Matrix.identity(rep.field, 2)
+        for image, (inverse, _) in zip(rep.images, rep._inverse_factors):
+            assert inverse * image == eye and image * inverse == eye

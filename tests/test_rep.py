@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistvol import (Matrix, NumberField, Representation, parse_presentation,
-                      rep, symmetric_power)
+from twistvol import (Matrix, NumberField, Representation, parse_job,
+                      parse_presentation, rep, symmetric_power)
 from twistvol.field import _horner
 from twistvol.rep import _is_sl2
 
-from conftest import K17_5_FIELD
+from conftest import K7_3_TEXT, K17_5_FIELD
 
 
 @pytest.fixture(scope='module')
@@ -362,14 +362,41 @@ class TestRepresentationValidation:
         with pytest.raises(ValueError, match='determinant'):
             Representation(fig8, {'a': scaled, 'b': eye})
 
+    @pytest.mark.parametrize('field_name', ['qfield', 'ufield', 'octic'])
+    def test_sl2_image_inverts_by_adjugate(self, request, field_name,
+                                           monkeypatch):
+        """SL(2) images over a scale > 1, with a != d, invert exactly
+        with no field inverse."""
+        from twistvol import Word
+        field = request.getfixturevalue(field_name)
+        pres = parse_presentation('gens: a\n')
+
+        def refuse(*args):
+            raise AssertionError('field inverse of an SL(2) image')
+
+        monkeypatch.setattr(NumberField, '_inv_integral', refuse)
+        rng = random.Random(31)
+        images = [random_sl2(field, rng, max_den=3) for _ in range(4)]
+        assert any(m.scale > 1 for m in images)
+        assert all(m[0, 0] != m[1, 1] for m in images)
+        eye = Matrix.identity(field, 2)
+        for m in images:
+            inverse = Representation(pres, {'a': m}).evaluate(Word([-1]))
+            assert inverse * m == eye and m * inverse == eye
+
     def test_unaudited_image_inverts_exactly(self, qfield, ufield):
         from twistvol import Word
         pres = parse_presentation('gens: a\n')
         u = ufield.generator
-        # the ufield image has non-integral entries and det u - 1/3
+        cubic = parse_job(K7_3_TEXT).representation.field
+        x = cubic.generator
+        # the ufield image has non-integral entries and det u - 1/3; the
+        # cubic one, det x^3/2 + x - 1/3, inverts by the generated step
         for field, m in [(qfield, Matrix(qfield, [[2, 1], [0, 1]])),
                          (ufield, Matrix(ufield, [[u / 2, Fraction(1, 3)],
-                                                  [1, 2]]))]:
+                                                  [1, 2]])),
+                         (cubic, Matrix(cubic, [[x / 2, Fraction(1, 3)],
+                                                [1, x * x + 2]]))]:
             rep = Representation(pres, {'a': m}, require_sl2=False)
             assert rep.sl2_failures() == ['a']
             inverse = rep.evaluate(Word([-1]))
