@@ -70,7 +70,8 @@ _NUMBER = (r'[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)'
            r'(?:[eE]([-+]?\d+(?:_\d+)*))?)\Z')
 
 # the most digits the numerator or the denominator of a matrix literal's
-# number may take, as Fraction builds them (1e4000 takes 4001)
+# number may take, as Fraction builds them (1e4000 takes 4001), and a
+# field coefficient too
 MAX_DIGITS = 1000
 
 # the figure-eight at n = 40 takes about 10 s, growing as n^6
@@ -96,13 +97,18 @@ def _number(tok):
         size = max(len(num) + len(decimal) + max(e, 0),
                    len(denom) or len(decimal) - min(e, 0) + 1)
         if size > MAX_DIGITS:
-            shown = tok if len(tok) <= 24 else tok[:20] + '...'
-            raise ValueError('number %r needs more than %d digits'
-                             % (shown, MAX_DIGITS))
+            raise ValueError(_too_long('number', tok))
     try:
         return Fraction(tok)
     except ZeroDivisionError:
         raise ValueError('zero denominator in %r' % (tok,)) from None
+
+
+def _too_long(where, tok):
+    """The error text for tok, which needs more than MAX_DIGITS digits,
+    shortened past 24 characters."""
+    shown = tok if len(tok) <= 24 else tok[:20] + '...'
+    return '%s %r needs more than %d digits' % (where, shown, MAX_DIGITS)
 
 
 def _parse_nested(text):
@@ -214,8 +220,13 @@ def parse_job(text):
         elif len(words) > 2:
             raise JobError('parse', 'field of degree >= 2 needs an '
                            'embed: line selecting a root')
-        coeffs = [_parse_int(word, 'line %d: field coefficient' % lineno)
-                  for word in words]
+        where = 'line %d: field coefficient' % lineno
+        for word in words:
+            # the digits int() reads, measured before it reads them
+            digits = word[word[0] in '+-':].replace('_', '')
+            if len(digits) > MAX_DIGITS and digits.isdecimal():
+                raise JobError('parse', _too_long(where, word))
+        coeffs = [_parse_int(word, where) for word in words]
         try:
             number_field = NumberField(coeffs, hint)
         except ValueError as exc:

@@ -18,21 +18,23 @@ the interpreter.  It is the one field inverse too: _inv_integral (for
 _inv, its Fraction wrapper, laurent's division and rep's inverse of an
 image whose determinant is not 1) runs it on the 1 x 1 matrix [[b]],
 which gives w and D with b * w = D on ints.
-_bareiss, the one int elimination besides _det, runs laurent's
-pack-once determinant, which packs a matrix of polynomials in t once by
-Kronecker substitution x = 2^B and eliminates at each evaluation point;
-the one decode (_decode) reads the balanced base-2^B digits of each
-t-coefficient interpolated from those packed values, and those of rep's
-packed symmetric power, folds them by m and raises ArithmeticError on
-digits left over.  It too is one function per field degree (_decoder): a
-bias turns the balanced digits into plain ones, read without a branch,
-and they are folded by m in one Horner pass with the coefficients of m
-written out; it is compiled at the first decode of that degree and
-cached, so loading a job whose images have determinant 1 compiles no
-decode and no pivot step.  The check for digits left over catches only
-some wrong bounds: the bound behind B is what proves B wide enough (see
-_decode).  _bareiss also gives the squarefree screen of m its Sylvester
-resultant, and a prime not dividing that resultant lets the integer-root
+At degree 1 the step is integer Bareiss, with w = 1 and D the pivot, so
+plain ints are eliminated by _det too, as 1-tuples over _INTEGERS, the
+ring Z as a field of degree 1: laurent's pack-once determinant packs a
+matrix of polynomials in t once by Kronecker substitution x = 2^B and
+eliminates its ints at each evaluation point; the one decode (_decode)
+reads the balanced base-2^B digits of each t-coefficient interpolated
+from those packed values, and those of rep's packed symmetric power,
+folds them by m and raises ArithmeticError on digits left over.  It too
+is one function per field degree (_decoder): a bias turns the balanced
+digits into plain ones, read without a branch, and they are folded by m
+in one Horner pass with the coefficients of m written out; it is
+compiled at the first decode of that degree and cached.  The check for
+digits left over catches only some wrong bounds: the bound behind B is
+what proves B wide enough (see _decode).  _INTEGERS._det also gives the
+squarefree screen of m its Sylvester resultant, so loading a job whose
+images have determinant 1 compiles the degree-1 pivot step and no other
+step or decode; a prime not dividing that resultant lets the integer-root
 screen lift the roots of m mod p (_integer_roots).
 Outside the generated step and decode, _mul is the one element product,
 folded by m once, and multiplying by a fixed b is planned once: _plan
@@ -388,18 +390,19 @@ def _reject_reducible(m):
     """ValueError when the monic integer m, of degree n >= 2, is visibly
     reducible over Q.
 
-    Two screens: m must be squarefree (Res(m, m') != 0, the _bareiss
+    Two screens: m must be squarefree (Res(m, m') != 0, the _INTEGERS
     determinant of their (2n-1)-square Sylvester matrix) and must have
     no integer root (a monic integer polynomial's rational roots are
     integers; m_0 = 0 means x divides m).  They decide irreducibility in
     degree 2 and 3 only.  The least integer root is named.
     """
     n = len(m) - 1
-    top = list(m[::-1])
-    deriv = [i * c for i, c in enumerate(m)][:0:-1]
-    sylvester = [[0] * k + top + [0] * (n - 2 - k) for k in range(n - 1)]
-    sylvester += [[0] * k + deriv + [0] * (n - 1 - k) for k in range(n)]
-    resultant = _bareiss(sylvester)
+    top = [(c,) for c in m[::-1]]
+    deriv = [(i * c,) for i, c in enumerate(m)][:0:-1]
+    zero = [(0,)]
+    sylvester = [zero * k + top + zero * (n - 2 - k) for k in range(n - 1)]
+    sylvester += [zero * k + deriv + zero * (n - 1 - k) for k in range(n)]
+    resultant, = _INTEGERS._det(sylvester)
     if not resultant:
         raise ValueError('minimal polynomial %r is not squarefree'
                          % (list(m),))
@@ -463,35 +466,6 @@ def _digit_shift(bound):
 def _unit(field, k):
     """The integer k as a raw element with int coordinates."""
     return (k,) + (0,) * (field.degree - 1)
-
-
-def _bareiss(rows):
-    """Determinant of a nonempty square int matrix.
-
-    Eliminated in place by fraction-free Bareiss: every entry after step
-    k is a (k+1) x (k+1) minor, so each division by the previous pivot
-    is exact (_exact_quotient); a remainder raises ArithmeticError.
-    """
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not rows[k][k]:
-            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        row_k = rows[k]
-        akk = row_k[k]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            aik = row_i[k]
-            num = [akk * x - aik * y
-                   for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
-            row_i[k + 1:] = num if prev == 1 else _exact_quotient(num, prev)
-        prev = akk
-    return sign * rows[n - 1][n - 1]
 
 
 def _add_planned(out, plans, xs):
@@ -791,3 +765,8 @@ class NFElement:
         return '[' + ','.join(str(c) for c in self.coeffs) + ']'
 
     __repr__ = __str__
+
+
+# the ring Z as a field of degree 1: its _det, the generated pivot step at
+# degree 1, is integer Bareiss on 1-tuples, for packed ints and resultants
+_INTEGERS = NumberField.rationals()

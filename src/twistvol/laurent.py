@@ -8,19 +8,21 @@ computed by evaluation and interpolation: each row is divided by its
 gcd with the scale, shifted to ordinary-polynomial form and held as
 flat planes of coordinates, one per power of t, so evaluating a row at
 a point is one Horner pass (_at).  For a certified degree bound D, one
-of two paths, chosen here by size, takes the determinant over Z[x]/(m)
-on Python ints.  A small matrix is packed once at x = 2^B; packing and
-evaluation are both ring maps, so the integer Bareiss values at the
-nodes 0..D interpolate to the packed determinant's D + 1 int
-coefficients, each decoded once, and a further point, t = -2 packed
-wider, is the verification point.  A large one takes the field's
-coordinate Bareiss (NumberField._det) at D + 2 consecutive integers
-about zero, whose (D+1)-th forward difference must be zero (the
-verification point).  _newton_interpolate takes the values as int
-tuples: one forward-difference table checks the values past the first
-D + 1 and expands the Newton form with the one common denominator D!,
-divided out exactly; the row scales and the factored-out power of t
-are restored at the end.  LaurentPolynomial.evaluate (rational points
+node loop takes the determinant over Z[x]/(m) on Python ints, with one
+kernel, NumberField._det, over one of two rings chosen here by size.  A
+small matrix is packed once at x = 2^B, and its ints are eliminated as
+1-tuples over field._INTEGERS, the degree-1 ring; packing and
+evaluation are both ring maps, so the values at the nodes 0..D
+interpolate to the packed determinant's D + 1 int coefficients, each
+decoded once, and a further point, t = -2 packed wider, is the
+verification point.  A large one is eliminated on the coordinates, over
+the field itself, at D + 2 consecutive integers about zero, whose
+(D+1)-th forward difference must be zero (the verification point).
+_newton_interpolate takes the values as int tuples: one
+forward-difference table checks the values past the first D + 1 and
+expands the Newton form with the one common denominator D!, divided out
+exactly; the row scales and the factored-out power of t are restored at
+the end.  LaurentPolynomial.evaluate (rational points
 only) runs the field's Horner loop on each coordinate list (_dense_eval),
 on ints at an integral point.  A LaurentPolynomial holds int
 coordinates over one scale too, so the data are ints over one scale
@@ -38,14 +40,14 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm, prod
 
-from .field import (NFElement, _add_planned, _bareiss, _denominator,
+from .field import (_INTEGERS, NFElement, _add_planned, _denominator,
                     _digit_shift, _exact_quotient, _horner, _integral,
                     _rational, _unit)
 
 # determinant packs a matrix once, for all its evaluation points, when
-# rows * bits(N1) is at most this; degree 1 packs at any size.  It sits
-# below the size at which the pack-once time per determinant passed that
-# of NumberField._det, the coordinate Bareiss, at every point, measured
+# rows * bits(N1) is at most this, at every field degree.  It sits below
+# the size at which the pack-once time per determinant passed that of
+# the field's own _det, the coordinate Bareiss, at every point, measured
 # at degrees 2 to 9 on the numerators of the figure-eight and nine Riley
 # jobs (BENCH_pr25.json, "crossover"), where no size lay in 995..1151.
 _PACK_ONCE_BITS = 990
@@ -531,7 +533,8 @@ def _at(planes, x):
 
 def _split(flat, d):
     """The flat int list as consecutive d-tuples."""
-    return list(zip(*[iter(flat)] * d))
+    entries = iter(flat)
+    return list(zip(*(entries,) * d))
 
 
 def _pack(flat, d, width):
@@ -561,13 +564,13 @@ def determinant(matrix):
     expanding the product of the row sums gives every Leibniz term and
     more), and so every coefficient in Z[x] of F(x, s) at a point
     |s| <= 1, a sum of coefficients of F times powers of s.  rows *
-    bits(N1) against _PACK_ONCE_BITS is the one choice of determinant
-    path; degree 1 always takes the first.
+    bits(N1) against _PACK_ONCE_BITS, at every degree, is the one choice
+    of the ring that the one node loop's _det runs over.
 
     Pack-once: each c_k is packed once at x = 2^B, B = bits(N1) + 1.
     Packing (x -> 2^B) and evaluation (t -> s) are both ring maps, so
-    _bareiss on the packed rows at a node s gives G(s) exactly, where
-    G(t) = F(2^B, t) in Z[t] has degree <= D.  The D + 1 nodes 0..D
+    _INTEGERS._det on the packed rows at a node s gives G(s) exactly,
+    where G(t) = F(2^B, t) in Z[t] has degree <= D.  The D + 1 nodes 0..D
     therefore fix G's int coefficients G_k = F_k(2^B), which
     _newton_interpolate recovers exactly, and each G_k is decoded once
     into rows * (d - 1) + 1 digits and folded by m; N1 proves B wide
@@ -584,7 +587,7 @@ def determinant(matrix):
     digits of the one int G(-1).  _decode's ArithmeticError on digits
     left over catches other short widths.
 
-    Coordinates: NumberField._det, Bareiss on the coordinates, runs at
+    Coordinates: the field's _det, Bareiss on the coordinates, runs at
     the D + 2 consecutive integers from -floor((D+1)/2), and one
     difference table of the values checks that their (D+1)-th
     difference is zero, the verification point, and interpolates the
@@ -621,23 +624,27 @@ def determinant(matrix):
     bound = sum(len(planes) - 1 for planes in rows)
     norm = prod(sum(map(abs, chain.from_iterable(planes))) for planes in rows)
     n = len(rows)
-    if d == 1 or n * norm.bit_length() <= _PACK_ONCE_BITS:
-        width = _digit_shift(norm)
+    packed = n * norm.bit_length() <= _PACK_ONCE_BITS
+    if packed:
+        # each plane packed once, its ints 1-tuples over the degree-1 ring
+        ring, width = _INTEGERS, _digit_shift(norm)
+        points = range(bound + 1)
+        node_rows = [[_pack(plane, d, width) for plane in planes]
+                     for planes in rows]
+    else:
+        ring, node_rows = field, rows
+        start = -((bound + 1) // 2)
+        points = range(start, start + bound + 2)
+    values = [ring._det([_split(_at(planes, x), ring.degree)
+                         for planes in node_rows]) for x in points]
+    poly = _newton_interpolate(points.start, values, bound)
+    if packed:
         digits = n * (d - 1) + 1
-        packed = [[_pack(plane, d, width) for plane in planes]
-                  for planes in rows]
-        values = [(_bareiss([_at(planes, x) for planes in packed]),)
-                  for x in range(bound + 1)]
-        poly = [field._decode(value, width, digits) for value, in
-                _newton_interpolate(0, values, bound)]
+        poly = [field._decode(value, width, digits) for value, in poly]
         # the verification point t = -2, at a width no node shares
         wide = width + bound + 1
-        check = _bareiss([_pack(_at(planes, -2), d, wide) for planes in rows])
+        check, = _INTEGERS._det([_split(_pack(_at(planes, -2), d, wide), 1)
+                                 for planes in rows])
         if field._decode(check, wide, digits) != _dense_eval(field, poly, -2):
             raise ArithmeticError(_VERIFY)
-    else:
-        start = -((bound + 1) // 2)
-        values = [field._det([_split(_at(planes, x), d) for planes in rows])
-                  for x in range(start, start + bound + 2)]
-        poly = _newton_interpolate(start, values, bound)
     return LaurentPolynomial._of(field, dict(enumerate(poly, shift)), scale)

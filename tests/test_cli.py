@@ -132,6 +132,15 @@ class TestJobParsing:
         job = parse_job('gens: a b\nrel: aabb = bbaa\nalpha: a=1 b=-1\n')
         assert job.presentation.alpha == (1, -1)
 
+    def test_digit_caps_admit_their_limits(self):
+        """A 1000-digit field coefficient and alpha exponents of +-50, the
+        caps themselves, parse."""
+        job = parse_job('gens: a b\nrel: aabb = bbaa\nalpha: a=50 b=-050\n'
+                        'field: -1%s 1\n' % ('0' * 999))
+        assert job.presentation.alpha == (50, -50)
+        assert job.representation is None
+        assert job.number_field.min_poly == (-10 ** 999, 1)
+
     def test_presentation_errors_carry_file_line_numbers(self):
         with pytest.raises(JobError, match='line 4'):
             parse_job('# header\nreference: 1.0\ngens: a b\nrel: a?b = ba\n')
@@ -454,6 +463,26 @@ class TestCompute:
           ('5000-digits', '7' * 5000, '7' * 20 + '...'),
           ('1e999999999', '1e999999999', '1e999999999'),
           ('1e-1000', '1e-1000', '1e-1000'))),
+    # so may a field coefficient: a 5000-digit one, too long for int(),
+    # is not called a non-integer, and a 1001-digit one, which int()
+    # reads, does not load; neither is echoed whole
+    *(pytest.param(argv, FIG8_TEXT.replace('field: 1 1 1',
+                                           'field: 1 %s 1' % literal),
+                   "line 8: field coefficient '%s' needs more than 1000 "
+                   "digits" % shown, id='field-%s-%s' % (name, argv[0]))
+      for argv in (['check'], ['invariant', '--n', '3'])
+      for name, literal, shown in (
+          ('5000-digits', '7' * 5000, '7' * 20 + '...'),
+          ('1001-digits', '-' + '3' * 1001, '-' + '3' * 19 + '...'))),
+    # an alpha exponent may be at most MAX_ALPHA (50) in absolute value,
+    # checked before int() reads it, and is not echoed
+    *(pytest.param(argv, FIG8_TEXT + 'alpha: a=1 b=%s\n' % exponent,
+                   'line 17: alpha exponent of b must be at most 50 in '
+                   'absolute value', id='alpha-%s-%s' % (name, argv[0]))
+      for argv in (['check'], ['invariant', '--n', '2'])
+      for name, exponent in (('51', '51'), ('-51', '-51'),
+                             ('10000000', '10000000'), ('1_000', '1_000'),
+                             ('5000-digits', '9' * 5000))),
     # --n ranges
     pytest.param(['compute', '--n', '4-6'], None, "bad --n range '4-6'",
                  id='range-4-6'),
@@ -498,6 +527,7 @@ def test_bad_numeric_input(capsys, monkeypatch, tmp_path, argv, job_text,
     code, _, err = run(capsys, argv[0], job, *argv[1:])
     assert code == 1
     assert err.startswith('error [%s]: ' % stage) and message in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize('argv, reached', [

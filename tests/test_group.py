@@ -86,6 +86,14 @@ class TestParse:
         with pytest.raises(ParseError, match='^line 3: alpha names a twice$'):
             parse_presentation('gens: a b\nrel: ab = ba\nalpha: a=2 b=1 a=1\n')
 
+    def test_alpha_exponent_capped(self):
+        text = 'gens: a b\nrel: ab = ba\nalpha: a=%s b=%s\n'
+        assert parse_presentation(text % (50, -50)).alpha == (50, -50)
+        for exponent in ('51', '-51', '+0100', '1_000', '9' * 5000):
+            with pytest.raises(ParseError, match='^line 3: alpha exponent of '
+                               'b must be at most 50 in absolute value$'):
+                parse_presentation(text % (1, exponent))
+
     def test_round_trip(self):
         for text in (FIG8_TEXT,
                      'gens: a\n',

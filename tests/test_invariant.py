@@ -15,6 +15,7 @@ from twistvol import (GroupRingElement, LaurentPolynomial, Matrix,
                       symmetric_power, twisted_alexander, value_at_one,
                       wada_matrix)
 
+from twistvol import field as field_module
 from twistvol import rep as rep_module
 
 from conftest import fig8_wirtinger
@@ -718,18 +719,12 @@ class TestDenominatorExpansion:
         calls = []
         eliminate = NumberField._det
 
-        bareiss = laurent._bareiss
-
+        # both paths, the packed ints' degree-1 ring included
         def counting(self, rows):
             calls.append(None)
             return eliminate(self, rows)
 
-        def counting_packed(rows):
-            calls.append(None)
-            return bareiss(rows)
-
         monkeypatch.setattr(NumberField, '_det', counting)
-        monkeypatch.setattr(laurent, '_bareiss', counting_packed)
         expand = invariant.symmetric_power
 
         def counting_power(matrix, n):
@@ -809,36 +804,34 @@ class TestClosedFormDenominator:
 
 
 class TestDetPathSelection:
-    """determinant packs a small matrix once for all its points; a large
-    one takes _det, Bareiss on the coordinates, at each point."""
+    """determinant packs a small matrix once for all its points, whose
+    ints the degree-1 ring field._INTEGERS eliminates; a large one takes
+    the field's own _det, Bareiss on the coordinates, at each point."""
 
     @staticmethod
     def count_kernel_calls(monkeypatch):
         """{'pack-once': [], '_det': [], '_inv_integral in a kernel': []},
-        filled by the calls that follow: rows per packed point and per
-        _det call."""
+        filled by the calls that follow: rows per _det call, keyed
+        'pack-once' for _INTEGERS and '_det' for the job's field."""
         calls = {'pack-once': [], '_det': [], '_inv_integral in a kernel': []}
-        bareiss = laurent._bareiss
         det, inv = NumberField._det, NumberField._inv_integral
         inside = []
 
-        def tracked(key, fn):
-            def wrapper(*args):
-                calls[key].append(len(args[-1]))
-                inside.append(None)
-                try:
-                    return fn(*args)
-                finally:
-                    inside.pop()
-            return wrapper
+        def tracked(self, rows):
+            key = 'pack-once' if self is field_module._INTEGERS else '_det'
+            calls[key].append(len(rows))
+            inside.append(None)
+            try:
+                return det(self, rows)
+            finally:
+                inside.pop()
 
         def counting_inv(self, b):
             if inside:
                 calls['_inv_integral in a kernel'].append(None)
             return inv(self, b)
 
-        monkeypatch.setattr(laurent, '_bareiss', tracked('pack-once', bareiss))
-        monkeypatch.setattr(NumberField, '_det', tracked('_det', det))
+        monkeypatch.setattr(NumberField, '_det', tracked)
         monkeypatch.setattr(NumberField, '_inv_integral', counting_inv)
         return calls
 

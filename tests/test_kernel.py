@@ -1,12 +1,16 @@
 """Properties of the integral field kernel: NumberField._mul_matrix,
-_plan (and the rep.Matrix products on it), _inv_integral, _inv, _det
+_plan (and the rep.Matrix products on it), _inv_integral, _inv and _det
 (Bareiss on the coordinates, whose pivot steps return their pivots'
-inverses, _inv_integral's too) and _bareiss.
+inverses, _inv_integral's too), the one elimination: over _INTEGERS,
+the degree-1 ring, it eliminates laurent's packed ints and the
+resultant that screens m.
 
 _det is checked against two oracles: the Leibniz sum, and a test-local
-Kronecker substitution (integer Bareiss at x = 2^B, decoded by the
-field), which agrees with it on large matrices too; the oracle given
-too small a bound leaves digits over, which the field's decode rejects.
+Kronecker substitution (a test-local integer Bareiss, bareiss_det, at
+x = 2^B, decoded by the field), which agrees with it on large matrices
+too; the oracle given too small a bound leaves digits over, which the
+field's decode rejects.  _INTEGERS._det is checked against both on
+packed-size ints.
 Fields of degree 1 to 9 are covered, so _det's pivot step, generated
 once per degree with its products and folds by m, runs at each of them.
 The minimal polynomials and embeddings of degree 4 to 9 are those of the
@@ -28,10 +32,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from twistvol import (NumberField, bundled_job_path, laurent, load_job,
+from twistvol import (LaurentPolynomial, NumberField, PolyMatrix,
+                      bundled_job_path, determinant, laurent, load_job,
                       parse_job)
 from twistvol import field as field_module
-from twistvol.field import _bareiss, _digit_shift, _unit
+from twistvol.field import _INTEGERS, _digit_shift, _unit
 from twistvol.rep import Matrix
 
 from conftest import (K7_3_TEXT, K9_7_FIELD, K11_3_FIELD, K13_3_FIELD,
@@ -84,6 +89,34 @@ def leibniz_det(field, rows):
     return total
 
 
+def bareiss_det(rows):
+    """Independent oracle: the determinant of the first n columns of an
+    n-row int matrix, eliminated in place, further columns carried along:
+    fraction-free Bareiss, each entry after step k a (k+1) x (k+1) minor,
+    so each division by the previous pivot is exact."""
+    n = len(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not rows[k][k]:
+            pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        akk = row_k[k]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            aik = row_i[k]
+            for j in range(k + 1, len(row_i)):
+                row_i[j], remainder = divmod(akk * row_i[j] - aik * row_k[j],
+                                             prev)
+                assert not remainder
+        prev = akk
+    return sign * rows[n - 1][n - 1]
+
+
 def row_norm_bound(rows):
     """prod_i sum_j ||a_ij||_1, which bounds det A's coefficients in Z[x]."""
     bound = 1
@@ -95,20 +128,21 @@ def row_norm_bound(rows):
 def kronecker_det(field, rows, bound=None):
     """Second oracle: each entry a = sum_r c_r x^r becomes the int
     a(2^B), B = _digit_shift(bound) with bound = row_norm_bound by
-    default, whose integer Bareiss determinant, decoded by the field into
-    n(d - 1) + 1 balanced digits and folded by m, is det A."""
+    default, whose integer Bareiss determinant (bareiss_det), decoded by
+    the field into n(d - 1) + 1 balanced digits and folded by m, is
+    det A."""
     if bound is None:
         bound = row_norm_bound(rows)
     shift = _digit_shift(bound)
-    value = _bareiss([[sum(c << (shift * r) for r, c in enumerate(a))
-                       for a in row] for row in rows])
+    value = bareiss_det([[sum(c << (shift * r) for r, c in enumerate(a))
+                          for a in row] for row in rows])
     return field._decode(value, shift, len(rows) * (field.degree - 1) + 1)
 
 
 def reference_inverse(field, b):
     """Independent oracle for an inverse: (w, D) with b * w = D on ints.
 
-    _bareiss on [M_b | e_0], whose elimination carries the extra column
+    bareiss_det on [M_b | e_0], whose elimination carries the extra column
     along, leaves U upper triangular, the column y and the last pivot
     D = +-det M_b.  w = D M_b^-1 e_0, the coordinates of D / b, is
     +-adj(M_b) e_0, integral, so back substitution
@@ -116,7 +150,7 @@ def reference_inverse(field, b):
     """
     d = field.degree
     rows = [[*r, int(i == 0)] for i, r in enumerate(field._mul_matrix(b))]
-    assert _bareiss(rows)
+    assert bareiss_det(rows)
     denom = rows[d - 1][d - 1]
     w = [0] * d
     for i in range(d - 1, -1, -1):
@@ -370,10 +404,46 @@ class TestDet:
             field_det(field, rows)
 
     def test_inexact_packed_step_is_caught(self):
-        """A non-integral entry makes an integer Bareiss division inexact."""
-        assert _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, 2]]) == 1
+        """A non-integral entry makes a division of the degree-1 ring's
+        Bareiss step, the one laurent's packed ints run, inexact."""
+        def rows(corner):
+            return [[(2,), (1,), (1,)], [(1,), (1,), (0,)],
+                    [(1,), (0,), (corner,)]]
+        assert _INTEGERS._det(rows(2)) == (1,)
         with pytest.raises(ArithmeticError, match='non-integral'):
-            _bareiss([[2, 1, 1], [1, 1, 0], [1, 0, Fraction(3, 4)]])
+            _INTEGERS._det(rows(Fraction(3, 4)))
+
+    def test_integers_match_oracles_on_packed_sizes(self):
+        """_INTEGERS._det, on 1-tuples of 200..2000 bits as packing makes
+        them, equals bareiss_det on 2..9 rows and leibniz_det on 2..7,
+        with zero pivots forced at the first and a later step, and is 0
+        on a singular matrix."""
+        rng = random.Random(3200)
+        cases = []
+        for n in range(2, 10):
+            for trial in range(3):
+                bits = rng.randint(200, 2000)
+                rows = [[rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+                        for _ in range(n)]
+                if trial == 1:
+                    rows[0][0] = 0
+                elif trial == 2 and n >= 3:
+                    # a vanishing leading 2 x 2 minor
+                    c = rng.randint(-2 ** 40, 2 ** 40)
+                    rows[1][:2] = [c * x for x in rows[0][:2]]
+                cases.append((rows, False))
+            singular = [row[:] for row in rows]
+            # the last row 3 r_0 - r_(n-2): 2 r_0 at n = 2
+            singular[-1] = [3 * x - y
+                            for x, y in zip(singular[0], singular[-2])]
+            cases.append((singular, True))
+        for rows, singular in cases:
+            packed = [[(x,) for x in row] for row in rows]
+            got = _INTEGERS._det([row[:] for row in packed])
+            assert got == (bareiss_det([row[:] for row in rows]),)
+            assert (got == (0,)) == singular
+            if len(rows) <= 7:
+                assert got == leibniz_det(FIELDS[1], packed)
 
     # at d >= 3 a short shift can decode into in-range digits, which only
     # a verification point catches; at these degrees the pinned rows
@@ -419,7 +489,7 @@ class TestPivotInverse:
             w, denom = pivot_inverse(field, b)
             assert all(type(c) is int for c in w + (denom,))
             assert field._mul(b, w) == _unit(field, denom)
-            assert denom == (-1) ** (d + 1) * _bareiss(
+            assert denom == (-1) ** (d + 1) * bareiss_det(
                 [list(row) for row in field._mul_matrix(b)])
             w_ref, denom_ref = reference_inverse(field, b)
             assert field._scale(w, denom_ref) == field._scale(w_ref, denom)
@@ -534,16 +604,18 @@ class TestDecode:
 
 
 def test_loading_generates_no_kernel(monkeypatch, tmp_path):
-    """load_job builds neither _det's pivot step nor a decode, in this
-    process, with both caches emptied first; the first decode of a
-    degree builds its own."""
+    """load_job builds no decode and only the degree-1 pivot step, which
+    the Sylvester resultant of the screen of m runs, in this process,
+    with both caches emptied first; the first decode of a degree builds
+    its own."""
     monkeypatch.setattr(field_module, '_ROW_STEPS', {})
     monkeypatch.setattr(field_module, '_DECODERS', {})
     riley = tmp_path / 'k7_3.job'
     riley.write_text(K7_3_TEXT, encoding='utf-8')
     load_job(str(bundled_job_path('figure-eight')))
     job = load_job(str(riley))
-    assert field_module._ROW_STEPS == {} and field_module._DECODERS == {}
+    assert sorted(field_module._ROW_STEPS) == [1]
+    assert field_module._DECODERS == {}
     job.representation.field._decode(5, 4, 3)
     assert sorted(field_module._DECODERS) == [3]
 
@@ -551,7 +623,8 @@ def test_loading_generates_no_kernel(monkeypatch, tmp_path):
 def test_loading_builds_no_row_step(tmp_path):
     """_det's row update is built at the first _det of a degree, so
     importing twistvol and loading the bundled job and a Riley job
-    builds none: a fresh process shows the cache empty until then."""
+    builds only the degree-1 one, for the resultant that screens m: a
+    fresh process shows no other in the cache until then."""
     riley = tmp_path / 'k7_3.job'
     riley.write_text(K7_3_TEXT, encoding='utf-8')
     src = str(Path(__file__).resolve().parents[1] / 'src')
@@ -569,7 +642,7 @@ def test_loading_builds_no_row_step(tmp_path):
     proc = subprocess.run([sys.executable, '-c', code, str(riley)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == '[]\n[3]\n'
+    assert proc.stdout == '[1]\n[1, 3]\n'
 
 
 def test_loading_inverts_sl2_images_by_adjugate(monkeypatch):
@@ -592,3 +665,45 @@ def test_loading_inverts_sl2_images_by_adjugate(monkeypatch):
         eye = Matrix.identity(rep.field, 2)
         for image, (inverse, _) in zip(rep.images, rep._inverse_factors):
             assert inverse * image == eye and image * inverse == eye
+
+
+def test_every_determinant_runs_the_row_step(monkeypatch):
+    """Each determinant and inverse runs _det's generated pivot step,
+    seen by wrapping field._row_step and laurent's interpolation: the
+    pack-once nodes and, after the interpolation, their check at t = -2
+    at degree 1, the coordinate nodes at the field's degree, the
+    Sylvester resultant that screens m at degree 1, and Matrix.det and
+    _inv_integral at the field's degree."""
+    calls = []
+    build, interpolate = field_module._row_step, laurent._newton_interpolate
+
+    def recording_step(d):
+        calls.append(d)
+        return build(d)
+
+    def recording_interpolate(*args):
+        calls.append('interpolate')
+        return interpolate(*args)
+
+    monkeypatch.setattr(field_module, '_row_step', recording_step)
+    monkeypatch.setattr(laurent, '_newton_interpolate', recording_interpolate)
+    field = FIELDS[2]
+    t = LaurentPolynomial.t(field)
+    u = LaurentPolynomial.constant(field, field.generator)
+    # not triangular; t-degree bound D = 3
+    m = PolyMatrix(field, [[3 * t + 5, t, u], [2, 7 * t - u, t],
+                           [1, u, 2 * t]])
+    want = determinant(m)
+    assert calls == [1] * 4 + ['interpolate', 1]
+    del calls[:]
+    monkeypatch.setattr(laurent, '_PACK_ONCE_BITS', -1)
+    assert determinant(m) == want
+    assert calls == [2] * 5 + ['interpolate']
+    del calls[:]
+    NumberField(K7_3.min_poly, K7_3.embedding_hint)
+    assert calls == [1]
+    del calls[:]
+    assert Matrix(field, [[1, [0, 1]], [[2, 1], 3]]).det() \
+        == field.element([4, -1])    # 3 - x (2 + x), x^2 = -1 - x
+    field._inv_integral((1, 1))
+    assert calls == [2, 2]

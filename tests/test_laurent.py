@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twistvol import (LaurentPolynomial, NumberField, PolyMatrix, determinant,
                       equal_up_to_unit, laurent, normalize_unit, order_at_one,
                       parse_polynomial, reduce, symmetric_power)
+from twistvol import field as field_module
 from twistvol.laurent import (_dense_divmod, _dense_eval, _dense_gcd,
                               _dense_trim, _newton_interpolate)
 
@@ -222,18 +223,17 @@ class TestDeterminant:
             m = sparse_matrix(field, rng, pattern, max_den)
             assert determinant(m) == cofactor_determinant(m), pattern
 
-    # degree 1 packs once at any size, so it has no coordinate side
     @pytest.mark.parametrize('path, degree', [
         ('pack-once', 1), ('pack-once', 2), ('pack-once', 3),
         ('pack-once', 4), ('pack-once', 8),
-        ('_det', 2), ('_det', 3), ('_det', 4), ('_det', 8)])
+        ('_det', 1), ('_det', 2), ('_det', 3), ('_det', 4), ('_det', 8)])
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_forced_path_against_cofactor_oracle(self, path, degree, data):
-        """Either path, forced by _PACK_ONCE_BITS, equals the cofactor
-        oracle on 2..4 rows with exponents -2..2, t-degree >= 2 and one
-        row constant in t (a single plane, which _at must copy, since
-        both kernels eliminate in place)."""
+        """Either path, forced by _PACK_ONCE_BITS at every degree, equals
+        the cofactor oracle on 2..4 rows with exponents -2..2, t-degree
+        >= 2 and one row constant in t (a single plane, which _at must
+        copy, since _det eliminates in place over either ring)."""
         field = PATH_FIELDS[degree]
         n = data.draw(st.integers(2, 4))
         flat = data.draw(st.integers(0, n - 1))
@@ -267,18 +267,12 @@ class TestDeterminant:
         calls = []
         eliminate = NumberField._det
 
-        bareiss = laurent._bareiss
-
+        # both paths, the packed ints' degree-1 ring included
         def counting(self, rows):
             calls.append(None)
             return eliminate(self, rows)
 
-        def counting_packed(rows):
-            calls.append(None)
-            return bareiss(rows)
-
         monkeypatch.setattr(NumberField, '_det', counting)
-        monkeypatch.setattr(laurent, '_bareiss', counting_packed)
         for trial in range(12):
             n = rng.randrange(1, 6)
             m = PolyMatrix(field, [[random_poly(field, rng, max_den=6)
@@ -311,40 +305,40 @@ class TestDeterminant:
     def test_wrong_value_fails_verification_point(self, ufield,
                                                   monkeypatch):
         """A wrong kernel value at the extra point: ArithmeticError, on the
-        pack-once path (_bareiss at each point, t = -1 the last) and on the
-        coordinate path (_det at each point)."""
+        pack-once path (the degree-1 ring's _det at each point, t = -2 the
+        last) and on the coordinate path (the field's _det at each
+        point)."""
         rng = random.Random(316)
         m = PolyMatrix(ufield, [[random_poly(ufield, rng) for _ in range(3)]
                                 for _ in range(3)])
         want = determinant(m)
         counts = []
-        for owner, attr, limit in (
-                (laurent, '_bareiss', None),
-                (NumberField, '_det', -1)):
+        kernel = NumberField._det
+        for ring, limit in ((field_module._INTEGERS, None), (ufield, -1)):
             if limit is not None:
                 monkeypatch.setattr(laurent, '_PACK_ONCE_BITS', limit)
-            kernel = getattr(owner, attr)
             calls = []
 
-            def counting(*args):
+            def counting(self, rows):
+                assert self is ring
                 calls.append(None)
-                return kernel(*args)
+                return kernel(self, rows)
 
-            monkeypatch.setattr(owner, attr, counting)
+            monkeypatch.setattr(NumberField, '_det', counting)
             assert determinant(m) == want
             points = len(calls)
             counts.append(points)
 
-            def wrong_last(*args):
+            def wrong_last(self, rows):
                 calls.append(None)
-                value = kernel(*args)
+                value = kernel(self, rows)
                 if len(calls) % points == 0:
-                    # a packed int, or the coordinates of a field element
-                    value = (value + 1 if isinstance(value, int)
-                             else (value[0] + 1,) + value[1:])
+                    # a packed int's 1-tuple, or a field element's
+                    # coordinates
+                    value = (value[0] + 1,) + value[1:]
                 return value
 
-            monkeypatch.setattr(owner, attr, wrong_last)
+            monkeypatch.setattr(NumberField, '_det', wrong_last)
             with pytest.raises(ArithmeticError, match='verification point'):
                 determinant(m)
             monkeypatch.undo()
@@ -408,7 +402,6 @@ class TestDeterminant:
             raise AssertionError('the kernel ran on a matrix with a zero row')
 
         monkeypatch.setattr(NumberField, '_det', refuse)
-        monkeypatch.setattr(laurent, '_bareiss', refuse)
         t = LaurentPolynomial.t(qfield)
         m = PolyMatrix(qfield, [[1, t, 1], [t, 1, 1], [0, 0, 0]])
         assert determinant(m).is_zero()

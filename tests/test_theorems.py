@@ -1,7 +1,8 @@
 """Facts about the twisted Alexander invariants A_n(t) of a two-bridge
 knot K(p/q), checked on the bundled figure-eight job and the eight Riley
-jobs at n = 2..5 (n = 2..3 for the degree-8 field of K(17/5)), and on
-the figure-eight also at n = 11..15 and 20, where every numerator
+jobs at n = 2..5 (n = 2..3 for the degree-8 field of K(17/5)), on the
+torus knot K(5/1) = T(2, 5), the non-hyperbolic control, at n = 2..7,
+and on the figure-eight also at n = 11..15 and 20, where every numerator
 evaluation runs the field's coordinate determinant, NumberField._det:
 
 - reciprocity, A_n(1/t) = +/- t^k A_n(t): sigma_n of SL(2) is self-dual
@@ -32,6 +33,7 @@ from twistvol import (LaurentPolynomial, TwistConfig, bundled_job_path,
                       value_at_one)
 
 from conftest import K7_3_TEXT
+from test_cli import K5_1_JOB
 
 # The Riley parabolic representations of K(p/q), field degree 4..8; the
 # embedding is the root with the largest imaginary part.
@@ -95,10 +97,11 @@ rep b: [[[1,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0]],[[0,-1,0,0,0,0,0,0],[1,0,0,0,0,0,0
 }
 
 JOBS = {(5, 3): bundled_job_path('figure-eight').read_text(encoding='utf-8'),
-        (7, 3): K7_3_TEXT, **RILEY_TEXTS}
+        (7, 3): K7_3_TEXT, (5, 1): K5_1_JOB, **RILEY_TEXTS}
 
 # the n of each job's invariants; 2..5 where not listed
-NS = {(5, 3): [2, 3, 4, 5, 11, 12, 13, 14, 15, 20], (17, 5): [2, 3]}
+NS = {(5, 3): [2, 3, 4, 5, 11, 12, 13, 14, 15, 20], (17, 5): [2, 3],
+      (5, 1): [2, 3, 4, 5, 6, 7]}
 
 # SHA-256 of what `twistvol invariant --n 20` prints for the bundled
 # figure-eight, followed by 'value at t=1: ' and value_at_one, one line
@@ -137,7 +140,7 @@ def span(poly):
 
 @pytest.fixture(scope='module')
 def invariants():
-    """(p, q) -> {n: TwistedAlexander} over the nine jobs."""
+    """(p, q) -> {n: TwistedAlexander} over the ten jobs."""
     out = {}
     for knot, text in JOBS.items():
         job = parse_job(text)
@@ -151,6 +154,7 @@ def test_continued_fractions():
     assert even_continued_fraction(5, 3) == [-2, -2]
     assert even_continued_fraction(7, 3) == [-2, 4]
     assert even_continued_fraction(3, 1) == [-2, 2]   # the trefoil
+    assert even_continued_fraction(5, 1) == [-2, 2, -2, 2]
 
 
 @pytest.mark.parametrize('knot', sorted(JOBS), ids='K({0[0]}/{0[1]})'.format)
